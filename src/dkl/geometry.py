@@ -14,8 +14,8 @@ scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -232,51 +232,26 @@ def eval_A(
 
 @dataclass(frozen=True)
 class BoundaryWeight:
-    """An evaluatable boundary weight with its declared structural properties.
-
-    ``flags`` records which assumptions the weight declares (symmetry "A1",
-    smoothness "A2", two-sided comparability "A3I"/"A3II", scale and
-    translation invariance "A4").  ``heights_profile``, when present, is a
-    vectorized fast path f(hmin, hmax, dist) -> values used by quadrature for
-    tangentially isotropic weights.
-    """
+    """The four-parameter boundary weight of a model: ``eval_B(params.beta, x, y)``."""
 
     params: ModelParams
-    evaluate: Callable[[HalfSpacePoint, HalfSpacePoint], float]
-    flags: frozenset = field(default_factory=frozenset)
-    tangentially_isotropic: bool = False
-    heights_profile: Optional[Callable] = None
-    diagonal_limit: Optional[float] = None
-    # set iff the weight IS the four-parameter family, enabling exact
-    # log-space evaluation arbitrarily deep into the boundary layer
-    power_log_quadruple: Optional[tuple[float, float, float, float]] = None
+
+    @property
+    def diagonal_limit(self) -> float:
+        """Limit of the weight as two points at equal positive heights merge.
+
+        Factored exactly as :func:`weight_from_heights_arr` computes it, so
+        differences against this value cancel bitwise where the weight is flat.
+        """
+        b3, b4 = self.params.beta[2], self.params.beta[3]
+        return (math.log(_E + 1.0) ** b3 if b3 > 0.0 else 1.0) * (
+            math.log(_E + 1.0) ** b4 if b4 > 0.0 else 1.0
+        )
 
 
 def standard_weight(params: ModelParams) -> BoundaryWeight:
     """The concrete four-parameter weight for the given model parameters."""
-    b = params.beta
-
-    def _eval(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-        return eval_B(b, x, y)
-
-    def _profile(hmin, hmax, dist):
-        return weight_from_heights_arr(b, hmin, hmax, dist)
-
-    b3, b4 = b[2], b[3]
-    # factored exactly as the profile computes it, so differences against the
-    # diagonal value cancel bitwise where the weight is flat
-    diag = (math.log(_E + 1.0) ** b3 if b3 > 0.0 else 1.0) * (
-        math.log(_E + 1.0) ** b4 if b4 > 0.0 else 1.0
-    )
-    return BoundaryWeight(
-        params=params,
-        evaluate=_eval,
-        flags=frozenset({"A1", "A3I", "A3II", "A4"}),
-        tangentially_isotropic=True,
-        heights_profile=_profile,
-        diagonal_limit=diag,
-        power_log_quadruple=b,
-    )
+    return BoundaryWeight(params)
 
 
 def eval_J(w: BoundaryWeight, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
@@ -286,7 +261,7 @@ def eval_J(w: BoundaryWeight, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
         raise ValueError("jump kernel is undefined for coincident points")
     d = w.params.dim
     alpha = w.params.alpha
-    return w.evaluate(x, y) * dist ** (-(d + alpha))
+    return eval_B(w.params.beta, x, y) * dist ** (-(d + alpha))
 
 
 def stable_factor(d: int, alpha: float, t: float, r: float) -> float:

@@ -24,6 +24,7 @@ from .geometry import (
     eval_J,
     lift_ed,
     weight_from_heights,
+    weight_from_heights_arr,
 )
 from .quadrature import QuadratureSpec, integrate_panels, merge_breaks
 
@@ -212,27 +213,18 @@ def _radial_two_jump(
     yh = y.height
     tang2 = sum((a - b) ** 2 for a, b in zip(x.tangential, y.tangential))
 
-    if w.heights_profile is not None:
-        def f(r: np.ndarray) -> np.ndarray:
-            mid_h = xh + r + u
-            w1 = w.heights_profile(
-                np.minimum(xh + u, mid_h), np.maximum(xh + u, mid_h), r
-            )
-            d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
-            w2 = w.heights_profile(
-                np.minimum(mid_h, yh + u), np.maximum(mid_h, yh + u), d2
-            )
-            return w1 * r ** (-(d + alpha)) * w2 * d2 ** (-(d + alpha)) * r ** (d - 1)
-    else:
-        X = lift_ed(x, u)
-        Y = lift_ed(y, u)
+    b = w.params.beta
 
-        def f(r: np.ndarray) -> np.ndarray:
-            out = np.empty_like(r)
-            for i, ri in enumerate(r):
-                mid = lift_ed(x, ri + u)
-                out[i] = eval_J(w, X, mid) * eval_J(w, mid, Y) * ri ** (d - 1)
-            return out
+    def f(r: np.ndarray) -> np.ndarray:
+        mid_h = xh + r + u
+        w1 = weight_from_heights_arr(
+            b, np.minimum(xh + u, mid_h), np.maximum(xh + u, mid_h), r
+        )
+        d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
+        w2 = weight_from_heights_arr(
+            b, np.minimum(mid_h, yh + u), np.maximum(mid_h, yh + u), d2
+        )
+        return w1 * r ** (-(d + alpha)) * w2 * d2 ** (-(d + alpha)) * r ** (d - 1)
 
     # integrable log singularities and clamp switches sit at the height and
     # time scales and where a lifted height crosses the far separation

@@ -38,7 +38,7 @@ from .quadrature import (
     power_graded_breaks,
 )
 from .report import ComparabilityReport
-from .util import log_uniform, parallel_map
+from .util import log_uniform
 
 __all__ = ["REGISTRY", "LemmaCheck", "check", "lemma_ids"]
 
@@ -927,7 +927,7 @@ def check(
             return None
         return lo, hi, params
 
-    results = parallel_map(one, list(range(budget)))
+    results = [one(i) for i in range(budget)]
     min_ratio, max_ratio = math.inf, 0.0
     argmin: dict = {}
     argmax: dict = {}

@@ -11,8 +11,8 @@ near s = 1 it behaves like (1-s)^(1-alpha), handled by a power-graded
 substitution (with explicit subtraction of the leading term for alpha >=
 1.5); near s = 0 it behaves like s^(delta-1) with delta = alpha+beta1-q
 possibly arbitrarily close to 0, handled on a logarithmic axis whose reach
-is chosen from delta and the target tolerance, with the power factors
-assembled in log space so no intermediate quantity overflows.
+is chosen from delta and beta3, with the power factors assembled in log
+space so no intermediate quantity overflows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundaryWeight, HalfSpacePoint, ModelParams
+from .geometry import BoundaryWeight, ModelParams, weight_from_heights_arr
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -147,93 +147,23 @@ def _kernel_right(u: np.ndarray, alpha: float, q: float) -> np.ndarray:
     return a1 * a2 * u ** (1.0 - alpha)
 
 
-def _profile_isotropic(w: BoundaryWeight, c: float):
-    """Weight values along the inner pair at offset factor c = sqrt(rho^2+1).
-
-    The pair has heights (1, s) at distance (1-s)*c.  Returns three maps:
-    the log of the weight as a function of log(s) on the left half, the
-    weight as a function of u = 1-s on the right half (forming 1-s from s
-    near 1 would lose all precision), and the weight as a function of s
-    (used by the log fallback for weights outside the power-log family).
-    """
-    if w.power_log_quadruple is not None:
-        b = w.power_log_quadruple
-
-        def log_left(wv: np.ndarray) -> np.ndarray:
-            return _log_weight_left(b, wv, c)
-
-        def right(u: np.ndarray) -> np.ndarray:
-            return w.heights_profile(1.0 - u, np.ones_like(u), u * c)
-
-        return log_left, right
-
-    if w.heights_profile is not None:
-
-        def log_left_generic(wv: np.ndarray) -> np.ndarray:
-            s = np.exp(wv)
-            with np.errstate(divide="ignore"):
-                return np.log(
-                    w.heights_profile(s, np.ones_like(s), (1.0 - s) * c)
-                )
-
-        def right_generic(u: np.ndarray) -> np.ndarray:
-            return w.heights_profile(1.0 - u, np.ones_like(u), u * c)
-
-        return log_left_generic, right_generic
-
-    dim = w.params.dim
-    rho = math.sqrt(max(c * c - 1.0, 0.0))
-    pad = (0.0,) * (dim - 2)
-
-    def from_u(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            x = HalfSpacePoint(dim, (ui * rho,) + pad, 1.0)
-            y = HalfSpacePoint(dim, (0.0,) * (dim - 1), max(1.0 - ui, 0.0))
-            out[i] = w.evaluate(x, y)
-        return out
-
-    def log_left_points(wv: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(from_u(1.0 - np.exp(wv)))
-
-    return log_left_points, from_u
-
-
-def _profile_line(w: BoundaryWeight, offset: float):
-    """Generic dim-2 profile pair for a signed tangential offset (1-s)*offset."""
-
-    def from_u(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            x = HalfSpacePoint(2, (ui * offset,), 1.0)
-            y = HalfSpacePoint(2, (0.0,), max(1.0 - ui, 0.0))
-            out[i] = w.evaluate(x, y)
-        return out
-
-    def log_left(wv: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(from_u(1.0 - np.exp(wv)))
-
-    return log_left, from_u
-
-
 def _s_value(
     alpha: float,
     q: float,
-    prof_pair,
     beta: Sequence[float],
     c: float,
-    spec: QuadratureSpec,
-    diagonal_limit: Optional[float],
+    diagonal_limit: float,
     n: int,
 ) -> float:
-    """The s-integral at fixed panel order n for one tangential offset."""
-    log_left, prof_right = prof_pair
+    """The s-integral at fixed panel order n for one tangential offset.
+
+    The weight is taken along the pair with heights (1, s) at distance
+    (1-s)*c, where c = sqrt(rho^2+1) for the tangential offset rho.
+    """
     b1, b2, b3, b4 = beta
     delta = _delta_eff(alpha, q, b1)
 
-    # left half (0, 1/2] on the log axis; reach set by delta and tolerance
+    # left half (0, 1/2] on the log axis; reach set by delta and beta3
     reach = 60.0 + 3.0 * (b3 + 1.0) * max(math.log(60.0 / delta), 0.0)
     w_lo = -reach / delta
     w_hi = math.log(0.5)
@@ -244,7 +174,8 @@ def _s_value(
             kinks.append(math.log(s_star))
     breaks_l = merge_breaks(decaying_log_breaks(w_lo, w_hi, delta), kinks, w_lo, w_hi)
     nodes_l, wts_l = panel_nodes(breaks_l, n)
-    left = float(np.dot(_left_values(-nodes_l, alpha, q, log_left(nodes_l)), wts_l))
+    ln_w = _log_weight_left(beta, nodes_l, c)
+    left = float(np.dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l))
 
     # right half, u = 1 - s = (1/2) v^g: power grading tames u^(1-alpha)
     g = max(1.5, 2.0 / (2.0 - alpha))
@@ -257,9 +188,9 @@ def _s_value(
     v = nodes_r
     u = 0.5 * v**g
     jac = (0.5 * g) * v ** (g - 1.0)
-    wvals = prof_right(u)
-    subtract = alpha >= 1.5 and diagonal_limit is not None
-    if subtract:
+    # from u, not s: forming 1-s from s near 1 would lose all precision
+    wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u * c)
+    if alpha >= 1.5:
         # remainder split so each bracket is individually cancellation-free:
         # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
         ls = np.log1p(-u)
@@ -293,8 +224,8 @@ def compute_C(
 ) -> float:
     """Evaluate the killing-constant map at q.
 
-    Requires q strictly inside (-1, alpha + beta1); finiteness rests on the
-    weight's declared upper comparability bound ("A3II").
+    Requires q strictly inside (-1, alpha + beta1), where the integral is
+    finite.
     """
     spec = spec or QuadratureSpec()
     alpha = params.alpha
@@ -307,70 +238,38 @@ def compute_C(
     diag = w.diagonal_limit
 
     if d == 1:
-        prof = _profile_isotropic(w, 1.0)
         n = 16
         prev = None
         while n <= spec.max_subdivisions:
-            val = _s_value(alpha, q, prof, beta, 1.0, spec, diag, n)
+            val = _s_value(alpha, q, beta, 1.0, diag, n)
             if prev is not None and abs(val - prev) <= spec.tol(val):
                 return val
             prev = val
             n *= 2
         raise NonConvergenceError("killing-constant integral did not converge")
 
-    if w.tangentially_isotropic:
-        surface = _sphere_area(d - 2) if d > 2 else 2.0
+    surface = _sphere_area(d - 2) if d > 2 else 2.0
 
-        def total_at(n_in: int, n_out: int) -> float:
-            nodes, wts = panel_nodes(_OUTER_BREAKS, n_out)
-            acc = 0.0
-            for th, wt in zip(nodes, wts):
-                rho = math.tan(th)
-                c = math.hypot(rho, 1.0)
-                inner = _s_value(
-                    alpha, q, _profile_isotropic(w, c), beta, c, spec, diag, n_in
-                )
-                # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
-                acc += wt * inner * math.sin(th) ** (d - 2) * math.cos(th) ** alpha
-            return surface * acc
+    def total_at(n_in: int, n_out: int) -> float:
+        nodes, wts = panel_nodes(_OUTER_BREAKS, n_out)
+        acc = 0.0
+        for th, wt in zip(nodes, wts):
+            rho = math.tan(th)
+            c = math.hypot(rho, 1.0)
+            inner = _s_value(alpha, q, beta, c, diag, n_in)
+            # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
+            acc += wt * inner * math.sin(th) ** (d - 2) * math.cos(th) ** alpha
+        return surface * acc
 
-        k = 0
-        prev = None
-        while 16 * 2**k <= spec.max_subdivisions:
-            val = total_at(16 * 2**k, 32 * 2 ** (k // 2))
-            if prev is not None and abs(val - prev) <= spec.tol(val):
-                return val
-            prev = val
-            k += 1
-        raise NonConvergenceError("killing-constant integral did not converge")
-
-    if d == 2:
-        # generic planar weight: two half-line integrals over the signed offset
-        def total_at(n_in: int, n_out: int) -> float:
-            nodes, wts = panel_nodes([0.0, math.pi / 4, math.pi / 2], n_out)
-            acc = 0.0
-            for th, wt in zip(nodes, wts):
-                rho = math.tan(th)
-                c = math.hypot(rho, 1.0)
-                both = 0.0
-                for sign in (1.0, -1.0):
-                    both += _s_value(
-                        alpha, q, _profile_line(w, sign * rho), beta, c, spec, diag, n_in
-                    )
-                acc += wt * both * math.cos(th) ** alpha
-            return acc
-
-        prev = None
-        for k in range(3):
-            val = total_at(16 * 2**k, 16 * 2**k)
-            if prev is not None and abs(val - prev) <= 10.0 * spec.tol(val):
-                return val
-            prev = val
-        return val
-
-    raise NotImplementedError(
-        "dim >= 3 requires a tangentially isotropic weight (radial fast path)"
-    )
+    k = 0
+    prev = None
+    while 16 * 2**k <= spec.max_subdivisions:
+        val = total_at(16 * 2**k, 32 * 2 ** (k // 2))
+        if prev is not None and abs(val - prev) <= spec.tol(val):
+            return val
+        prev = val
+        k += 1
+    raise NonConvergenceError("killing-constant integral did not converge")
 
 
 def solve_q(

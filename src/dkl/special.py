@@ -196,9 +196,7 @@ def _stable_integral(a: float, x: float) -> float:
     if lam * a0 > 745.0:
         return 0.0  # true value underflows
     # the kernel rises monotonically to +inf at pi; cut where it stops mattering
-    phi_hi = math.pi
     lo, hi = 0.0, math.pi
-    target = (745.0 + math.log(max(lam, 1e-300))) if lam > 0 else 745.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if lam * float(_zolotarev_A(a, np.array([mid]))[0]) > 745.0:
@@ -218,10 +216,12 @@ def _stable_integral(a: float, x: float) -> float:
         nodes, wts = panel_nodes(breaks, n)
         val = float(np.dot(f(nodes), wts))
         if prev is not None and abs(val - prev) <= 1e-11 * abs(val) + 1e-300:
-            break
+            return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
         prev = val
         n *= 2
-    return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
+    raise NonConvergenceError(
+        f"stable density integral did not converge at a={a}, x={x}"
+    )
 
 
 def stable_one_density(a: float, x: float) -> float:

@@ -1,30 +1,9 @@
-"""Shared plumbing: capped parallel mapping, CSV emission, config files."""
+"""Shared plumbing: CSV emission, config files."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TextIO
-
-
-def thread_budget() -> int:
-    """Worker cap from DKL_THREADS; defaults to serial execution."""
-    raw = os.environ.get("DKL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order; parallel only when DKL_THREADS allows."""
-    n = thread_budget()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+from typing import Iterable, Sequence, TextIO
 
 
 def fmt(value) -> str:

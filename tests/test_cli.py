@@ -200,15 +200,3 @@ class TestCShape:
         lines = out.strip().splitlines()
         assert lines[0] == "q,c_value"
         assert len(lines) == 17
-
-
-class TestThreadCap:
-    def test_parallel_report_identical_to_serial(self, monkeypatch):
-        from dkl.inequalities import check
-        from dkl.quadrature import QuadratureSpec
-
-        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
-        serial = check("cal_3", sampler_seed=9, budget=40, spec=spec)
-        monkeypatch.setenv("DKL_THREADS", "4")
-        parallel = check("cal_3", sampler_seed=9, budget=40, spec=spec)
-        assert serial == parallel

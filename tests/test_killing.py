@@ -2,30 +2,58 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
-from dkl.geometry import BoundaryWeight, ModelParams, standard_weight
+from dkl.geometry import ModelParams, standard_weight
 from dkl.killing import compute_C, scan_shape, solve_q
 from dkl.quadrature import QuadratureSpec
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
 
-def brute_force_C_d1(alpha: float, q: float, b, nodes: int = 1_000_000) -> float:
-    """Independent oracle: trapezoid rule on a graded mesh over (0, 1)."""
+def brute_force_C_d1(
+    alpha: float, q: float, b, nodes: int = 1_000_000, c: float = 1.0
+) -> float:
+    """Independent oracle: trapezoid rule on a graded mesh over (0, 1).
+
+    The pair has heights (s, 1) at distance (1-s)c; the kernel keeps its
+    (1-s)^(1+alpha) denominator, so c > 1 gives the inner integral of the
+    d >= 2 map at tangential offset sqrt(c^2-1).
+    """
     # mesh graded toward both endpoints via a smooth double-power map
     v = np.linspace(1e-9, 1.0 - 1e-9, nodes)
     s = v**3 * (10.0 - 15.0 * v + 6.0 * v * v)  # quintic smoothstep^3-like
     s = np.clip(s, 1e-300, 1.0 - 1e-16)
     b1, b2, b3, b4 = b
-    dist = 1.0 - s
+    one_m = 1.0 - s
+    dist = one_m * c
     w = np.minimum(s / dist, 1.0) ** b1 * np.minimum(1.0 / dist, 1.0) ** b2
     if b3 > 0:
         w *= np.log(math.e + np.minimum(1.0, dist) / np.minimum(s, dist)) ** b3
     if b4 > 0:
         w *= np.log(math.e + dist / np.minimum(1.0, dist)) ** b4
-    kern = (s**q - 1.0) * (1.0 - s ** (alpha - q - 1.0)) / dist ** (1.0 + alpha)
+    kern = (s**q - 1.0) * (1.0 - s ** (alpha - q - 1.0)) / one_m ** (1.0 + alpha)
     return float(trapezoid(kern * w, s))
+
+
+def brute_force_C(d: int, alpha: float, q: float, b) -> float:
+    """Independent oracle in any dimension.
+
+    For d >= 2 the tangential offset rho = tan(theta) is integrated by
+    adaptive quadrature over theta in (0, pi/2), with weight
+    sin^(d-2) cos^alpha times the mesh value at c = sec(theta), times the
+    area of the unit sphere S^(d-2).
+    """
+    if d == 1:
+        return brute_force_C_d1(alpha, q, b)
+    surface = {2: 2.0, 3: 2.0 * math.pi}[d]
+
+    def f(th: float) -> float:
+        inner = brute_force_C_d1(alpha, q, b, nodes=200_000, c=1.0 / math.cos(th))
+        return math.sin(th) ** (d - 2) * math.cos(th) ** alpha * inner
+
+    val, _ = quad(f, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-11)
+    return surface * val
 
 
 class TestComputeC:
@@ -37,13 +65,22 @@ class TestComputeC:
             if -1.0 < alpha - 1.0:
                 assert compute_C(p, alpha - 1.0, w, SPEC) == 0.0
 
-    def test_against_brute_force_mesh(self):
-        p = ModelParams(1, 0.5, (1.0, 1.0, 0.0, 0.0))
+    @pytest.mark.parametrize(
+        "d, alpha, b, q",
+        [
+            (1, 0.5, (1.0, 1.0, 0.0, 0.0), 0.25),
+            (2, 0.9, (1.0, 1.5, 0.5, 0.0), 0.5),
+            (3, 1.1, (1.0, 1.0, 0.0, 0.0), 0.8),
+        ],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_against_brute_force_mesh(self, d, alpha, b, q):
+        p = ModelParams(d, alpha, b)
         w = standard_weight(p)
-        mine = compute_C(p, 0.25, w, SPEC)
-        ref = brute_force_C_d1(0.5, 0.25, p.beta)
+        mine = compute_C(p, q, w, SPEC)
+        ref = brute_force_C(d, alpha, q, p.beta)
         assert mine > 0.0
-        assert abs(mine - ref) <= 2e-6 * abs(ref)
+        assert abs(mine - ref) <= 1e-8 * abs(ref)
 
     def test_symmetry_in_q(self):
         p = ModelParams(1, 1.5, (2.0, 3.0, 1.0, 1.0))
@@ -67,26 +104,6 @@ class TestComputeC:
             compute_C(p, -1.0, w, SPEC)
         with pytest.raises(ValueError):
             compute_C(p, 1.5, w, SPEC)
-
-    def test_radial_fast_path_matches_generic_d2(self):
-        p = ModelParams(2, 0.9, (1.0, 1.5, 0.5, 0.0))
-        w_fast = standard_weight(p)
-        w_slow = BoundaryWeight(
-            params=p,
-            evaluate=w_fast.evaluate,
-            flags=w_fast.flags,
-            tangentially_isotropic=False,
-        )
-        loose = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
-        v_fast = compute_C(p, 0.5, w_fast, SPEC)
-        v_slow = compute_C(p, 0.5, w_slow, loose)
-        assert abs(v_fast - v_slow) <= 3e-6 * abs(v_fast)
-
-    def test_d3_isotropic(self):
-        p = ModelParams(3, 1.1, (1.0, 1.0, 0.0, 0.0))
-        w = standard_weight(p)
-        val = compute_C(p, 0.8, w, SPEC)
-        assert val > 0.0 and math.isfinite(val)
 
 
 class TestSolveQ:
