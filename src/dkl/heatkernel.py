@@ -26,7 +26,7 @@ from .geometry import (
     weight_from_heights,
     weight_from_heights_arr,
 )
-from .quadrature import QuadratureSpec, integrate_panels, merge_breaks
+from .quadrature import QuadratureSpec, integrate_panels, merge_breaks, panel_nodes
 
 __all__ = [
     "Regime",
@@ -270,6 +270,16 @@ def hke_unified(
     return min(u ** (-float(params.dim)), bracket)
 
 
+def _jump_arr(params: ModelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jump kernel between coordinate rows of shape (..., d), height last:
+    :func:`eval_J` on arrays of quadrature nodes."""
+    diff = a - b
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    ha, hb = a[..., -1], b[..., -1]
+    weight = weight_from_heights_arr(params.beta, np.minimum(ha, hb), np.maximum(ha, hb), dist)
+    return weight * dist ** (-(params.dim + params.alpha))
+
+
 def twojump_ball_integral(
     params: ModelParams,
     w: BoundaryWeight,
@@ -295,13 +305,14 @@ def twojump_ball_integral(
     if dist <= 6.0 * u:
         raise ValueError("requires |x-y| > 6 t^(1/alpha)")
     d = params.dim
-    X = lift_ed(x, u)
-    Y = lift_ed(y, u)
+    X = np.array(lift_ed(x, u).coords())
+    Y = np.array(lift_ed(y, u).coords())
     radius = dist / 4.0
-    center = HalfSpacePoint(d, x.tangential, x.height + dist / 2.0)
+    center = np.array(x.tangential + (x.height + dist / 2.0,))
+    scale = t * dist ** (d + alpha)
 
-    def integrand_point(z: HalfSpacePoint) -> float:
-        return eval_J(w, X, z) * eval_J(w, z, Y)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return _jump_arr(w.params, X, z) * _jump_arr(w.params, z, Y)
 
     if mc_samples is not None or d > 3:
         if mc_samples is None:
@@ -310,66 +321,39 @@ def twojump_ball_integral(
         pts = rng.standard_normal((mc_samples, d))
         radii = rng.random(mc_samples) ** (1.0 / d)
         norms = np.linalg.norm(pts, axis=1)
-        total = 0.0
-        base = np.array(center.coords())
-        for row, norm, rad in zip(pts, norms, radii):
-            zc = base + radius * rad * row / norm
-            total += integrand_point(HalfSpacePoint.from_coords(zc))
+        z = center + (radius * radii)[:, None] * pts / norms[:, None]
         vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
-        return t * dist ** (d + alpha) * vol * total / mc_samples
+        return scale * vol * float(np.sum(integrand(z))) / mc_samples
 
     if d == 1:
-        def f1(z: np.ndarray) -> np.ndarray:
-            out = np.empty_like(z)
-            for i, zi in enumerate(z):
-                out[i] = integrand_point(HalfSpacePoint(1, (), zi))
-            return out
-
-        lo, hi = center.height - radius, center.height + radius
-        return t * dist ** (1 + alpha) * integrate_panels(
-            f1, np.linspace(lo, hi, 5), spec
+        lo, hi = center[0] - radius, center[0] + radius
+        return scale * integrate_panels(
+            lambda h: integrand(h[:, None]), np.linspace(lo, hi, 5), spec
         )
 
+    # nodes are (rho, phi) in d = 2 and (rho, cos theta, phi) in d = 3;
+    # the point is center + rho * omega for the unit direction omega
     if d == 2:
         def f2(nodes: np.ndarray) -> np.ndarray:
-            out = np.empty(nodes.shape[0])
-            for i, (rho, phi) in enumerate(nodes):
-                z = HalfSpacePoint(
-                    2,
-                    (center.tangential[0] + rho * math.cos(phi),),
-                    center.height + rho * math.sin(phi),
-                )
-                out[i] = integrand_point(z) * rho
-            return out
+            rho, phi = nodes.T
+            omega = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+            return integrand(center + rho[:, None] * omega) * rho
 
-        return t * dist ** (2 + alpha) * _tensor_integral(
-            f2, [(0.0, radius), (0.0, 2.0 * math.pi)], spec
-        )
+        return scale * _tensor_integral(f2, [(0.0, radius), (0.0, 2.0 * math.pi)], spec)
 
     def f3(nodes: np.ndarray) -> np.ndarray:
-        out = np.empty(nodes.shape[0])
-        for i, (rho, mu, phi) in enumerate(nodes):
-            sin_th = math.sqrt(max(1.0 - mu * mu, 0.0))
-            z = HalfSpacePoint(
-                3,
-                (
-                    center.tangential[0] + rho * sin_th * math.cos(phi),
-                    center.tangential[1] + rho * sin_th * math.sin(phi),
-                ),
-                center.height + rho * mu,
-            )
-            out[i] = integrand_point(z) * rho * rho
-        return out
+        rho, mu, phi = nodes.T
+        sin_th = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+        omega = np.stack([sin_th * np.cos(phi), sin_th * np.sin(phi), mu], axis=1)
+        return integrand(center + rho[:, None] * omega) * rho * rho
 
-    return t * dist ** (3 + alpha) * _tensor_integral(
+    return scale * _tensor_integral(
         f3, [(0.0, radius), (-1.0, 1.0), (0.0, 2.0 * math.pi)], spec
     )
 
 
 def _tensor_integral(f, ranges, spec: QuadratureSpec) -> float:
     """Tensor-product Gauss quadrature over a box, doubled until stable."""
-    from .quadrature import panel_nodes
-
     n = 12
     prev = None
     while n <= 96:

@@ -244,17 +244,6 @@ def _eval_cal_00(p, spec):
     return None, lhs / rhs
 
 
-def _region_pair(rng, q: float, alpha: float, tsc: float) -> tuple[float, float]:
-    """(exponent, height) honoring one of the two admissibility branches."""
-    if rng.random() < 0.5:
-        b = q - alpha + float(rng.uniform(0.05, 3.0))
-        h = _scale(rng) * tsc
-    else:
-        b = q - alpha - float(rng.uniform(0.0, 3.0))
-        h = tsc * log_uniform(rng, 1.0, 1e3)
-    return b, h
-
-
 def _sample_cal_0(rng) -> dict:
     alpha = _alpha(rng)
     q = float(rng.uniform(0.0, alpha + 3.0))
@@ -420,52 +409,52 @@ def _eval_l_cal1(p, spec):
 def _sphere_slice(d: int):
     """Angular integral of f(height) over the unit sphere directions.
 
-    Returns a callable T(r, x, f) computing the surface integral of
-    f(x + r * omega_d) over the unit sphere, restricted to positive
-    heights; radial factors are left to the caller.
+    Returns a callable T(r, x, f) computing, for each radius of the array
+    ``r``, the surface integral of f(x + r * omega_d) over the unit sphere,
+    restricted to positive heights; radial factors are left to the caller.
+    Each radius's panel breaks are fixed fractions of its angular (d = 2) or
+    height (d = 3) span, so one rule on [0, 1], scaled per radius, evaluates
+    all radii as one (radius x node) array.
     """
     if d == 1:
 
-        def T(r: float, x: float, f) -> float:
-            total = float(f(np.array([x + r]))[0])
-            if x - r > 0.0:
-                total += float(f(np.array([x - r]))[0])
+        def T(r: np.ndarray, x: float, f) -> np.ndarray:
+            total = f(x + r)
+            low = x - r
+            total[low > 0.0] += f(low[low > 0.0])
             return total
 
         return T
 
     if d == 2:
+        # the height x + r sin(phi) is symmetric about phi = pi/2, so one half
+        # of the circle is integrated and doubled; its minimum-height end gets
+        # graded panels since f may spike there
+        fn, fw = panel_nodes(power_graded_breaks(0.0, 0.5, 3.0, 5) + [0.625, 0.75, 0.875, 1.0], 20)
 
-        def T(r: float, x: float, f) -> float:
-            # the height x + r sin(phi) is symmetric about phi = pi/2, so one
-            # half of the circle is integrated and doubled; the minimum-height
-            # end gets graded panels since f may spike there
-            phi0 = -math.pi / 2.0 if x >= r else math.asin(-x / r)
-            span = math.pi / 2.0 - phi0
-            graded = power_graded_breaks(0.0, span / 2.0, 3.0, 5)[1:]
-            pts = {phi0, math.pi / 2.0} | {phi0 + g for g in graded} | {
-                phi0 + span * fr for fr in (0.625, 0.75, 0.875)
-            }
-            nodes, wts = panel_nodes(sorted(pts), 20)
-            h = x + r * np.sin(nodes)
+        def T(r: np.ndarray, x: float, f) -> np.ndarray:
+            phi0 = -np.arcsin(np.minimum(x / r, 1.0))
+            span = (math.pi / 2.0 - phi0)[:, None]
+            h = x + r[:, None] * np.sin(phi0[:, None] + span * fn)
             mask = h > 0.0
             vals = np.zeros_like(h)
-            if np.any(mask):
-                vals[mask] = f(h[mask])
-            return 2.0 * float(np.dot(vals, wts))
+            vals[mask] = f(h[mask])
+            return 2.0 * np.sum(vals * (span * fw), axis=1)
 
         return T
 
-    def T(r: float, x: float, f) -> float:
-        # height substitution: d sigma = (2 pi / r) dh on the 2-sphere
-        lo = max(x - r, 0.0)
-        hi = x + r
-        if lo == 0.0:
-            breaks = power_graded_breaks(0.0, hi, 3.0, 8)
-        else:
-            breaks = np.linspace(lo, hi, 9)
-        nodes, wts = panel_nodes(breaks, 16)
-        return float(np.dot(f(nodes), wts)) * 2.0 * math.pi / r
+    even_n, even_w = panel_nodes(np.linspace(0.0, 1.0, 9), 16)
+    graded_n, graded_w = panel_nodes(power_graded_breaks(0.0, 1.0, 3.0, 8), 16)
+
+    def T(r: np.ndarray, x: float, f) -> np.ndarray:
+        # height substitution: d sigma = (2 pi / r) dh on the 2-sphere; the
+        # height range is graded toward the boundary when it reaches it
+        lo = np.maximum(x - r, 0.0)
+        span = (x + r - lo)[:, None]
+        touch = (lo == 0.0)[:, None]
+        nodes = lo[:, None] + span * np.where(touch, graded_n, even_n)
+        wts = span * np.where(touch, graded_w, even_w)
+        return np.sum(f(nodes) * wts, axis=1) * 2.0 * math.pi / r
 
     return T
 
@@ -527,10 +516,7 @@ def _eval_cal_new2(p, spec):
         alpha = p["alpha"]
 
         def shell(r: np.ndarray) -> np.ndarray:
-            out = np.empty_like(r)
-            for i, ri in enumerate(r):
-                out[i] = T(ri, xd, lambda h: h**-0.5) * ri ** (d - 1.0 - d - alpha)
-            return out
+            return T(r, xd, lambda h: h**-0.5) * r ** (d - 1.0 - d - alpha)
 
         # split where the sphere grazes the boundary: the top piece carries an
         # inverse square-root of (xd - r), removed by r = xd - v^2
@@ -549,15 +535,8 @@ def _eval_cal_new2(p, spec):
     def shell_w(wv: np.ndarray) -> np.ndarray:
         # r = A e^(-w) maps the infinite shell onto the log axis; the
         # integrand decays like e^((eps+delta) w) toward -inf
-        out = np.empty_like(wv)
-        for i, wi in enumerate(wv):
-            r = A * math.exp(-wi)
-            out[i] = (
-                T(r, xd, lambda h: h**-eps)
-                * r ** (d - 1.0 - d - delta)
-                * r
-            )
-        return out
+        r = A * np.exp(-wv)
+        return T(r, xd, lambda h: h**-eps) * r ** (d - 1.0 - d - delta) * r
 
     rate = eps + delta
     # reach capped so the radius stays representable; the omitted tail is a
@@ -635,17 +614,12 @@ def _eval_cal_2(p, spec):
     xu = max(xd, u)
     T = _sphere_slice(d)
 
-    def radial(r: float) -> float:
-        v = min(xu / r, 1.0) ** b1
-        if b2 > 0.0:
-            v *= math.log(_E + r / min(xu, r)) ** b2
-        return v * min(s ** (-d / alpha), s * r ** (-d - alpha)) * r ** (d - 1)
-
     def shell(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        for i, ri in enumerate(r):
-            out[i] = radial(ri) * T(ri, xd, lambda h: _f_profile(gamma, e1, e2, k, l, h))
-        return out
+        v = np.minimum(xu / r, 1.0) ** b1
+        if b2 > 0.0:
+            v = v * np.log(_E + r / np.minimum(xu, r)) ** b2
+        radial = v * np.minimum(s ** (-d / alpha), s * r ** (-d - alpha)) * r ** (d - 1)
+        return radial * T(r, xd, lambda h: _f_profile(gamma, e1, e2, k, l, h))
 
     inner = [v for v in (xd, u, xu, 2.0 * xd) if 0.0 < v < 2.0]
     breaks = merge_breaks(geometric_breaks(2e-5, 2.0, 2.0), inner, 0.0, 2.0)

@@ -305,7 +305,8 @@ def solve_q(
             )
         hi = top - gap
     res_tol = max(spec.abs_tol, spec.rel_tol * (1.0 + kappa))
-    for _ in range(200):
+    # the width test ends the loop within about 60 halvings of the bounded bracket
+    while True:
         mid = 0.5 * (lo + hi)
         val = compute_C(params, mid, w, spec)
         if abs(val - kappa) <= res_tol or (hi - lo) < 1e-14 * max(1.0, abs(mid)):
@@ -314,7 +315,6 @@ def solve_q(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,9 @@ class CShapeTable:
 
 
 def _refine_zero(params, w, spec, qa, qb, va) -> float:
-    for _ in range(80):
+    # sign changes lie in grid cells near the zeros 0 and alpha-1, where the
+    # width test ends the loop within about 40 halvings
+    while True:
         qm = 0.5 * (qa + qb)
         vm = compute_C(params, qm, w, spec)
         if vm == 0.0 or (qb - qa) < 1e-12:
@@ -347,7 +349,6 @@ def _refine_zero(params, w, spec, qa, qb, va) -> float:
             qa, va = qm, vm
         else:
             qb = qm
-    return 0.5 * (qa + qb)
 
 
 def scan_shape(

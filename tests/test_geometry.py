@@ -15,6 +15,8 @@ from dkl.geometry import (
     stable_factor,
     standard_weight,
     survival_factor,
+    weight_from_heights,
+    weight_from_heights_arr,
 )
 
 from conftest import dyadic_point, pow2, pt, ulp_close
@@ -135,6 +137,26 @@ class TestEvalB:
         b = tuple(rng.uniform(0.1, 3.0, size=4))
         shift = tuple(float(m) * 2.0**-20 for m in rng.integers(-(2**40), 2**40, dim - 1))
         assert eval_B(b, x, y) == eval_B(b, x.shifted(shift), y.shifted(shift))
+
+
+class TestWeightArray:
+    @pytest.mark.parametrize("pattern", range(16))
+    def test_matches_scalar(self, pattern):
+        # bit k of the pattern makes exponent k + 1 positive, the rest are zero
+        rng = np.random.default_rng(pattern)
+        b = tuple(float(rng.uniform(0.05, 3.0)) if pattern >> k & 1 else 0.0 for k in range(4))
+        n = 400
+        h1, h2, dist = 10.0 ** rng.uniform(-4.0, 4.0, (3, n))
+        hmin, hmax = np.minimum(h1, h2), np.maximum(h1, h2)
+        hmin[: n // 4] = 0.0  # one point on the boundary
+        hmax[: n // 8] = 0.0  # both points on it
+        got = weight_from_heights_arr(b, hmin, hmax, dist)
+        for g, lo, hi, r in zip(got, hmin, hmax, dist):
+            want = weight_from_heights(b, float(lo), float(hi), float(r))
+            assert (g == 0.0) == (want == 0.0)
+            if hi == 0.0:
+                assert g == want
+            assert g == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestEvalA:

@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from dkl.geometry import (
@@ -13,6 +15,7 @@ from dkl.geometry import (
 )
 from dkl.heatkernel import (
     Regime,
+    _jump_arr,
     detect_regime,
     dominance_map,
     hke_closed,
@@ -216,6 +219,28 @@ class TestHkeUnified:
             assert min(ratios) > 0.05 and max(ratios) < 20.0
 
 
+class TestJumpKernelArray:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_eval_J(self, dim):
+        rng = np.random.default_rng(dim)
+        # every admissible zero pattern: b3 > 0 needs b1 > 0, b4 > 0 needs b2 > 0
+        pairs = ((0, 0), (1, 0), (1, 1))
+        for (on1, on3), (on2, on4) in itertools.product(pairs, pairs):
+            on = (on1, on2, on3, on4)
+            beta = tuple(float(rng.uniform(0.05, 3.0)) if k else 0.0 for k in on)
+            p = ModelParams(dim, float(rng.uniform(0.1, 1.9)), beta)
+            w = standard_weight(p)
+            a, b = rng.uniform(-5.0, 5.0, (2, 200, dim))
+            a[:, -1], b[:, -1] = 10.0 ** rng.uniform(-3.0, 3.0, (2, 200))
+            a[:50, -1] = 0.0  # rows 0-49: the first point on the boundary
+            b[25 if dim > 1 else 50 : 75, -1] = 0.0  # both only where they stay apart
+            got = _jump_arr(p, a, b)
+            for g, ra, rb in zip(got, a, b):
+                want = eval_J(w, pt(*ra), pt(*rb))
+                assert (g == 0.0) == (want == 0.0)
+                assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestBallIntegral:
     def test_constant_weight_closed_form(self):
         # flat weight: the integrand is two pure powers; compare against a
@@ -239,6 +264,30 @@ class TestBallIntegral:
 
         ref, _ = dblquad(f, 0.0, 2.0 * math.pi, 0.0, R, epsabs=1e-12, epsrel=1e-10)
         assert val == pytest.approx(t * dist**2.5 * ref, rel=1e-7)
+
+    def test_d3_against_tplquad(self):
+        # a non-axial pair in d = 3: the tensor rule in (rho, cos theta, phi)
+        # against adaptive SciPy cubature of the scalar kernel
+        p = ModelParams(3, 0.7, (0.5, 1.6, 0.3, 0.4))
+        w = standard_weight(p)
+        t, x, y = 1e-3, pt(0.0, 0.0, 0.4), pt(3.0, -2.0, 1.1)
+        val = twojump_ball_integral(p, w, t, x, y, SPEC)
+        dist = x.distance_to(y)
+        u = t ** (1.0 / 0.7)
+        X, Y = lift_ed(x, u), lift_ed(y, u)
+        ch = 0.4 + dist / 2.0
+
+        def f(phi, mu, rho):
+            s = rho * math.sqrt(max(1.0 - mu * mu, 0.0))
+            z = pt(s * math.cos(phi), s * math.sin(phi), ch + rho * mu)
+            return eval_J(w, X, z) * eval_J(w, z, Y) * rho * rho
+
+        from scipy.integrate import tplquad
+
+        ref, _ = tplquad(
+            f, 0.0, dist / 4.0, -1.0, 1.0, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-10
+        )
+        assert val == pytest.approx(t * dist**3.7 * ref, rel=1e-8)
 
     def test_precondition(self):
         p = ModelParams(1, 1.0, (0.5, 2.0, 0, 0))

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from dkl.inequalities import REGISTRY, check, lemma_ids
+from dkl.inequalities import REGISTRY, _sphere_slice, check, lemma_ids
 from dkl.quadrature import QuadratureSpec
 from dkl.report import ComparabilityReport
 
@@ -130,3 +131,41 @@ class TestSpotValues:
         _, hi = entry.evaluate({"dim": 1, "xd": 2.0, "A": 1.0}, SPEC)
         lhs = 2.0 * (math.sqrt(3.0) - 1.0)
         assert hi == pytest.approx(lhs / (1.0 * 2.0**-0.5), rel=1e-9)
+
+
+class TestSphereSlice:
+    """Surface integrals over the part of the sphere of radius r about
+    height x that lies above the boundary, in closed form."""
+
+    X = 0.7
+    RADII = np.array([1e-3, 0.3, 0.7, 0.71, 2.0, 1e3])
+
+    @staticmethod
+    def height_integral(d, x, r):
+        """The integral of f(h) = h."""
+        if d == 1:
+            return x + r + (x - r if x > r else 0.0)
+        if d == 2:
+            phi0 = -math.pi / 2.0 if x >= r else -math.asin(x / r)
+            return 2.0 * (x * (math.pi / 2.0 - phi0) + r * math.cos(phi0))
+        lo, hi = max(x - r, 0.0), x + r
+        return math.pi * (hi * hi - lo * lo) / r
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constant(self, d):
+        got = _sphere_slice(d)(self.RADII, self.X, lambda h: np.ones_like(h))
+        if d == 1:
+            want = 1.0 + (self.X > self.RADII)
+        elif d == 2:
+            want = np.where(self.X >= self.RADII, 2.0 * math.pi,
+                            math.pi + 2.0 * np.arcsin(np.minimum(self.X / self.RADII, 1.0)))
+        else:
+            want = np.where(self.X >= self.RADII, 4.0 * math.pi,
+                            2.0 * math.pi * (self.X + self.RADII) / self.RADII)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_height(self, d):
+        got = _sphere_slice(d)(self.RADII, self.X, lambda h: h.copy())
+        want = [self.height_integral(d, self.X, r) for r in self.RADII]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
