@@ -1,9 +1,11 @@
 """Exploration run: record the empirical comparability constants.
 
-Runs every lemma check at the exploration budget and sweeps the canonical
-seeded grids for the regression-guarded ratios, then writes the frozen
-constants file checked into the package.  Re-run only when an estimator
-deliberately changes; the tests assert these values with 10% slack.
+Runs every lemma check at the exploration budget and every sweep of the
+registry ``dkl.grids.SWEEPS`` at its full sample count, then writes the
+frozen constants file checked into the package.  Re-run only when an
+estimator deliberately changes; the tests assert these values with 10% slack.
+
+    python3 scripts/freeze_constants.py
 """
 
 from __future__ import annotations
@@ -13,43 +15,12 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from dkl.constants import write_constants
-from dkl.geometry import (
-    ModelParams,
-    eval_A,
-    eval_B,
-    lift_ed,
-    stable_factor,
-    standard_weight,
-    weight_from_heights,
-)
-from dkl.grids import (
-    GREEN_COMBOS,
-    STANDARD_SEED,
-    UNIFIED_PARAM_SETS,
-    ball_samples,
-    green_geometry,
-    interior_samples,
-    standard_grid,
-    unified_points,
-)
-from dkl.green import green_by_time_integration, green_estimate
-from dkl.heatkernel import (
-    Regime,
-    _bracket_terms,
-    hke_closed,
-    hke_unified,
-    twojump_ball_integral,
-)
+from dkl.grids import ORACLE_CONFIGS, SLACK, SWEEPS, measure, oracle_fit
 from dkl.inequalities import check, lemma_ids
-from dkl.oracle import OracleParams, compare_oracle_vs_estimate
-from dkl.quadrature import NonConvergenceError, QuadratureSpec, integrate_panels
-from dkl.special import bessel_I_scaled
-from dkl.util import log_uniform
+from dkl.quadrature import QuadratureSpec
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "dkl" / "_data" / "ceilings.txt"
 
@@ -61,192 +32,26 @@ def log(msg: str) -> None:
     print(f"[{time.time() - t_start:7.1f}s] {msg}", flush=True)
 
 
-def two_sided_ceiling(lo: float, hi: float) -> float:
-    return max(hi, 1.0 / lo)
-
-
-# ---- lemma suite ----------------------------------------------------------
 spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
 for lid in lemma_ids():
-    budget = 10_000
-    rep = check(lid, sampler_seed=0, budget=budget, spec=spec, ceiling=math.inf)
+    rep = check(lid, sampler_seed=0, budget=10_000, spec=spec, ceiling=math.inf)
     if rep.two_sided:
-        ceiling = two_sided_ceiling(rep.min_ratio, rep.max_ratio)
+        ceiling = max(rep.max_ratio, 1.0 / rep.min_ratio)
     else:
         ceiling = rep.max_ratio
-    values[lid] = ceiling * 1.10  # slack baked at freeze time
+    values[lid] = ceiling * SLACK  # slack baked at freeze time
     log(f"{lid}: n={rep.samples} excl={rep.excluded} "
         f"range=[{rep.min_ratio:.3g},{rep.max_ratio:.3g}] ceiling={values[lid]:.6g}")
 
-# ---- A/B comparison on the standard grid ----------------------------------
-lo, hi = math.inf, 0.0
-for smp in standard_grid(STANDARD_SEED, 10_000):
-    u = smp["tsc"]
-    num = eval_A(smp["b"], smp["t"], smp["x"], smp["y"], smp["alpha"], tscale=u)
-    den = eval_B(smp["b"], lift_ed(smp["x"], u), lift_ed(smp["y"], u))
-    r = num / den
-    lo, hi = min(lo, r), max(hi, r)
-values["acc_comp_ab"] = two_sided_ceiling(lo, hi)
-log(f"acc_comp_ab: [{lo:.4g},{hi:.4g}] -> {values['acc_comp_ab']:.6g}")
+for name in SWEEPS:
+    values[name], rep = measure(name)
+    log(f"{name} ({SWEEPS[name].kind}): n={rep.samples} excl={rep.excluded} "
+        f"range=[{rep.min_ratio:.4g},{rep.max_ratio:.4g}] -> {values[name]:.6g}")
 
-# ---- unified vs closed per regime ------------------------------------------
-qspec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
-for regime, param_sets in UNIFIED_PARAM_SETS.items():
-    lo, hi = math.inf, 0.0
-    for params in param_sets:
-        w = standard_weight(params)
-        for t, x, y in unified_points(params, STANDARD_SEED, 1000):
-            if x.distance_to(y) == 0.0:
-                continue
-            un = hke_unified(params, w, t, x, y, qspec)
-            cl = hke_closed(params, t, x, y).free_value
-            r = un / cl
-            lo, hi = min(lo, r), max(hi, r)
-    values[f"acc_unified_{regime}"] = two_sided_ceiling(lo, hi)
-    log(f"acc_unified_{regime}: [{lo:.4g},{hi:.4g}] -> {values[f'acc_unified_{regime}']:.6g}")
-
-# ---- ball integral vs closed second term -----------------------------------
-for d in (1, 2):
-    lo, hi = math.inf, 0.0
-    for params, t, x, y in ball_samples(d, STANDARD_SEED, 200):
-        w = standard_weight(params)
-        val = twojump_ball_integral(params, w, t, x, y, qspec)
-        u = t ** (1.0 / params.alpha)
-        dist = x.distance_to(y)
-        b1, b2, b3, b4 = params.beta
-        hmin = min(x.height, y.height) + u
-        hmax = max(x.height, y.height) + u
-        closed = (
-            min(1.0, t * dist**-params.alpha)
-            * weight_from_heights((b1, b1, 0.0, b3), hmin, hmax, dist)
-            * math.log(math.e + dist / min(hmin, dist)) ** b3
-        )
-        r = val / closed
-        lo, hi = min(lo, r), max(hi, r)
-    values[f"acc_ball_d{d}"] = two_sided_ceiling(lo, hi)
-    log(f"acc_ball_d{d}: [{lo:.4g},{hi:.4g}] -> {values[f'acc_ball_d{d}']:.6g}")
-
-# ---- green integration vs closed per combo ---------------------------------
-for idx, (params, q, tag) in enumerate(GREEN_COMBOS):
-    lo, hi = math.inf, 0.0
-    for x, y in green_geometry(params.dim, STANDARD_SEED, 100):
-        gi = green_by_time_integration(params, q, x, y)
-        gc = green_estimate(params, q, x, y)
-        r = gi.value / gc.value
-        lo, hi = min(lo, r), max(hi, r)
-    values[f"acc_green_{idx}"] = two_sided_ceiling(lo, hi)
-    log(f"acc_green_{idx} ({tag}, d={params.dim}, a={params.alpha}): "
-        f"[{lo:.4g},{hi:.4g}] -> {values[f'acc_green_{idx}']:.6g}")
-
-# ---- oracle vs estimate -----------------------------------------------------
-ORACLE_CONFIGS = [(0.5, 1.0), (0.0, 0.6), (1.0, 1.4)]
-ospec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
-for idx, (g, a) in enumerate(ORACLE_CONFIGS):
-    op = OracleParams(g, 1, a)
-    rep, q_fit, r2 = compare_oracle_vs_estimate(op, ospec, ceiling=math.inf)
-    values[f"acc_oracle_{idx}"] = two_sided_ceiling(rep.min_ratio, rep.max_ratio)
+for idx in range(len(ORACLE_CONFIGS)):
+    q_fit, r2 = oracle_fit(idx)
     values[f"acc_oracle_qfit_{idx}"] = q_fit
-    log(f"acc_oracle_{idx} (g={g}, a={a}): [{rep.min_ratio:.4g},{rep.max_ratio:.4g}] "
-        f"q_fit={q_fit:.4f} r2={r2:.6f} -> {values[f'acc_oracle_{idx}']:.6g}")
-
-# ---- interior lower bound ---------------------------------------------------
-for a in (0.1, 1.0, 10.0):
-    lo = math.inf
-    for smp in interior_samples(a, STANDARD_SEED, 2000):
-        val = eval_A(smp["b"], smp["t"], smp["x"], smp["y"], smp["alpha"], tscale=smp["tsc"])
-        b1, b2 = smp["b"][0], smp["b"][1]
-        lo = min(lo, val / min(a, 1.0) ** (b1 + b2))
-    key = f"int_lb_a{a:g}"
-    values[key] = lo
-    log(f"{key}: min = {lo:.6g}")
-
-# ---- regime consistency: two-jump term evaluated in the one-jump regime ----
-hi = 0.0
-for smp in standard_grid(STANDARD_SEED, 4000):
-    params = ModelParams(smp["dim"], smp["alpha"], smp["b"])
-    from dkl.heatkernel import detect_regime
-
-    if detect_regime(params) is not Regime.ONE_JUMP:
-        continue
-    x, y, t, u = smp["x"], smp["y"], smp["t"], smp["tsc"]
-    dist = x.distance_to(y)
-    if dist == 0.0:
-        continue
-    one, two = _bracket_terms(params, Regime.TWO_JUMP_STRICT, u, x, y, dist)
-    if one > 0.0:
-        hi = max(hi, two / one)
-values["acc_regime_consistency"] = hi
-log(f"acc_regime_consistency: {hi:.6g}")
-
-# ---- stable-profile mass and convolution bounds -----------------------------
-for d in (1, 2):
-    hi = 0.0
-    for alpha in np.linspace(0.3, 1.9, 9):
-        # mass is scale invariant in t; evaluate at t = 1
-        if d == 1:
-            f = lambda z: np.minimum(1.0, np.abs(z) ** (-(1.0 + alpha)))
-            val = 2.0 * integrate_panels(
-                f, [0.0, 1.0, 10.0, 1e4, 1e8], QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
-            )
-        else:
-            f = lambda r: np.minimum(1.0, r ** (-(2.0 + alpha))) * 2.0 * math.pi * r
-            val = integrate_panels(
-                f, [0.0, 1.0, 10.0, 1e4, 1e8], QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
-            )
-        hi = max(hi, val)
-    values[f"acc_stableu1_d{d}"] = hi
-    log(f"acc_stableu1_d{d}: {hi:.6g}")
-
-hi = 0.0
-rng = np.random.default_rng([STANDARD_SEED, 9])
-for _ in range(400):
-    alpha = float(rng.uniform(0.2, 1.9))
-    t = log_uniform(rng, 1e-3, 1e3)
-    s = log_uniform(rng, 1e-3, 1e3)
-    xv = log_uniform(rng, 1e-3, 1e3) * (1 if rng.random() < 0.5 else -1)
-    yv = log_uniform(rng, 1e-3, 1e3) * (1 if rng.random() < 0.5 else -1)
-
-    def conv(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        for i, zi in enumerate(z):
-            out[i] = stable_factor(1, alpha, t, abs(xv - zi)) * stable_factor(
-                1, alpha, s, abs(yv - zi)
-            )
-        return out
-
-    span = abs(xv - yv) + (t ** (1 / alpha) + s ** (1 / alpha)) * 10 + 10
-    breaks = sorted({xv, yv, xv - span, xv + span, yv - span, yv + span, (xv + yv) / 2})
-    try:
-        val = integrate_panels(conv, breaks, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-300))
-    except NonConvergenceError:
-        continue
-    bound = stable_factor(1, alpha, t + s, abs(xv - yv))
-    hi = max(hi, val / bound)
-values["acc_stableu2_d1"] = hi
-log(f"acc_stableu2_d1: {hi:.6g}")
-
-# ---- interior on-diagonal cap ----------------------------------------------
-lo = math.inf
-for smp in standard_grid(STANDARD_SEED, 30_000):
-    x, y, tsc = smp["x"], smp["y"], smp["tsc"]
-    if x.distance_to(y) > tsc or min(x.height, y.height) < tsc:
-        continue
-    params = ModelParams(smp["dim"], smp["alpha"], smp["b"])
-    bd = hke_closed(params, smp["t"], x, y, tscale=tsc)
-    lo = min(lo, bd.free_value * tsc ** smp["dim"])
-values["acc_interior_ondiag"] = lo
-log(f"acc_interior_ondiag: {lo:.6g}")
-
-# ---- oracle building blocks -------------------------------------------------
-lo, hi = math.inf, 0.0
-for g in (0.0, 0.5, 1.5, 3.0):
-    for r in np.geomspace(1e-4, 50.0, 200):
-        ratio = bessel_I_scaled(g, float(r)) / (
-            min(1.0, r) ** (g + 0.5) * r**-0.5
-        )
-        lo, hi = min(lo, ratio), max(hi, ratio)
-values["acc_bessel"] = two_sided_ceiling(lo, hi)
-log(f"acc_bessel: [{lo:.4g},{hi:.4g}] -> {values['acc_bessel']:.6g}")
+    log(f"acc_oracle_qfit_{idx}: {q_fit:.6g} (R^2 {r2:.6f})")
 
 write_constants(values, OUT)
 log(f"wrote {len(values)} constants to {OUT}")

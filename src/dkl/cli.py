@@ -19,10 +19,10 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, standard_weight
 from .green import GreenDivergenceError, green_by_time_integration, green_estimate
-from .heatkernel import Regime, detect_regime, dominance_map, hke_closed, killed_hke
+from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
 from .killing import ShapeViolationError, compute_C, scan_shape, solve_q
-from .oracle import OracleParams, compare_oracle_vs_estimate, oracle_p
+from .oracle import OracleParams, _cell_ratio, _comparison
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .util import fmt, parse_config_file, write_csv
 
@@ -237,22 +237,8 @@ def cmd_oracle(cfg: dict) -> int:
     n = int(cfg["grid_n"])
     ts = [float(v) for v in str(cfg["t_list"]).split(",")]
     heights = np.geomspace(float(cfg["x_lo"]), float(cfg["x_hi"]), n)
-    report, q_fit, r2 = compare_oracle_vs_estimate(
-        op, spec, ts=ts, xs=heights, ys=heights
-    )
-    g = op.gamma
-    params = ModelParams(op.dim, op.alpha, (g + 0.5, g + 0.5, 0.0, 0.0))
-    rows = []
-    pad = (0.0,) * (op.dim - 1)
-    for t in ts:
-        for xh in heights:
-            for yh in heights:
-                xpt = HalfSpacePoint(op.dim, pad, float(xh))
-                ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
-                ypt = HalfSpacePoint(op.dim, ytang, float(yh))
-                num = oracle_p(op, float(t), xpt, ypt, spec)
-                den = killed_hke(params, float(t), xpt, ypt, q=q_fit)
-                rows.append([t, xh, yh, num, den, num / den])
+    report, q_fit, r2, cells = _comparison(op, spec, ts, heights, heights)
+    rows = [list(cell) + [_cell_ratio(cell)] for cell in cells]
     _emit(cfg, ["t", "x", "y", "oracle", "estimate", "ratio"], rows)
     sys.stderr.write(
         f"q_fit={fmt(q_fit)} r2={fmt(r2)} "

@@ -273,7 +273,11 @@ def stable_factor(d: int, alpha: float, t: float, r: float) -> float:
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    u = t ** (1.0 / alpha)
+    return stable_profile(d, alpha, t ** (1.0 / alpha), r)
+
+
+def stable_profile(d: int, alpha: float, u: float, r: float) -> float:
+    """:func:`stable_factor` at the time scale u = t^(1/alpha)."""
     try:
         on = u ** (-float(d))
     except OverflowError:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
 from .heatkernel import hke_closed
-from .quadrature import QuadratureSpec, integrate_panels, log_axis_breaks
+from .quadrature import QuadratureSpec, geometric_breaks, integrate_panels, merge_breaks
 
 __all__ = [
     "GreenBreakdown",
@@ -215,7 +215,8 @@ def green_by_time_integration(
         if h < 1.0:
             inner.append((1.0 - h) ** alpha)  # lifted height crosses the gap
     inner = [v for v in inner if t_lo < v < 1.0]
-    small = integrate_panels(f, log_axis_breaks(t_lo, 1.0, inner, per_decade=1.0), spec)
+    breaks = merge_breaks(geometric_breaks(t_lo, 1.0, 1.0), inner, t_lo, 1.0)
+    small = integrate_panels(f, breaks, spec)
     # below t = 1e-8 the integrand is ~ t * (bounded boundary factors)
     large = _large_time_exact(d, alpha, q, xs.height, ys.height)
     q_hat = _qhat(params, q)

@@ -23,6 +23,7 @@ from .geometry import (
     ModelParams,
     eval_J,
     lift_ed,
+    stable_profile,
     weight_from_heights,
     weight_from_heights_arr,
 )
@@ -49,14 +50,11 @@ class Regime(enum.Enum):
     CRITICAL = "Critical"
 
 
-def detect_regime(params: ModelParams, critical_tol: float = 0.0) -> Regime:
-    """Classify by comparing the second exponent with alpha plus the first.
-
-    ``critical_tol`` widens the critical band for sweeps near the phase
-    transition; the default compares the supplied reals exactly.
-    """
+def detect_regime(params: ModelParams) -> Regime:
+    """Classify by comparing the second exponent with alpha plus the first,
+    exactly as the supplied reals compare."""
     gap = params.beta[1] - (params.alpha + params.beta[0])
-    if abs(gap) <= critical_tol:
+    if gap == 0.0:
         return Regime.CRITICAL
     return Regime.ONE_JUMP if gap < 0.0 else Regime.TWO_JUMP_STRICT
 
@@ -82,21 +80,6 @@ def _time_clamp(u: float, dist: float, alpha: float) -> float:
         return min(1.0, (u / dist) ** alpha)
     except OverflowError:
         return 1.0
-
-
-def _stable(d: int, alpha: float, u: float, dist: float) -> float:
-    """min(t^(-d/alpha), t dist^-(d+alpha)) via u = t^(1/alpha) only."""
-    try:
-        on = u ** (-float(d))
-    except OverflowError:
-        on = math.inf
-    if dist <= 0.0:
-        return on
-    try:
-        off = (u / dist) ** alpha * dist ** (-float(d))
-    except OverflowError:
-        return on
-    return min(on, off)
 
 
 def _bracket_terms(
@@ -130,7 +113,6 @@ def hke_closed(
     x: HalfSpacePoint,
     y: HalfSpacePoint,
     q: float = 0.0,
-    critical_tol: float = 0.0,
     tscale: Optional[float] = None,
 ) -> EstimateBreakdown:
     """Sharp free-kernel estimate with all factors exposed.
@@ -141,7 +123,7 @@ def hke_closed(
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    regime = detect_regime(params, critical_tol)
+    regime = detect_regime(params)
     d = params.dim
     u = tscale if tscale is not None else t ** (1.0 / params.alpha)
     dist = x.distance_to(y)
@@ -159,7 +141,7 @@ def hke_closed(
             free_value=on,
             killed_value=sx * sy * on,
         )
-    stable = _stable(d, params.alpha, u, dist)
+    stable = stable_profile(d, params.alpha, u, dist)
     one, two = _bracket_terms(params, regime, u, x, y, dist)
     free = min(u ** (-float(d)), stable * (one + two))
     return EstimateBreakdown(
@@ -180,11 +162,9 @@ def killed_hke(
     x: HalfSpacePoint,
     y: HalfSpacePoint,
     q: float,
-    critical_tol: float = 0.0,
-    tscale: Optional[float] = None,
 ) -> float:
     """Killed-kernel estimate: two survival factors times the free estimate."""
-    return hke_closed(params, t, x, y, q=q, critical_tol=critical_tol, tscale=tscale).killed_value
+    return hke_closed(params, t, x, y, q=q).killed_value
 
 
 def _radial_two_jump(
@@ -247,7 +227,6 @@ def hke_unified(
     x: HalfSpacePoint,
     y: HalfSpacePoint,
     spec: QuadratureSpec | None = None,
-    critical_tol: float = 0.0,
 ) -> float:
     """Unified estimate: one-jump kernel plus the radial two-jump integral.
 
@@ -265,7 +244,7 @@ def hke_unified(
     X = lift_ed(x, u)
     Y = lift_ed(y, u)
     bracket = t * eval_J(w, X, Y)
-    if detect_regime(params, critical_tol) is not Regime.ONE_JUMP:
+    if detect_regime(params) is not Regime.ONE_JUMP:
         bracket += t * t * _radial_two_jump(params, w, t, u, x, y, dist, spec)
     return min(u ** (-float(params.dim)), bracket)
 
@@ -287,14 +266,12 @@ def twojump_ball_integral(
     x: HalfSpacePoint,
     y: HalfSpacePoint,
     spec: QuadratureSpec | None = None,
-    mc_samples: Optional[int] = None,
-    seed: int = 0,
 ) -> float:
     """Two-jump product integrated over the mid ball, times t |x-y|^(d+alpha).
 
     The ball is centered halfway up the vertical line through x with radius
     a quarter of the distance; requires |x-y| > 6 t^(1/alpha).  Full
-    quadrature for dim <= 3, Monte Carlo (with ``mc_samples``) otherwise.
+    quadrature, for dim <= 3 only.
     """
     spec = spec or QuadratureSpec()
     if t <= 0.0:
@@ -305,6 +282,8 @@ def twojump_ball_integral(
     if dist <= 6.0 * u:
         raise ValueError("requires |x-y| > 6 t^(1/alpha)")
     d = params.dim
+    if d > 3:
+        raise ValueError("the mid-ball quadrature supports dim <= 3 only")
     X = np.array(lift_ed(x, u).coords())
     Y = np.array(lift_ed(y, u).coords())
     radius = dist / 4.0
@@ -313,17 +292,6 @@ def twojump_ball_integral(
 
     def integrand(z: np.ndarray) -> np.ndarray:
         return _jump_arr(w.params, X, z) * _jump_arr(w.params, z, Y)
-
-    if mc_samples is not None or d > 3:
-        if mc_samples is None:
-            raise ValueError("dim > 3 requires Monte-Carlo mode (mc_samples)")
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((mc_samples, d))
-        radii = rng.random(mc_samples) ** (1.0 / d)
-        norms = np.linalg.norm(pts, axis=1)
-        z = center + (radius * radii)[:, None] * pts / norms[:, None]
-        vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
-        return scale * vol * float(np.sum(integrand(z))) / mc_samples
 
     if d == 1:
         lo, hi = center[0] - radius, center[0] + radius
@@ -387,10 +355,9 @@ def dominance_map(
     t: float,
     x: HalfSpacePoint,
     ys: Sequence[HalfSpacePoint],
-    critical_tol: float = 0.0,
 ) -> list[DominanceCell]:
     """Compare the one-jump and two-jump bracket terms over a target grid."""
-    regime = detect_regime(params, critical_tol)
+    regime = detect_regime(params)
     if regime is Regime.ONE_JUMP:
         raise ValueError("dominance map requires the two-jump regime")
     if t <= 0.0:

@@ -28,7 +28,6 @@ from .geometry import (
     weight_from_heights_arr,
 )
 from .quadrature import (
-    NonConvergenceError,
     QuadratureSpec,
     decaying_log_breaks,
     geometric_breaks,
@@ -37,7 +36,7 @@ from .quadrature import (
     panel_nodes,
     power_graded_breaks,
 )
-from .report import ComparabilityReport
+from .report import ComparabilityReport, ratio_report
 from .util import log_uniform
 
 __all__ = ["REGISTRY", "LemmaCheck", "check", "lemma_ids"]
@@ -891,41 +890,12 @@ def check(
     if ceiling is None:
         ceiling = get_ceiling(lemma_id)
     crc = zlib.crc32(lemma_id.encode())
+    samples = (entry.sampler(np.random.default_rng([sampler_seed, crc, i])) for i in range(budget))
 
-    def one(i: int):
-        rng = np.random.default_rng([sampler_seed, crc, i])
-        params = entry.sampler(rng)
-        try:
-            lo, hi = entry.evaluate(params, spec)
-        except NonConvergenceError:
-            return None
-        return lo, hi, params
+    def ratios(params: dict) -> tuple[float, float]:
+        lo, hi = entry.evaluate(params, spec)
+        return (hi if lo is None else lo), hi
 
-    results = [one(i) for i in range(budget)]
-    min_ratio, max_ratio = math.inf, 0.0
-    argmin: dict = {}
-    argmax: dict = {}
-    excluded = 0
-    count = 0
-    for res in results:
-        if res is None:
-            excluded += 1
-            continue
-        lo, hi, params = res
-        count += 1
-        if hi > max_ratio:
-            max_ratio, argmax = hi, _witness(params)
-        lo_eff = hi if lo is None else lo
-        if lo_eff < min_ratio:
-            min_ratio, argmin = lo_eff, _witness(params)
-    return ComparabilityReport(
-        lemma_id=lemma_id,
-        samples=count,
-        excluded=excluded,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        argmin=argmin,
-        argmax=argmax,
-        ceiling=ceiling,
-        two_sided=entry.two_sided,
+    return ratio_report(
+        lemma_id, samples, ratios, entry.two_sided, ceiling, _witness, skip_unconverged=True
     )

@@ -26,7 +26,7 @@ from .quadrature import (
     merge_breaks,
     panel_nodes,
 )
-from .report import ComparabilityReport
+from .report import ComparabilityReport, ratio_report
 from .special import (
     bessel_I_scaled_arr,
     one_minus_scaled_I,
@@ -365,6 +365,15 @@ def compare_oracle_vs_estimate(
     The survival exponent of the estimate is fitted from the oracle's own
     survival probabilities.  Returns (report, q_fit, fit R^2).
     """
+    report, q_fit, r2, _cells = _comparison(op, spec, ts, xs, ys, q_fit, ceiling)
+    return report, q_fit, r2
+
+
+def _comparison(op, spec, ts, xs, ys, q_fit=None, ceiling=None):
+    """:func:`compare_oracle_vs_estimate` plus its cells, each
+    ``(t, x height, y height, oracle, estimate)`` with t and the heights as
+    given; a cell whose oracle density did not converge holds the
+    :class:`NonConvergenceError` in place of the oracle value."""
     if op.dim not in (1, 2):
         raise ValueError("full-quadrature comparison supports dim 1 and 2 only")
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
@@ -378,40 +387,34 @@ def compare_oracle_vs_estimate(
         xs = np.geomspace(0.05, 20.0, 20)
     if ys is None:
         ys = np.geomspace(0.05, 20.0, 20)
-    min_ratio, max_ratio = math.inf, 0.0
-    argmin: dict = {}
-    argmax: dict = {}
-    count = 0
-    excluded = 0
+    cells = []
     pad = (0.0,) * (op.dim - 1)
+    ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
     for t in ts:
         for xh in xs:
             for yh in ys:
                 xpt = HalfSpacePoint(op.dim, pad, float(xh))
-                ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
                 ypt = HalfSpacePoint(op.dim, ytang, float(yh))
                 try:
                     num = oracle_p(op, float(t), xpt, ypt, spec)
-                except NonConvergenceError:
-                    excluded += 1
+                except NonConvergenceError as exc:
+                    cells.append((t, xh, yh, exc, None))
                     continue
-                den = killed_hke(params, float(t), xpt, ypt, q=q_fit)
-                ratio = num / den
-                count += 1
-                here = {"t": float(t), "x": float(xh), "y": float(yh)}
-                if ratio < min_ratio:
-                    min_ratio, argmin = ratio, here
-                if ratio > max_ratio:
-                    max_ratio, argmax = ratio, here
-    report = ComparabilityReport(
-        lemma_id="oracle_vs_estimate",
-        samples=count,
-        excluded=excluded,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
-        argmin=argmin,
-        argmax=argmax,
+                cells.append((t, xh, yh, num, killed_hke(params, float(t), xpt, ypt, q=q_fit)))
+    report = ratio_report(
+        "oracle_vs_estimate",
+        cells,
+        _cell_ratio,
         ceiling=ceiling,
-        two_sided=True,
+        witness=lambda cell: {"t": float(cell[0]), "x": float(cell[1]), "y": float(cell[2])},
+        skip_unconverged=True,
     )
-    return report, q_fit, r2
+    return report, q_fit, r2, cells
+
+
+def _cell_ratio(cell) -> float:
+    """Oracle over estimate in one comparison cell; raises the cell's error."""
+    _t, _x, _y, num, den = cell
+    if isinstance(num, NonConvergenceError):
+        raise num
+    return num / den

@@ -22,7 +22,6 @@ __all__ = [
     "integrate_panels",
     "geometric_breaks",
     "power_graded_breaks",
-    "integrate_log_axis",
 ]
 
 
@@ -37,15 +36,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2048
-    endpoint_grading: float = 3.0
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 16:
             raise ValueError("max_subdivisions must be >= 16")
-        if self.endpoint_grading <= 0.0:
-            raise ValueError("endpoint_grading must be positive")
 
     def tol(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -127,30 +123,6 @@ def merge_breaks(base: Iterable[float], extra: Iterable[float], lo: float, hi: f
         if lo < p < hi:
             pts.add(float(p))
     return sorted(pts)
-
-
-def log_axis_breaks(
-    lo: float,
-    hi: float,
-    inner: Iterable[float] = (),
-    per_decade: float = 2.0,
-) -> list[float]:
-    """Geometric breakpoints with extra interior scale markers."""
-    return merge_breaks(geometric_breaks(lo, hi, per_decade), inner, lo, hi)
-
-
-def integrate_log_axis(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec,
-    inner: Iterable[float] = (),
-    per_decade: float = 2.0,
-    n0: int = 16,
-) -> float:
-    """Integrate over (lo, hi] with geometric panels plus interior breakpoints."""
-    breaks = log_axis_breaks(lo, hi, inner, per_decade)
-    return integrate_panels(f, breaks, spec, n0=n0)
 
 
 def decaying_log_breaks(w_lo: float, w_hi: float, rate: float) -> list[float]:

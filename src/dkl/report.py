@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional, Union
+
+from .quadrature import NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -43,3 +46,43 @@ class ComparabilityReport:
         if self.two_sided and self.min_ratio < 1.0 / self.ceiling:
             return False
         return True
+
+
+def ratio_report(
+    name: str,
+    samples: Iterable,
+    ratio: Callable[[Any], Union[None, float, tuple[float, float]]],
+    two_sided: bool = True,
+    ceiling: Optional[float] = None,
+    witness: Optional[Callable[[Any], dict]] = None,
+    skip_unconverged: bool = False,
+) -> ComparabilityReport:
+    """The ratio extremes over ``samples``.
+
+    ``ratio(sample)`` returns the sample's ratio, a (lower, upper) pair of
+    ratios, or None to leave the sample out.  A :class:`NonConvergenceError`
+    raised by ``ratio`` propagates unless ``skip_unconverged`` is set, in
+    which case the sample is counted as excluded.  ``witness(sample)``
+    describes the sample recorded at each extreme.
+    """
+    lo, hi = math.inf, 0.0
+    argmin: dict = {}
+    argmax: dict = {}
+    count = excluded = 0
+    for smp in samples:
+        try:
+            r = ratio(smp)
+        except NonConvergenceError:
+            if not skip_unconverged:
+                raise
+            excluded += 1
+            continue
+        if r is None:
+            continue
+        count += 1
+        r_lo, r_hi = r if isinstance(r, tuple) else (r, r)
+        if r_hi > hi:
+            hi, argmax = r_hi, witness(smp) if witness else {}
+        if r_lo < lo:
+            lo, argmin = r_lo, witness(smp) if witness else {}
+    return ComparabilityReport(name, count, excluded, lo, hi, argmin, argmax, ceiling, two_sided)

@@ -3,7 +3,11 @@ import sys
 
 import pytest
 
+import dkl.cli
+import dkl.oracle
 from dkl.cli import main
+from dkl.oracle import oracle_p
+from dkl.quadrature import NonConvergenceError
 
 
 def run_cli(args, capsys):
@@ -39,6 +43,31 @@ class TestSolveQ:
         fields = out.strip().splitlines()[1].split(",")
         assert abs(float(fields[6]) - 1.2) < 1e-4
         assert float(fields[7]) < 1e-6
+
+
+class TestOracle:
+    def _run(self, capsys, monkeypatch, fake):
+        monkeypatch.setattr(dkl.oracle, "oracle_p", fake)
+        monkeypatch.setattr(dkl.cli, "oracle_p", fake, raising=False)
+        code = main(["oracle", "--grid-n", "2", "--t-list", "1.0"])
+        return code, capsys.readouterr()
+
+    def test_each_cell_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        code, out = self._run(capsys, monkeypatch, lambda *a: calls.append(a) or oracle_p(*a))
+        assert code == 0
+        assert len(out.out.strip().splitlines()) == 1 + 4
+        assert len(calls) == 4
+
+    def test_unconverged_cell_fails_the_command(self, capsys, monkeypatch):
+        def fake(op, t, x, y, spec):
+            if x.height == y.height == 20.0:
+                raise NonConvergenceError("cell did not converge")
+            return oracle_p(op, t, x, y, spec)
+
+        code, out = self._run(capsys, monkeypatch, fake)
+        assert (code, out.out) == (1, "")
+        assert out.err == "numerical failure: cell did not converge\n"
 
 
 class TestHke:
