@@ -1,0 +1,80 @@
+"""Record one point of the benchmark trajectory.
+
+    python3 scripts/bench_record.py BENCH_<n>.json
+
+Runs ``dklbench/run.py`` on the three workloads at seed 0 from the checkout
+holding this script, once untraced (``--seconds 15``) for the end-to-end
+metrics and once traced (``--seconds 1 --trace 1``) for the per-layer
+metrics.  From the last stdout line of each run it writes, per workload,
+the metrics, ``failed/attempted`` and ``correct`` to OUT, together with the
+git revision and the host the figures were measured on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ["queries", "estimates", "oracle"]
+RUNS = {"end_to_end": ["--seconds", "15"], "per_layer": ["--seconds", "1", "--trace", "1"]}
+
+
+def _run(workload: str, extra: list[str]) -> dict:
+    cmd = [sys.executable, "dklbench/run.py", "--workload", workload, "--seed", "0", *extra]
+    out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _git(*cmd: str) -> str:
+    return subprocess.run(["git", *cmd], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _host() -> dict:
+    import numpy
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path)
+    args = ap.parse_args(argv)
+    record = {
+        "rev": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--", "src", "dklbench")),
+        "seed": 0,
+        "host": _host(),
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        entry = {}
+        for kind, extra in RUNS.items():
+            res = _run(workload, extra)
+            entry[kind] = {
+                "correct": res["correct"],
+                "failed/attempted": f"{res['failed']}/{res['attempted']}",
+                "metrics": {k: v["value"] for k, v in res["metrics"].items()},
+            }
+            print(f"{workload} {kind}: correct={res['correct']} "
+                  f"failed/attempted={res['failed']}/{res['attempted']}", file=sys.stderr)
+        record["workloads"][workload] = entry
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,6 +42,7 @@ from .heatkernel import (
     hke_unified,
     twojump_ball_integral,
 )
+from .inequalities import _quadruple
 from .quadrature import QuadratureSpec, integrate_panels
 from .report import ComparabilityReport, ratio_report
 from .special import bessel_I_scaled
@@ -60,16 +61,6 @@ def _point(rng, dim: int) -> HalfSpacePoint:
         return HalfSpacePoint(1, (), h)
     off = (log_uniform(rng, 1e-3, 1e3) - log_uniform(rng, 1e-3, 1e3),)
     return HalfSpacePoint(dim, off + (0.0,) * (dim - 2), h)
-
-
-def _quadruple(rng) -> tuple[float, float, float, float]:
-    def expo():
-        return 0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.0))
-
-    b1, b2 = expo(), expo()
-    b3 = expo() if b1 > 0.0 else 0.0
-    b4 = expo() if b2 > 0.0 else 0.0
-    return (b1, b2, b3, b4)
 
 
 def standard_grid(n: int) -> Iterator[dict]:

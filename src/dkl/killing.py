@@ -27,6 +27,7 @@ from .geometry import BoundaryWeight, ModelParams, weight_from_heights_arr
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
+    converge,
     decaying_log_breaks,
     merge_breaks,
     panel_nodes,
@@ -237,21 +238,18 @@ def compute_C(
     d = params.dim
     diag = w.diagonal_limit
 
+    msg = "killing-constant integral did not converge"
     if d == 1:
-        n = 16
-        prev = None
-        while n <= spec.max_subdivisions:
-            val = _s_value(alpha, q, beta, 1.0, diag, n)
-            if prev is not None and abs(val - prev) <= spec.tol(val):
-                return val
-            prev = val
-            n *= 2
-        raise NonConvergenceError("killing-constant integral did not converge")
+        return converge(
+            lambda n: _s_value(alpha, q, beta, 1.0, diag, n),
+            16, spec.max_subdivisions, spec.tol, msg,
+        )
 
     surface = _sphere_area(d - 2) if d > 2 else 2.0
 
-    def total_at(n_in: int, n_out: int) -> float:
-        nodes, wts = panel_nodes(_OUTER_BREAKS, n_out)
+    def total_at(n_in: int) -> float:
+        # the outer order grows at half the inner rate: the first test never sees it
+        nodes, wts = panel_nodes(_OUTER_BREAKS, 32 * math.isqrt(n_in // 16))
         acc = 0.0
         for th, wt in zip(nodes, wts):
             rho = math.tan(th)
@@ -261,15 +259,7 @@ def compute_C(
             acc += wt * inner * math.sin(th) ** (d - 2) * math.cos(th) ** alpha
         return surface * acc
 
-    k = 0
-    prev = None
-    while 16 * 2**k <= spec.max_subdivisions:
-        val = total_at(16 * 2**k, 32 * 2 ** (k // 2))
-        if prev is not None and abs(val - prev) <= spec.tol(val):
-            return val
-        prev = val
-        k += 1
-    raise NonConvergenceError("killing-constant integral did not converge")
+    return converge(total_at, 16, spec.max_subdivisions, spec.tol, msg)
 
 
 def solve_q(

@@ -21,6 +21,7 @@ from .heatkernel import killed_hke
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
+    converge,
     geometric_breaks,
     integrate_panels,
     merge_breaks,
@@ -282,26 +283,23 @@ def oracle_kappa(
     t0 = 1e-6 * xd * xd
     t1 = 1e7 * xd * xd
 
-    n = 16
-    prev = None
-    while n <= spec.max_subdivisions:
-        breaks = geometric_breaks(t0, t1, 2.0)
+    breaks = geometric_breaks(t0, t1, 2.0)
+    # exact leading mass defect below t0: F ~ (4 g^2 - 1)/(4 xd^2) t
+    small = (4.0 * gamma * gamma - 1.0) / (4.0 * xd * xd) * t0 ** (1.0 - a) / (1.0 - a)
+    eta = (gamma + 0.5) / 2.0
+
+    def estimate(n: int) -> float:
         nodes, wts = panel_nodes(breaks, n)
         fvals = _mass_F(gamma, xd, nodes, n=max(n, 24))
         body = float(np.dot(fvals * nodes ** (-1.0 - a), wts))
-        # exact leading mass defect below t0: F ~ (4 g^2 - 1)/(4 xd^2) t
-        small = (4.0 * gamma * gamma - 1.0) / (4.0 * xd * xd) * t0 ** (1.0 - a) / (
-            1.0 - a
-        )
         m1 = 1.0 - float(_mass_F(gamma, xd, np.array([t1]), n=max(n, 24))[0])
-        eta = (gamma + 0.5) / 2.0
         tail = t1 ** (-a) / a - m1 * t1 ** (-a) / (a + eta)
-        val = pref * (body + small + tail)
-        if prev is not None and abs(val - prev) <= 10.0 * spec.tol(val):
-            return val
-        prev = val
-        n *= 2
-    raise NonConvergenceError("killing-function integral did not converge")
+        return pref * (body + small + tail)
+
+    return converge(
+        estimate, 16, spec.max_subdivisions, lambda v: 10.0 * spec.tol(v),
+        "killing-function integral did not converge",
+    )
 
 
 def oracle_survival(op: OracleParams, xi: float, spec: QuadratureSpec | None = None) -> float:

@@ -4,6 +4,11 @@ Everything here is composite Gauss-Legendre on explicit panel breakpoints,
 refined by doubling the per-panel order until two successive estimates
 agree.  Breakpoints are deterministic functions of the problem scales, so
 repeated runs are bit-identical.
+
+Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
+which either meets its tolerance or raises :class:`NonConvergenceError`.
+The one exception is ``heatkernel._tensor_integral``, which still returns
+its last estimate once its order passes 96.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
+    "converge",
     "panel_nodes",
     "integrate_panels",
     "geometric_breaks",
@@ -53,6 +59,25 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def converge(estimate: Callable[[int], float], n0: int, n_max: int,
+             tol: Callable[[float], float], msg: str = "quadrature did not converge") -> float:
+    """Refine ``estimate(n)`` over the orders n0, 2*n0, ... up to n_max.
+
+    Returns the first estimate within ``tol(cur)`` of the one before it;
+    raises :class:`NonConvergenceError` with ``msg`` once the orders run out.
+    """
+    n = n0
+    prev = estimate(n)
+    while True:
+        n *= 2
+        if n > n_max:
+            raise NonConvergenceError(f"{msg} (order {n} exceeds budget)")
+        cur = estimate(n)
+        if abs(cur - prev) <= tol(cur):
+            return cur
+        prev = cur
+
+
 def panel_nodes(breaks: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on each panel of ``breaks``."""
     breaks = np.asarray(breaks, dtype=float)
@@ -79,20 +104,12 @@ def integrate_panels(
     spec tolerance; raises :class:`NonConvergenceError` past the refinement
     budget.
     """
-    n = n0
-    nodes, weights = panel_nodes(breaks, n)
-    prev = float(np.dot(np.asarray(f(nodes), dtype=float), weights))
-    while True:
-        n *= 2
-        if n > spec.max_subdivisions:
-            raise NonConvergenceError(
-                f"quadrature did not converge (order {n} exceeds budget)"
-            )
+
+    def estimate(n: int) -> float:
         nodes, weights = panel_nodes(breaks, n)
-        cur = float(np.dot(np.asarray(f(nodes), dtype=float), weights))
-        if abs(cur - prev) <= spec.tol(cur):
-            return cur
-        prev = cur
+        return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
+
+    return converge(estimate, n0, spec.max_subdivisions, spec.tol)
 
 
 def geometric_breaks(lo: float, hi: float, per_decade: float = 2.0) -> list[float]:

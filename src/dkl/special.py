@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .quadrature import NonConvergenceError, panel_nodes
+from .quadrature import NonConvergenceError, converge, panel_nodes
 
 __all__ = [
     "bessel_I",
@@ -209,19 +209,17 @@ def _stable_integral(a: float, x: float) -> float:
         A = _zolotarev_A(a, phi)
         return A * np.exp(-lam * A)
 
-    n = 32
-    prev = None
     breaks = np.linspace(0.0, phi_hi, 9)
-    while n <= 1024:
+
+    def estimate(n: int) -> float:
         nodes, wts = panel_nodes(breaks, n)
-        val = float(np.dot(f(nodes), wts))
-        if prev is not None and abs(val - prev) <= 1e-11 * abs(val) + 1e-300:
-            return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
-        prev = val
-        n *= 2
-    raise NonConvergenceError(
-        f"stable density integral did not converge at a={a}, x={x}"
+        return float(np.dot(f(nodes), wts))
+
+    val = converge(
+        estimate, 32, 1024, lambda v: 1e-11 * abs(v) + 1e-300,
+        f"stable density integral did not converge at a={a}, x={x}",
     )
+    return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
 
 
 def stable_one_density(a: float, x: float) -> float:

@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from dkl.geometry import HalfSpacePoint, ModelParams, standard_weight
+from dkl.heatkernel import _tensor_integral
+from dkl.killing import compute_C
+from dkl.oracle import OracleParams, oracle_kappa
+from dkl.quadrature import NonConvergenceError, QuadratureSpec, converge, integrate_panels
+
+# a budget of 16 allows one estimate and no convergence test
+ONE_ROUND = QuadratureSpec(max_subdivisions=16)
+
+
+class TestConverge:
+    def test_returns_first_estimate_within_tolerance(self):
+        values = {4: 1.0, 8: 0.5, 16: 0.45, 32: 0.449, 64: 0.4489}
+        assert converge(values.__getitem__, 4, 64, lambda v: 0.01) == 0.449
+
+    def test_tolerance_is_taken_at_the_current_estimate(self):
+        values = {1: 5.0, 2: 10.0, 4: 11.05}
+        # |11.05 - 10| <= 0.1 * 11.05 but > 0.1 * 10
+        assert converge(values.__getitem__, 1, 4, lambda v: 0.1 * v) == 11.05
+
+    def test_evaluates_each_doubled_order_once(self):
+        calls = []
+
+        def estimate(n):
+            calls.append(n)
+            return float(n)
+
+        with pytest.raises(NonConvergenceError):
+            converge(estimate, 16, 2048, lambda v: 1e-9)
+        assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048]
+
+    def test_stops_at_the_accepted_order(self):
+        calls = []
+
+        def estimate(n):
+            calls.append(n)
+            return 1.0 if n >= 32 else 1.0 / n
+
+        assert converge(estimate, 8, 1024, lambda v: 1e-12) == 1.0
+        assert calls == [8, 16, 32, 64]
+
+    def test_raises_with_message_once_orders_run_out(self):
+        with pytest.raises(NonConvergenceError, match=r"^thing did not converge \(order 64 exceeds budget\)$"):
+            converge(float, 8, 32, lambda v: 0.0, "thing did not converge")
+
+
+class TestCallSitesRaiseOnBudget:
+    def test_integrate_panels(self):
+        with pytest.raises(NonConvergenceError, match="^quadrature did not converge"):
+            integrate_panels(np.sin, [0.0, 1.0, 2.0], ONE_ROUND)
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
+    def test_compute_C(self, dim):
+        params = ModelParams(dim, 0.9, (1.0, 1.5, 0.5, 0.0))
+        w = standard_weight(params)
+        with pytest.raises(NonConvergenceError, match="^killing-constant integral did not converge"):
+            compute_C(params, 0.5, w, ONE_ROUND)
+
+    def test_oracle_kappa(self):
+        x = HalfSpacePoint(1, (), 0.7)
+        with pytest.raises(NonConvergenceError, match="^killing-function integral did not converge"):
+            oracle_kappa(OracleParams(0.5, 1, 1.0), x, ONE_ROUND)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_tensor_integral returns its last estimate once its order passes 96 "
+    "(ROADMAP item 2)",
+)
+def test_tensor_integral_raises_when_estimates_never_settle():
+    # the integral of this integrand is the node count, so it doubles per round
+    def f(p):
+        return np.full(len(p), float(len(p)))
+
+    with pytest.raises(NonConvergenceError):
+        _tensor_integral(f, [(0.0, 1.0), (0.0, 1.0)], QuadratureSpec())
