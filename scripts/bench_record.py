@@ -7,12 +7,15 @@ holding this script, once untraced (``--seconds 15``) for the end-to-end
 metrics and once traced (``--seconds 1 --trace 1``) for the per-layer
 metrics.  From the last stdout line of each run it writes, per workload,
 the metrics, ``failed/attempted`` and ``correct`` to OUT, together with the
-git revision and the host the figures were measured on.
+git revision and the host the figures were measured on.  When ``src`` or
+``dklbench`` differ from that revision, ``diff_sha256`` holds the SHA-256 of
+``git diff HEAD -- src dklbench``, so the record names the code it measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -36,6 +39,12 @@ def _git(*cmd: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _diff_sha256() -> str:
+    diff = subprocess.run(["git", "diff", "HEAD", "--", "src", "dklbench"], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    return hashlib.sha256(diff).hexdigest()
+
+
 def _host() -> dict:
     import numpy
     import scipy
@@ -53,9 +62,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path)
     args = ap.parse_args(argv)
+    dirty = bool(_git("status", "--porcelain", "--", "src", "dklbench"))
     record = {
         "rev": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--", "src", "dklbench")),
+        "dirty": dirty,
+        "diff_sha256": _diff_sha256() if dirty else None,
         "seed": 0,
         "host": _host(),
         "workloads": {},

@@ -21,7 +21,7 @@ from .geometry import HalfSpacePoint, ModelParams, standard_weight
 from .green import GreenDivergenceError, green_by_time_integration, green_estimate
 from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
-from .killing import ShapeViolationError, compute_C, scan_shape, solve_q
+from .killing import ShapeViolationError, _solve_q, scan_shape, solve_q
 from .oracle import OracleParams, _cell_ratio, _comparison
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .util import fmt, parse_config_file, write_csv
@@ -104,14 +104,10 @@ def _q_for(cfg: dict, params: ModelParams, spec: QuadratureSpec) -> float:
 def cmd_solve_q(cfg: dict) -> int:
     params = _params(cfg)
     spec = _spec(cfg)
-    q = solve_q(params, standard_weight(params), spec)
-    residual = (
-        abs(compute_C(params, q, standard_weight(params), spec) - params.kappa)
-        if q > max(params.alpha - 1.0, 0.0)
-        else 0.0
-    )
+    # the solve returns C(q) - kappa at its answer: no second evaluation
+    q, residual = _solve_q(params, standard_weight(params), spec, params.kappa)
     header = ["alpha", "beta1", "beta2", "beta3", "beta4", "kappa", "q", "residual"]
-    _emit(cfg, header, [[params.alpha, *params.beta, params.kappa, q, residual]])
+    _emit(cfg, header, [[params.alpha, *params.beta, params.kappa, q, abs(residual)]])
     return 0
 
 

@@ -13,6 +13,14 @@ substitution (with explicit subtraction of the leading term for alpha >=
 possibly arbitrarily close to 0, handled on a logarithmic axis whose reach
 is chosen from delta and beta3, with the power factors assembled in log
 space so no intermediate quantity overflows.
+
+For dim >= 2 the outer integrand over theta = arctan(rho) carries
+cos^alpha theta, singular at pi/2: its panels shrink fourfold toward pi/2
+and its order is the inner order, so the convergence test refines both.
+The s-integral takes a whole array of offsets, one row of breakpoints and
+nodes per offset, evaluated in row blocks of at most about
+``_BLOCK_ELEMENTS`` elements.  ``solve_q`` and the zero refinement of
+``scan_shape`` find roots with Brent's method on a bracket.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from .quadrature import (
     QuadratureSpec,
     converge,
     decaying_log_breaks,
-    merge_breaks,
     panel_nodes,
 )
 
@@ -80,15 +87,16 @@ def _left_values(m: np.ndarray, alpha: float, q: float, ln_w: np.ndarray) -> np.
     return fa * fb * np.exp(expo)
 
 
-def _log_weight_left(b, wv: np.ndarray, c: float) -> np.ndarray:
+def _log_weight_left(b, wv: np.ndarray, ln_c: np.ndarray) -> np.ndarray:
     """log of the four-parameter weight at heights (e^w, 1), distance (1-e^w)c.
 
-    Valid for w <= log(1/2); stays accurate arbitrarily deep (w ~ -1e5)
-    where e^w itself would underflow.
+    ``ln_c`` is log c, broadcast against ``wv``.  Valid for w <= log(1/2);
+    stays accurate arbitrarily deep (w ~ -1e5) where e^w itself would
+    underflow.
     """
     b1, b2, b3, b4 = b
     s = np.exp(wv)  # underflows harmlessly; only used via log1p
-    ln_dist = math.log(c) + np.log1p(-s)
+    ln_dist = ln_c + np.log1p(-s)
     out = b1 * np.minimum(wv - ln_dist, 0.0) + b2 * np.minimum(-ln_dist, 0.0)
     if b3 > 0.0:
         k3 = np.minimum(np.exp(ln_dist), 1.0)
@@ -148,65 +156,100 @@ def _kernel_right(u: np.ndarray, alpha: float, q: float) -> np.ndarray:
     return a1 * a2 * u ** (1.0 - alpha)
 
 
+def _row_breaks(base: Sequence[float], kinks: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """One row of breakpoints per row of ``kinks``: ``base`` plus that row's kinks.
+
+    ``base`` runs from ``lo`` to ``hi``.  A kink outside (lo, hi) becomes
+    ``hi``, whose zero-width panel has weight 0; a kink column outside for
+    every row is dropped, so rows without kinks keep exactly ``base``.
+    """
+    inside = (kinks > lo) & (kinks < hi)
+    kinks = np.where(inside, kinks, hi)[:, inside.any(axis=0)]
+    out = np.empty((len(kinks), len(base) + kinks.shape[1]))
+    out[:, :len(base)] = base
+    out[:, len(base):] = kinks
+    out.sort(axis=1)
+    return out
+
+
+def _row_dot(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Per-row dot products, each bit-identical to ``np.dot`` of its row."""
+    return np.matmul(vals[:, None, :], wts[:, :, None])[:, 0, 0]
+
+
+def _row_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`panel_nodes` for 2-D ``breaks``, shaped (rows, nodes per row)."""
+    nodes, wts = panel_nodes(breaks, n)
+    return nodes.reshape(len(breaks), -1), wts.reshape(len(breaks), -1)
+
+
+# elements per array call of the s-integral; rows beyond it go in further blocks
+_BLOCK_ELEMENTS = 16384
+_RIGHT_BREAKS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def _s_value(
     alpha: float,
     q: float,
     beta: Sequence[float],
-    c: float,
+    c: np.ndarray,
     diagonal_limit: float,
     n: int,
-) -> float:
-    """The s-integral at fixed panel order n for one tangential offset.
+) -> np.ndarray:
+    """The s-integral at fixed panel order n, one value per entry of ``c``.
 
     The weight is taken along the pair with heights (1, s) at distance
-    (1-s)*c, where c = sqrt(rho^2+1) for the tangential offset rho.
+    (1-s)*c, where c = sqrt(rho^2+1) for the tangential offset rho.  The
+    offsets are evaluated together as (offset x node) arrays, in row blocks
+    of at most about ``_BLOCK_ELEMENTS`` elements.
     """
-    b1, b2, b3, b4 = beta
+    b1 = beta[0]
+    b3 = beta[2]
     delta = _delta_eff(alpha, q, b1)
-
     # left half (0, 1/2] on the log axis; reach set by delta and beta3
     reach = 60.0 + 3.0 * (b3 + 1.0) * max(math.log(60.0 / delta), 0.0)
     w_lo = -reach / delta
     w_hi = math.log(0.5)
-    kinks = []
-    if 1.0 < c <= 2.0:
-        s_star = 1.0 - 1.0 / c  # distance crosses 1: log-factor form switches
-        if 0.0 < s_star < 0.5:
-            kinks.append(math.log(s_star))
-    breaks_l = merge_breaks(decaying_log_breaks(w_lo, w_hi, delta), kinks, w_lo, w_hi)
-    nodes_l, wts_l = panel_nodes(breaks_l, n)
-    ln_w = _log_weight_left(beta, nodes_l, c)
-    left = float(np.dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l))
-
+    base_l = decaying_log_breaks(w_lo, w_hi, delta)
     # right half, u = 1 - s = (1/2) v^g: power grading tames u^(1-alpha)
     g = max(1.5, 2.0 / (2.0 - alpha))
-    u_kinks = []
-    for u_star in (1.0 / (1.0 + c), 1.0 / c):  # clamp and log-form switches
-        if 0.0 < u_star < 0.5:
-            u_kinks.append((2.0 * u_star) ** (1.0 / g))
-    breaks_r = merge_breaks([0.0, 0.25, 0.5, 0.75, 1.0], u_kinks, 0.0, 1.0)
-    nodes_r, wts_r = panel_nodes(breaks_r, n)
-    v = nodes_r
-    u = 0.5 * v**g
-    jac = (0.5 * g) * v ** (g - 1.0)
-    # from u, not s: forming 1-s from s near 1 would lose all precision
-    wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u * c)
-    if alpha >= 1.5:
-        # remainder split so each bracket is individually cancellation-free:
-        # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
-        ls = np.log1p(-u)
-        pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
-        rem = u ** (1.0 - alpha) * (
-            pvals * (wvals - diagonal_limit)
-            + diagonal_limit * _bracket_minus_limit(u, alpha, q)
-        )
-        right = float(np.dot(rem * jac, wts_r))
-        coef = -q * (alpha - q - 1.0) * diagonal_limit
-        right += coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
-    else:
-        vals = _kernel_right(u, alpha, q) * wvals
-        right = float(np.dot(vals * jac, wts_r))
-    return left + right
+
+    def block(cb: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            # distance crosses 1 at s* = 1 - 1/c: the log-factor form switches
+            kinks_l = np.log(1.0 - 1.0 / cb)
+        nodes_l, wts_l = _row_nodes(_row_breaks(base_l, kinks_l, w_lo, w_hi), n)
+        ln_w = _log_weight_left(beta, nodes_l, np.log(cb))
+        left = _row_dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l)
+
+        # clamp and log-form switches at u* = 1/(1+c) and 1/c, kinks for u* < 1/2
+        u_star = np.concatenate([1.0 / (1.0 + cb), 1.0 / cb], axis=1)
+        kinks_r = (2.0 * u_star) ** (1.0 / g)
+        v, wts_r = _row_nodes(_row_breaks(_RIGHT_BREAKS, kinks_r, 0.0, 1.0), n)
+        u = 0.5 * v**g
+        jac = (0.5 * g) * v ** (g - 1.0)
+        # from u, not s: forming 1-s from s near 1 would lose all precision
+        wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u * cb)
+        if alpha >= 1.5:
+            # remainder split so each bracket is individually cancellation-free:
+            # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
+            ls = np.log1p(-u)
+            pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
+            rem = u ** (1.0 - alpha) * (
+                pvals * (wvals - diagonal_limit)
+                + diagonal_limit * _bracket_minus_limit(u, alpha, q)
+            )
+            right = _row_dot(rem * jac, wts_r)
+            coef = -q * (alpha - q - 1.0) * diagonal_limit
+            right += coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
+        else:
+            right = _row_dot(_kernel_right(u, alpha, q) * wvals * jac, wts_r)
+        return left + right
+
+    # panels per row: the left base, the right base and at most three kinks
+    rows = max(1, _BLOCK_ELEMENTS // (n * (len(base_l) + len(_RIGHT_BREAKS) + 1)))
+    c = np.asarray(c, dtype=float)[:, None]
+    return np.concatenate([block(c[i:i + rows]) for i in range(0, len(c), rows)])
 
 
 def _sphere_area(k: int) -> float:
@@ -214,7 +257,13 @@ def _sphere_area(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-_OUTER_BREAKS = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
+# the outer integrand carries cos^alpha theta, singular at theta = pi/2: panels
+# shrink fourfold toward it, the last one 2.3e-8 wide
+_OUTER_BREAKS = (
+    [0.0, math.pi / 8, math.pi / 4]
+    + [math.pi / 2 - (math.pi / 8) * 4.0**-k for k in range(13)]
+    + [math.pi / 2]
+)
 
 
 def compute_C(
@@ -226,7 +275,10 @@ def compute_C(
     """Evaluate the killing-constant map at q.
 
     Requires q strictly inside (-1, alpha + beta1), where the integral is
-    finite.
+    finite.  For dim >= 2 the outer rule over theta = arctan(rho) has panels
+    shrinking fourfold toward pi/2 and the inner rule's order, so the
+    convergence test refines both; all outer nodes of one order go through
+    one batched s-integral.
     """
     spec = spec or QuadratureSpec()
     alpha = params.alpha
@@ -241,25 +293,94 @@ def compute_C(
     msg = "killing-constant integral did not converge"
     if d == 1:
         return converge(
-            lambda n: _s_value(alpha, q, beta, 1.0, diag, n),
+            lambda n: float(_s_value(alpha, q, beta, np.ones(1), diag, n)[0]),
             16, spec.max_subdivisions, spec.tol, msg,
         )
 
     surface = _sphere_area(d - 2) if d > 2 else 2.0
 
-    def total_at(n_in: int) -> float:
-        # the outer order grows at half the inner rate: the first test never sees it
-        nodes, wts = panel_nodes(_OUTER_BREAKS, 32 * math.isqrt(n_in // 16))
-        acc = 0.0
-        for th, wt in zip(nodes, wts):
-            rho = math.tan(th)
-            c = math.hypot(rho, 1.0)
-            inner = _s_value(alpha, q, beta, c, diag, n_in)
-            # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
-            acc += wt * inner * math.sin(th) ** (d - 2) * math.cos(th) ** alpha
-        return surface * acc
+    def total_at(n: int) -> float:
+        th, wts = panel_nodes(_OUTER_BREAKS, n)
+        inner = _s_value(alpha, q, beta, np.hypot(np.tan(th), 1.0), diag, n)
+        # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
+        return surface * float(np.dot(wts * np.sin(th) ** (d - 2) * np.cos(th) ** alpha, inner))
 
     return converge(total_at, 16, spec.max_subdivisions, spec.tol, msg)
+
+
+def _bracketed_root(g, a: float, ga: float, b: float, gb: float, res_tol: float, width):
+    """Brent's method (Brent 1973, ch. 4) for a root of g in the bracket [a, b].
+
+    ``ga`` and ``gb`` are g(a) and g(b), of opposite signs (zero counts as
+    positive).  Returns ``(x, g(x))`` at the better end of the bracket once
+    ``|g(x)| <= res_tol`` or the bracket is narrower than ``width(x)``.  A
+    step interpolates (secant or inverse quadratic) only when that lands
+    inside the bracket and shrinks it fast enough; otherwise it bisects, so
+    the bracket guarantee of bisection is kept.
+    """
+    c, gc = b, gb
+    d = e = b - a
+    while True:
+        if (gb < 0.0) == (gc < 0.0):  # the root lies between a and b
+            c, gc = a, ga
+            d = e = b - a
+        if abs(gc) < abs(gb):  # keep the better end in b
+            a, b, c = b, c, b
+            ga, gb, gc = gb, gc, gb
+        w = width(b)
+        m = 0.5 * (c - b)
+        if abs(gb) <= res_tol or 2.0 * abs(m) < w:
+            return b, gb
+        min_step = 0.25 * w  # once the root is this close, one step closes the bracket
+        if abs(e) >= min_step and abs(ga) > abs(gb):
+            s = gb / ga
+            if a == c:  # secant
+                p, r = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                t, u = ga / gc, gb / gc
+                p = s * (2.0 * m * t * (t - u) - (b - a) * (u - 1.0))
+                r = (t - 1.0) * (u - 1.0) * (s - 1.0)
+            if p > 0.0:
+                r = -r
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * r - abs(min_step * r), abs(e * r)):
+                e, d = d, p / r
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, ga = b, gb
+        b += d if abs(d) > min_step else math.copysign(min_step, m)
+        gb = g(b)
+
+
+def _solve_q(params, w, spec, kappa) -> tuple[float, float]:
+    """:func:`solve_q` together with the residual C(q) - kappa at its answer."""
+    spec = spec or QuadratureSpec()
+    kappa = params.kappa if kappa is None else float(kappa)
+    if kappa < 0.0:
+        raise ValueError("kappa must be >= 0")
+    alpha = params.alpha
+    top = alpha + params.beta[0]
+    lo = max(alpha - 1.0, 0.0)
+    if kappa == 0.0:
+        return lo, 0.0
+    g_lo = -kappa  # C vanishes at the branch start
+    gap = (top - lo) / 2.0
+    hi = top - gap
+    while (g_hi := compute_C(params, hi, w, spec) - kappa) < 0.0:
+        lo, g_lo = hi, g_hi
+        gap /= 8.0
+        if gap < 1e-12:
+            raise NonConvergenceError(
+                "no bracket below the divergence endpoint alpha+beta1"
+            )
+        hi = top - gap
+    res_tol = max(spec.abs_tol, spec.rel_tol * (1.0 + kappa))
+    return _bracketed_root(
+        lambda q: compute_C(params, q, w, spec) - kappa,
+        lo, g_lo, hi, g_hi, res_tol, lambda q: 1e-14 * max(1.0, abs(q)),
+    )
 
 
 def solve_q(
@@ -271,40 +392,12 @@ def solve_q(
     """Invert the killing-constant map on its increasing branch.
 
     Returns the unique q in [(alpha-1)_+, alpha+beta1) whose killing constant
-    equals ``kappa`` (defaulting to the model's).  Bracketed bisection; the
-    upper bracket expands geometrically toward alpha+beta1, where the map
-    diverges.
+    equals ``kappa`` (defaulting to the model's).  The upper bracket expands
+    geometrically toward alpha+beta1, where the map diverges; Brent's method
+    then narrows the bracket until |C(q) - kappa| <= max(abs_tol, rel_tol
+    (1 + kappa)) or the bracket is narrower than 1e-14 max(1, |q|).
     """
-    spec = spec or QuadratureSpec()
-    kappa = params.kappa if kappa is None else float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
-    alpha = params.alpha
-    top = alpha + params.beta[0]
-    lo = max(alpha - 1.0, 0.0)
-    if kappa == 0.0:
-        return lo
-    gap = (top - lo) / 2.0
-    hi = top - gap
-    while compute_C(params, hi, w, spec) < kappa:
-        lo = hi
-        gap /= 8.0
-        if gap < 1e-12:
-            raise NonConvergenceError(
-                "no bracket below the divergence endpoint alpha+beta1"
-            )
-        hi = top - gap
-    res_tol = max(spec.abs_tol, spec.rel_tol * (1.0 + kappa))
-    # the width test ends the loop within about 60 halvings of the bounded bracket
-    while True:
-        mid = 0.5 * (lo + hi)
-        val = compute_C(params, mid, w, spec)
-        if abs(val - kappa) <= res_tol or (hi - lo) < 1e-14 * max(1.0, abs(mid)):
-            return mid
-        if val < kappa:
-            lo = mid
-        else:
-            hi = mid
+    return _solve_q(params, w, spec, kappa)[0]
 
 
 @dataclass(frozen=True)
@@ -327,18 +420,12 @@ class CShapeTable:
         return self.decreasing_ok and self.increasing_ok and self.zeros_ok and self.min_ok
 
 
-def _refine_zero(params, w, spec, qa, qb, va) -> float:
-    # sign changes lie in grid cells near the zeros 0 and alpha-1, where the
-    # width test ends the loop within about 40 halvings
-    while True:
-        qm = 0.5 * (qa + qb)
-        vm = compute_C(params, qm, w, spec)
-        if vm == 0.0 or (qb - qa) < 1e-12:
-            return qm
-        if (va < 0.0) == (vm < 0.0):
-            qa, va = qm, vm
-        else:
-            qb = qm
+def _refine_zero(params, w, spec, qa, qb, va, vb) -> float:
+    # a sign change of C between grid points qa and qb (C(qa) = va, C(qb) = vb);
+    # C == 0 or a bracket narrower than 1e-12 ends the search
+    return _bracketed_root(
+        lambda q: compute_C(params, q, w, spec), qa, va, qb, vb, 0.0, lambda q: 1e-12
+    )[0]
 
 
 def scan_shape(
@@ -394,7 +481,8 @@ def scan_shape(
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             detected.append(
                 _refine_zero(
-                    params, w, spec, float(qs[i]), float(qs[i + 1]), float(vals[i])
+                    params, w, spec, float(qs[i]), float(qs[i + 1]),
+                    float(vals[i]), float(vals[i + 1]),
                 )
             )
     if len(detected) >= 2:

@@ -79,13 +79,17 @@ def converge(estimate: Callable[[int], float], n0: int, n_max: int,
 
 
 def panel_nodes(breaks: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on each panel of ``breaks``."""
+    """Gauss-Legendre nodes and weights on each panel of ``breaks``.
+
+    ``breaks`` may also be a 2-D array with one set of breakpoints per row;
+    the nodes then come row after row, so reshape them to (rows, -1).
+    """
     breaks = np.asarray(breaks, dtype=float)
-    if breaks.ndim != 1 or breaks.size < 2:
+    if breaks.ndim not in (1, 2) or breaks.shape[-1] < 2:
         raise ValueError("need at least two breakpoints")
     x, w = _gl(n)
-    lo = breaks[:-1][:, None]
-    hi = breaks[1:][:, None]
+    lo = breaks[..., :-1, None]
+    hi = breaks[..., 1:, None]
     half = 0.5 * (hi - lo)
     nodes = (lo + half) + half * x[None, :]
     weights = half * w[None, :]

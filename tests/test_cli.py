@@ -4,8 +4,11 @@ import sys
 import pytest
 
 import dkl.cli
+import dkl.killing
 import dkl.oracle
 from dkl.cli import main
+from dkl.geometry import ModelParams, standard_weight
+from dkl.killing import compute_C
 from dkl.oracle import oracle_p
 from dkl.quadrature import NonConvergenceError
 
@@ -43,6 +46,25 @@ class TestSolveQ:
         fields = out.strip().splitlines()[1].split(",")
         assert abs(float(fields[6]) - 1.2) < 1e-4
         assert float(fields[7]) < 1e-6
+
+    def test_residual_comes_from_the_solve(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(params, q, *rest):
+            calls.append(q)
+            return compute_C(params, q, *rest)
+
+        monkeypatch.setattr(dkl.killing, "compute_C", counted)
+        code, out = run_cli(
+            ["solve-q", "--alpha", "0.8", "--beta", "0.5,1,0,0", "--kappa", "0.7"], capsys
+        )
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        q = float(fields[6])
+        assert calls.count(q) == 1  # evaluated once, by the solve
+        params = ModelParams(1, 0.8, (0.5, 1.0, 0.0, 0.0))
+        spec = dkl.cli._spec({"tol": 1e-9})
+        assert float(fields[7]) == abs(compute_C(params, q, standard_weight(params), spec) - 0.7)
 
 
 class TestOracle:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
+import dkl.killing as killing
 from dkl.geometry import ModelParams, standard_weight
-from dkl.killing import compute_C, scan_shape, solve_q
+from dkl.killing import _bracketed_root, _refine_zero, _s_value, compute_C, scan_shape, solve_q
 from dkl.quadrature import QuadratureSpec
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
@@ -82,6 +83,33 @@ class TestComputeC:
         assert mine > 0.0
         assert abs(mine - ref) <= 1e-8 * abs(ref)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.3, 1.8])
+    def test_unit_weight_dimension_identity(self, alpha):
+        # beta = 0: C_d = C_1 |S^(d-2)| G((d-1)/2) G((alpha+1)/2) / (2 G((d+alpha)/2)),
+        # which needs the outer rule resolved at its cos^alpha singularity
+        q = 0.5 * alpha - 0.25
+        p1 = ModelParams(1, alpha, (0.0, 0.0, 0.0, 0.0))
+        c1 = compute_C(p1, q, standard_weight(p1), SPEC)
+        for d in (2, 3):
+            p = ModelParams(d, alpha, (0.0, 0.0, 0.0, 0.0))
+            sphere = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+            factor = sphere * math.gamma((d - 1) / 2.0) * math.gamma((alpha + 1.0) / 2.0) / (
+                2.0 * math.gamma((d + alpha) / 2.0)
+            )
+            want = c1 * factor
+            assert abs(compute_C(p, q, standard_weight(p), SPEC) - want) <= 10.0 * SPEC.tol(want)
+
+    @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
+    def test_batched_offsets_match_one_at_a_time(self, block, monkeypatch):
+        # rows sharing a block get zero-width padding panels, so sums regroup
+        monkeypatch.setattr(killing, "_BLOCK_ELEMENTS", block)
+        cs = np.array([1.0, 1.0 + 1e-7, 1.2, 1.9, 2.0, 2.5, 40.0, 3e7])
+        for alpha, b, q in [(0.7, (1.0, 1.5, 0.5, 0.3), 0.4), (1.7, (0.5, 2.0, 0.0, 1.0), 0.9)]:
+            diag = standard_weight(ModelParams(2, alpha, b)).diagonal_limit
+            batched = _s_value(alpha, q, b, cs, diag, 32)
+            single = np.array([_s_value(alpha, q, b, np.array([c]), diag, 32)[0] for c in cs])
+            assert np.all(np.abs(batched - single) <= 1e-14 * np.abs(single))
+
     def test_symmetry_in_q(self):
         p = ModelParams(1, 1.5, (2.0, 3.0, 1.0, 1.0))
         w = standard_weight(p)
@@ -126,6 +154,75 @@ class TestSolveQ:
         qs = [solve_q(p, w, SPEC, kappa=k) for k in (0.0, 0.1, 1.0, 10.0, 1e4)]
         assert all(a <= b + 1e-12 for a, b in zip(qs, qs[1:]))
         assert qs[-1] < p.alpha + p.beta[0]
+
+
+class TestBracketedRoot:
+    def test_stays_inside_its_bracket(self):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return math.atan(20.0 * (x - 0.73)) + 0.1 * x
+
+        g_lo, g_hi = g(0.0), g(5.0)
+        seen.clear()
+        x, gx = _bracketed_root(g, 0.0, g_lo, 5.0, g_hi, 0.0, lambda x: 1e-13)
+        assert seen and all(0.0 < p < 5.0 for p in seen)
+        assert gx == g(x) and abs(gx) < 1e-12
+
+    def test_stops_on_the_residual(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        x, gx = _bracketed_root(g, 0.0, -2.0, 2.0, 6.0, 1e-6, lambda x: 1e-15)
+        assert abs(gx) <= 1e-6 and calls[-1] == x
+        # bisection would need about 20 halvings to get there
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("width", [1e-3, 1e-12])
+    def test_stops_on_the_width_of_a_step(self, width):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        x, gx = _bracketed_root(g, 0.0, -1.0, 1.0, 1.0, 0.0, lambda x: width)
+        assert abs(x - 0.3) < width and gx == g(x)
+        # interpolation cannot help on a step; the bisection fallback bounds the cost
+        assert len(calls) <= 2 * math.ceil(math.log2(1.0 / width))
+
+    @pytest.mark.parametrize(
+        "alpha, b, kappa",
+        [(0.5, (1.0, 1.0, 0.0, 0.0), 1.0), (1.5, (2.0, 3.0, 1.0, 1.0), 0.3),
+         (0.7, (1.5, 1.0, 0.5, 0.0), 10.0)],
+    )
+    def test_solve_q_call_count(self, alpha, b, kappa, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return compute_C(*args, **kwargs)
+
+        p = ModelParams(1, alpha, b, kappa=kappa)
+        w = standard_weight(p)
+        monkeypatch.setattr(killing, "compute_C", counted)
+        q = solve_q(p, w, SPEC)
+        monkeypatch.undo()
+        # bisection took about 31 calls on these
+        assert len(calls) <= 14
+        res_tol = max(SPEC.abs_tol, SPEC.rel_tol * (1.0 + kappa))
+        assert abs(compute_C(p, q, w, SPEC) - kappa) <= res_tol
+
+    def test_refine_zero_finds_both_zeros(self):
+        p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0))
+        w = standard_weight(p)
+        for qa, qb, zero in [(-0.13, 0.07, 0.0), (0.41, 0.62, 0.5)]:
+            va, vb = compute_C(p, qa, w, SPEC), compute_C(p, qb, w, SPEC)
+            assert abs(_refine_zero(p, w, SPEC, qa, qb, va, vb) - zero) <= 1e-12
 
 
 class TestScanShape:
