@@ -11,6 +11,7 @@ numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from typing import Optional, Sequence
@@ -308,9 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process; parsing leaves it
+    as it was, so calls share it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     fn, extra = _SUBCOMMANDS[args.command]
     try:
         cfg = _resolve(args, dict(extra))

@@ -18,9 +18,11 @@ For dim >= 2 the outer integrand over theta = arctan(rho) carries
 cos^alpha theta, singular at pi/2: its panels shrink fourfold toward pi/2
 and its order is the inner order, so the convergence test refines both.
 The s-integral takes a whole array of offsets, one row of breakpoints and
-nodes per offset, evaluated in row blocks of at most about
-``_BLOCK_ELEMENTS`` elements.  ``solve_q`` and the zero refinement of
-``scan_shape`` find roots with Brent's method on a bracket.
+nodes per offset, through the row rule of :mod:`dkl.quadrature`: kinks are
+padded into zero-width panels so that rows share a length, and rows go in
+blocks of at most about ``quadrature.BLOCK_ELEMENTS`` elements.
+``solve_q`` and the zero refinement of ``scan_shape`` find roots with
+Brent's method on a bracket.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .quadrature import (
     converge,
     decaying_log_breaks,
     panel_nodes,
+    row_blocks,
+    row_breaks,
+    row_dot,
+    row_nodes,
 )
 
 __all__ = [
@@ -156,35 +162,6 @@ def _kernel_right(u: np.ndarray, alpha: float, q: float) -> np.ndarray:
     return a1 * a2 * u ** (1.0 - alpha)
 
 
-def _row_breaks(base: Sequence[float], kinks: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """One row of breakpoints per row of ``kinks``: ``base`` plus that row's kinks.
-
-    ``base`` runs from ``lo`` to ``hi``.  A kink outside (lo, hi) becomes
-    ``hi``, whose zero-width panel has weight 0; a kink column outside for
-    every row is dropped, so rows without kinks keep exactly ``base``.
-    """
-    inside = (kinks > lo) & (kinks < hi)
-    kinks = np.where(inside, kinks, hi)[:, inside.any(axis=0)]
-    out = np.empty((len(kinks), len(base) + kinks.shape[1]))
-    out[:, :len(base)] = base
-    out[:, len(base):] = kinks
-    out.sort(axis=1)
-    return out
-
-
-def _row_dot(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Per-row dot products, each bit-identical to ``np.dot`` of its row."""
-    return np.matmul(vals[:, None, :], wts[:, :, None])[:, 0, 0]
-
-
-def _row_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`panel_nodes` for 2-D ``breaks``, shaped (rows, nodes per row)."""
-    nodes, wts = panel_nodes(breaks, n)
-    return nodes.reshape(len(breaks), -1), wts.reshape(len(breaks), -1)
-
-
-# elements per array call of the s-integral; rows beyond it go in further blocks
-_BLOCK_ELEMENTS = 16384
 _RIGHT_BREAKS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -201,7 +178,7 @@ def _s_value(
     The weight is taken along the pair with heights (1, s) at distance
     (1-s)*c, where c = sqrt(rho^2+1) for the tangential offset rho.  The
     offsets are evaluated together as (offset x node) arrays, in row blocks
-    of at most about ``_BLOCK_ELEMENTS`` elements.
+    of at most about ``quadrature.BLOCK_ELEMENTS`` elements.
     """
     b1 = beta[0]
     b3 = beta[2]
@@ -218,14 +195,14 @@ def _s_value(
         with np.errstate(divide="ignore"):
             # distance crosses 1 at s* = 1 - 1/c: the log-factor form switches
             kinks_l = np.log(1.0 - 1.0 / cb)
-        nodes_l, wts_l = _row_nodes(_row_breaks(base_l, kinks_l, w_lo, w_hi), n)
+        nodes_l, wts_l = row_nodes(row_breaks(base_l, kinks_l, w_lo, w_hi), n)
         ln_w = _log_weight_left(beta, nodes_l, np.log(cb))
-        left = _row_dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l)
+        left = row_dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l)
 
         # clamp and log-form switches at u* = 1/(1+c) and 1/c, kinks for u* < 1/2
         u_star = np.concatenate([1.0 / (1.0 + cb), 1.0 / cb], axis=1)
         kinks_r = (2.0 * u_star) ** (1.0 / g)
-        v, wts_r = _row_nodes(_row_breaks(_RIGHT_BREAKS, kinks_r, 0.0, 1.0), n)
+        v, wts_r = row_nodes(row_breaks(_RIGHT_BREAKS, kinks_r, 0.0, 1.0), n)
         u = 0.5 * v**g
         jac = (0.5 * g) * v ** (g - 1.0)
         # from u, not s: forming 1-s from s near 1 would lose all precision
@@ -239,17 +216,17 @@ def _s_value(
                 pvals * (wvals - diagonal_limit)
                 + diagonal_limit * _bracket_minus_limit(u, alpha, q)
             )
-            right = _row_dot(rem * jac, wts_r)
+            right = row_dot(rem * jac, wts_r)
             coef = -q * (alpha - q - 1.0) * diagonal_limit
             right += coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
         else:
-            right = _row_dot(_kernel_right(u, alpha, q) * wvals * jac, wts_r)
+            right = row_dot(_kernel_right(u, alpha, q) * wvals * jac, wts_r)
         return left + right
 
-    # panels per row: the left base, the right base and at most three kinks
-    rows = max(1, _BLOCK_ELEMENTS // (n * (len(base_l) + len(_RIGHT_BREAKS) + 1)))
     c = np.asarray(c, dtype=float)[:, None]
-    return np.concatenate([block(c[i:i + rows]) for i in range(0, len(c), rows)])
+    # panels per row: the left base, the right base and at most three kinks
+    sizes = np.full(len(c), n * (len(base_l) + len(_RIGHT_BREAKS) + 1))
+    return np.concatenate([block(c[i:j]) for i, j in row_blocks(sizes)])
 
 
 def _sphere_area(k: int) -> float:

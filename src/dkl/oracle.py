@@ -24,6 +24,7 @@ from .quadrature import (
     converge,
     geometric_breaks,
     integrate_panels,
+    integrate_rows,
     merge_breaks,
     panel_nodes,
 )
@@ -149,20 +150,27 @@ def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int = 24) -> np.ndarray:
 
     Uses the identity mass defect = integral of the free Gaussian times
     (1 - scaled Bessel ratio) plus the Gaussian tail past the boundary.
+    All times go through one row rule, a row of breakpoints per time.
     """
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        sig = math.sqrt(ti)
-        hi = xd + 42.0 * sig
-        inner = [v for v in (xd / 2.0, xd, max(xd - 10.0 * sig, 0.0)) if 0.0 < v < hi]
-        breaks = merge_breaks([0.0, hi * 1e-6, hi * 1e-3, hi], inner, 0.0, hi)
-        nodes, wts = panel_nodes(breaks, n)
-        phi = np.exp(-((xd - nodes) ** 2) / (4.0 * ti)) / math.sqrt(4.0 * math.pi * ti)
-        om = one_minus_scaled_I(gamma, xd * nodes / (2.0 * ti))
-        out[i] = float(np.dot(phi * om, wts)) + 0.5 * math.erfc(
-            xd / (2.0 * sig)
-        )
-    return out
+    t = np.asarray(t, dtype=float)
+    sig = np.sqrt(t)
+    hi = xd + 42.0 * sig
+    # per time: 0, hi 1e-6, hi 1e-3, hi, and xd/2, xd, xd - 10 sig inside (0, hi)
+    kinks = np.column_stack([np.full_like(t, xd / 2.0), np.full_like(t, xd), xd - 10.0 * sig])
+    kinks[~((kinks > 0.0) & (kinks < hi[:, None]))] = np.nan
+    breaks = np.column_stack([np.zeros_like(t), hi * 1e-6, hi * 1e-3, hi, kinks])
+    breaks.sort(axis=1)  # NaN last
+    repeated = breaks[:, 1:] == breaks[:, :-1]
+    breaks[:, 1:][repeated] = np.nan
+    breaks.sort(axis=1)
+
+    def f(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+        ti = t[row]
+        phi = np.exp(-((xd - x) ** 2) / (4.0 * ti)) / np.sqrt(4.0 * math.pi * ti)
+        return phi * one_minus_scaled_I(gamma, xd * x / (2.0 * ti))
+
+    tail = np.array([0.5 * math.erfc(v) for v in xd / (2.0 * sig)])
+    return integrate_rows(f, breaks, n) + tail
 
 
 _M_SPLINES: dict[float, tuple] = {}
@@ -290,9 +298,10 @@ def oracle_kappa(
 
     def estimate(n: int) -> float:
         nodes, wts = panel_nodes(breaks, n)
-        fvals = _mass_F(gamma, xd, nodes, n=max(n, 24))
-        body = float(np.dot(fvals * nodes ** (-1.0 - a), wts))
-        m1 = 1.0 - float(_mass_F(gamma, xd, np.array([t1]), n=max(n, 24))[0])
+        # the last row is t1, for the tail
+        fvals = _mass_F(gamma, xd, np.append(nodes, t1), n=max(n, 24))
+        body = float(np.dot(fvals[:-1] * nodes ** (-1.0 - a), wts))
+        m1 = 1.0 - float(fvals[-1])
         tail = t1 ** (-a) / a - m1 * t1 ** (-a) / (a + eta)
         return pref * (body + small + tail)
 

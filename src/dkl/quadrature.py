@@ -9,6 +9,18 @@ Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
 which either meets its tolerance or raises :class:`NonConvergenceError`.
 The one exception is ``heatkernel._tensor_integral``, which still returns
 its last estimate once its order passes 96.
+
+The row rule integrates many 1-D integrals at once, one per row, each over
+its own breakpoints.  :func:`integrate_rows` takes the rows' breakpoints as
+one 2-D array whose rows may end in NaN padding; the padding is dropped, so
+each row's value is bit-identical to integrating that row alone with
+:func:`panel_nodes` and ``np.dot``.  Rows go in consecutive blocks
+(:func:`row_blocks`) of at most :data:`BLOCK_ELEMENTS` nodes, a bound on the
+memory of every array call.  The lower-level pieces serve callers that
+need their own blocks: :func:`row_breaks` adds per-row kinks to shared
+breakpoints, padding a missing kink into a zero-width panel so that rows
+have equal length, :func:`row_nodes` lays out nodes as (rows, nodes per
+row) and :func:`row_dot` takes the per-row dot products.
 """
 
 from __future__ import annotations
@@ -28,6 +40,12 @@ __all__ = [
     "integrate_panels",
     "geometric_breaks",
     "power_graded_breaks",
+    "BLOCK_ELEMENTS",
+    "row_blocks",
+    "row_breaks",
+    "row_nodes",
+    "row_dot",
+    "integrate_rows",
 ]
 
 
@@ -114,6 +132,89 @@ def integrate_panels(
         return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
 
     return converge(estimate, n0, spec.max_subdivisions, spec.tol)
+
+
+# nodes per array call of the row rule; rows beyond it go in further blocks
+BLOCK_ELEMENTS = 16384
+
+
+def row_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges ``(start, stop)`` holding at most
+    :data:`BLOCK_ELEMENTS` elements, ``sizes`` giving each row's count.
+
+    A block takes rows while they fit; a row larger than the cap gets a
+    block of its own.  Rows of equal size s thus go BLOCK_ELEMENTS // s
+    (at least one) to a block.
+    """
+    ends = np.cumsum(sizes)
+    out = []
+    start = 0
+    while start < len(ends):
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + BLOCK_ELEMENTS, side="right")), start + 1)
+        out.append((start, stop))
+        start = stop
+    return out
+
+
+def row_breaks(base: Sequence[float], kinks: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """One row of breakpoints per row of ``kinks``: ``base`` plus that row's kinks.
+
+    ``base`` runs from ``lo`` to ``hi``.  A kink outside (lo, hi) becomes
+    ``hi``, whose zero-width panel has weight 0; a kink column outside for
+    every row is dropped, so rows without kinks keep exactly ``base``.
+    """
+    inside = (kinks > lo) & (kinks < hi)
+    kinks = np.where(inside, kinks, hi)[:, inside.any(axis=0)]
+    out = np.empty((len(kinks), len(base) + kinks.shape[1]))
+    out[:, :len(base)] = base
+    out[:, len(base):] = kinks
+    out.sort(axis=1)
+    return out
+
+
+def row_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`panel_nodes` for 2-D ``breaks``, shaped (rows, nodes per row)."""
+    nodes, wts = panel_nodes(breaks, n)
+    return nodes.reshape(len(breaks), -1), wts.reshape(len(breaks), -1)
+
+
+def row_dot(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Per-row dot products, each bit-identical to ``np.dot`` of its row."""
+    return np.matmul(vals[:, None, :], wts[:, :, None])[:, 0, 0]
+
+
+def integrate_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], breaks: np.ndarray, n: int
+) -> np.ndarray:
+    """One integral per row of ``breaks`` at Gauss-Legendre order n per panel.
+
+    Row i runs over the panels of ``breaks[i]``, whose trailing entries may
+    be NaN (at least two must not be).  For each block of rows from
+    :func:`row_blocks`, ``f(x, row)`` is called once with the block's nodes
+    ``x``, flat and row after row, and ``row``, the row index of each node;
+    it returns the integrand at ``x``.  Each row's value is ``np.dot`` of
+    its own values and weights, padding never enters.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    panels = np.count_nonzero(~np.isnan(breaks), axis=1) - 1
+    if np.any(panels < 1):
+        raise ValueError("need at least two breakpoints per row")
+    sizes = panels * n
+    out = np.empty(len(breaks))
+    for start, stop in row_blocks(sizes):
+        b = breaks[start:stop]
+        real = ~np.isnan(b[:, 1:])
+        nodes, wts = panel_nodes(np.stack([b[:, :-1][real], b[:, 1:][real]], axis=1), n)
+        rows = np.arange(start, stop)
+        vals = np.asarray(f(nodes, np.repeat(rows, sizes[start:stop])), dtype=float)
+        # rows with equal panel counts stack into one matrix for the dots
+        first = np.cumsum(sizes[start:stop]) - sizes[start:stop]
+        for p in np.unique(panels[start:stop]):
+            pick = panels[start:stop] == p
+            idx = first[pick][:, None] + np.arange(p * n)
+            out[rows[pick]] = row_dot(vals[idx], wts[idx])
+    return out
 
 
 def geometric_breaks(lo: float, hi: float, per_decade: float = 2.0) -> list[float]:

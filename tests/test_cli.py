@@ -227,6 +227,34 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestParserBuiltOnce:
+    def test_calls_share_the_parser_without_leaking_options(self, capsys, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return 0
+
+        for name in ("hke", "green"):
+            extra = dkl.cli._SUBCOMMANDS[name][1]
+            monkeypatch.setitem(dkl.cli._SUBCOMMANDS, name, (record, extra))
+        parser = dkl.cli._parser()
+        assert main(["hke", "--alpha", "1.5", "--t", "3", "--q", "0.2"]) == 0
+        assert main(["green", "--y", "5"]) == 0
+        assert main(["hke"]) == 0
+        assert dkl.cli._parser() is parser
+        hke, green, hke_again = seen
+        assert (hke["alpha"], hke["t"], hke["q"]) == (1.5, 3.0, "0.2")
+        assert green["alpha"] == 1.0 and green["y"] == "5" and green["q"] is None
+        assert "t" not in green
+        assert hke_again == {**hke, "alpha": 1.0, "t": 1.0, "q": None}
+        # a usage error still exits 2 with the shared parser
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "--extent", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --extent 3" in capsys.readouterr().err
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 import dkl.killing as killing
+import dkl.quadrature as quadrature
 from dkl.geometry import ModelParams, standard_weight
 from dkl.killing import _bracketed_root, _refine_zero, _s_value, compute_C, scan_shape, solve_q
 from dkl.quadrature import QuadratureSpec
@@ -102,7 +103,7 @@ class TestComputeC:
     @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
     def test_batched_offsets_match_one_at_a_time(self, block, monkeypatch):
         # rows sharing a block get zero-width padding panels, so sums regroup
-        monkeypatch.setattr(killing, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
         cs = np.array([1.0, 1.0 + 1e-7, 1.2, 1.9, 2.0, 2.5, 40.0, 3e7])
         for alpha, b, q in [(0.7, (1.0, 1.5, 0.5, 0.3), 0.4), (1.7, (0.5, 2.0, 0.0, 1.0), 0.9)]:
             diag = standard_weight(ModelParams(2, alpha, b)).diagonal_limit

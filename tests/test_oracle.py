@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dkl.quadrature as quadrature
 from dkl.geometry import eval_B
 from dkl.oracle import (
     OracleParams,
+    _mass_F,
     compare_oracle_vs_estimate,
     fit_survival_exponent,
     killed_bm_density,
@@ -15,7 +17,8 @@ from dkl.oracle import (
     oracle_p,
     oracle_survival,
 )
-from dkl.quadrature import QuadratureSpec
+from dkl.quadrature import QuadratureSpec, geometric_breaks, merge_breaks, panel_nodes
+from dkl.special import one_minus_scaled_I
 
 from conftest import pt
 
@@ -208,6 +211,46 @@ class TestOracleKappa:
         weights[2:-1:2] = 2.0
         ref = float(np.dot(integrand, weights)) * h / 3.0 * 0.5 / math.gamma(0.5)
         assert oracle_kappa(op, pt(1.0)) == pytest.approx(ref, rel=1e-3)
+
+
+def _mass_F_one_time(gamma, xd, ti, n):
+    """The mass defect at one time, one panel rule per call."""
+    sig = math.sqrt(ti)
+    hi = xd + 42.0 * sig
+    inner = [v for v in (xd / 2.0, xd, max(xd - 10.0 * sig, 0.0)) if 0.0 < v < hi]
+    nodes, wts = panel_nodes(merge_breaks([0.0, hi * 1e-6, hi * 1e-3, hi], inner, 0.0, hi), n)
+    phi = np.exp(-((xd - nodes) ** 2) / (4.0 * ti)) / math.sqrt(4.0 * math.pi * ti)
+    om = one_minus_scaled_I(gamma, xd * nodes / (2.0 * ti))
+    return float(np.dot(phi * om, wts)) + 0.5 * math.erfc(xd / (2.0 * sig))
+
+
+class TestMassDefect:
+    @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
+    def test_mass_defect_batched_matches_one_at_a_time(self, block, monkeypatch):
+        # bit for bit: the times of oracle_kappa's order-16 rule and its t1,
+        # and the spline times; at t = xd^2/400 the kink xd - 10 sqrt(t) repeats
+        # xd/2, and a zero-width panel there moves the order-48 value
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        for gamma, xd, n in [(0.5, 0.1, 24), (1.5, 1.0, 32), (0.0, 0.01, 48)]:
+            kappa_t, _ = panel_nodes(geometric_breaks(1e-6 * xd * xd, 1e7 * xd * xd), 16)
+            ts = np.concatenate(
+                [kappa_t, [1e7 * xd * xd, xd * xd / 400.0], np.geomspace(1e-9, 1e12, 280)]
+            )
+            batched = _mass_F(gamma, xd, ts, n)
+            for t, got in zip(ts, batched):
+                assert got == _mass_F_one_time(gamma, xd, float(t), n)
+
+    def test_bessel_calls_stay_inside_a_block(self, monkeypatch):
+        # the row rule's cap bounds the arrays of the Bessel layer too
+        sizes = []
+
+        def spy(gamma, z):
+            sizes.append(len(z))
+            return one_minus_scaled_I(gamma, z)
+
+        monkeypatch.setattr("dkl.oracle.one_minus_scaled_I", spy)
+        _mass_F(0.5, 1.0, np.geomspace(1e-9, 1e12, 2000), 32)
+        assert len(sizes) > 1 and max(sizes) <= quadrature.BLOCK_ELEMENTS
 
 
 class TestSurvival:

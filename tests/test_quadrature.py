@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+import dkl.quadrature as quadrature
 from dkl.geometry import HalfSpacePoint, ModelParams, standard_weight
 from dkl.heatkernel import _tensor_integral
 from dkl.killing import compute_C
 from dkl.oracle import OracleParams, oracle_kappa
-from dkl.quadrature import NonConvergenceError, QuadratureSpec, converge, integrate_panels
+from dkl.quadrature import (
+    NonConvergenceError,
+    QuadratureSpec,
+    converge,
+    integrate_panels,
+    integrate_rows,
+    panel_nodes,
+    row_blocks,
+)
 
 # a budget of 16 allows one estimate and no convergence test
 ONE_ROUND = QuadratureSpec(max_subdivisions=16)
@@ -45,6 +54,56 @@ class TestConverge:
     def test_raises_with_message_once_orders_run_out(self):
         with pytest.raises(NonConvergenceError, match=r"^thing did not converge \(order 64 exceeds budget\)$"):
             converge(float, 8, 32, lambda v: 0.0, "thing did not converge")
+
+
+def _ragged_breaks(rows: int) -> np.ndarray:
+    """Rows of 2 to 6 increasing breakpoints, NaN-padded to 6 columns."""
+    rng = np.random.default_rng(7)
+    out = np.full((rows, 6), np.nan)
+    for i in range(rows):
+        k = 2 + i % 5
+        out[i, :k] = np.cumsum(rng.uniform(0.1, 2.0, k)) - 1.0
+    return out
+
+
+def _row_integrand(x, row):
+    return np.sin(3.0 * x + row) * np.exp(-0.1 * x * x)
+
+
+class TestRowRule:
+    @pytest.mark.parametrize("block", [1, 100, 16384], ids=["row-per-block", "small", "default"])
+    def test_rows_match_one_panel_rule_each(self, block, monkeypatch):
+        # bit for bit: the padding never enters a row's nodes or its dot
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        breaks = _ragged_breaks(23)
+        got = integrate_rows(_row_integrand, breaks, 8)
+        for i, row in enumerate(breaks):
+            nodes, wts = panel_nodes(row[~np.isnan(row)], 8)
+            assert got[i] == float(np.dot(_row_integrand(nodes, i), wts))
+
+    @pytest.mark.parametrize("block", [100, 16384], ids=["small", "default"])
+    def test_integrand_never_gets_more_than_a_block(self, block, monkeypatch):
+        # the cap bounds the memory of every array call
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        sizes = []
+
+        def spy(x, row):
+            sizes.append(len(x))
+            return _row_integrand(x, row)
+
+        breaks = _ragged_breaks(2000)
+        integrate_rows(spy, breaks, 16)
+        assert max(sizes) <= block
+        assert sum(sizes) == 16 * int(np.sum(np.count_nonzero(~np.isnan(breaks), axis=1) - 1))
+
+    def test_block_partition(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 10)
+        assert row_blocks(np.full(7, 3)) == [(0, 3), (3, 6), (6, 7)]
+        assert row_blocks(np.array([4, 12, 5, 5, 1])) == [(0, 1), (1, 2), (2, 4), (4, 5)]
+
+    def test_rejects_a_row_without_a_panel(self):
+        with pytest.raises(ValueError):
+            integrate_rows(_row_integrand, np.array([[0.0, 1.0], [2.0, np.nan]]), 4)
 
 
 class TestCallSitesRaiseOnBudget:
