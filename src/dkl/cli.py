@@ -297,10 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dkl",
         description="boundary-degenerate jump-kernel heat-kernel and Green estimates",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_fn, extra) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         _add_common(sub)
         for key, default in extra.items():
             flag = "--" + key.replace("_", "-")

@@ -5,7 +5,8 @@ alpha + (beta1+beta2)/2, expressed through a three-branch prefactor.  The
 verifier rescales to unit distance, integrates the killed heat-kernel
 estimate numerically over small times, and adds the exact piecewise-power
 tail for large times (the estimate is exactly the clamped on-diagonal
-profile there).
+profile there).  The small-time integrand is evaluated on the whole node
+array of each panel rule at once, by ``heatkernel._killed_hke_arr``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .geometry import HalfSpacePoint, ModelParams
-from .heatkernel import hke_closed
+from .heatkernel import _killed_hke_arr
 from .quadrature import QuadratureSpec, geometric_breaks, integrate_panels, merge_breaks
 
 __all__ = [
@@ -199,12 +198,6 @@ def green_by_time_integration(
     xs = x.scaled(1.0 / dist)
     ys = y.scaled(1.0 / dist)
 
-    def f(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            out[i] = hke_closed(params, t, xs, ys, q=q).killed_value
-        return out
-
     hmin = min(xs.height, ys.height)
     # below this the integrand is ~ t * (fixed boundary weight); the omitted
     # mass is a 1e-8 relative fraction of every branch of the small-time part
@@ -216,8 +209,7 @@ def green_by_time_integration(
             inner.append((1.0 - h) ** alpha)  # lifted height crosses the gap
     inner = [v for v in inner if t_lo < v < 1.0]
     breaks = merge_breaks(geometric_breaks(t_lo, 1.0, 1.0), inner, t_lo, 1.0)
-    small = integrate_panels(f, breaks, spec)
-    # below t = 1e-8 the integrand is ~ t * (bounded boundary factors)
+    small = integrate_panels(lambda ts: _killed_hke_arr(params, ts, xs, ys, q), breaks, spec)
     large = _large_time_exact(d, alpha, q, xs.height, ys.height)
     q_hat = _qhat(params, q)
     return GreenBreakdown(

@@ -255,6 +255,20 @@ class TestParserBuiltOnce:
         assert "unrecognized arguments: --extent 3" in capsys.readouterr().err
 
 
+class TestNoAbbreviations:
+    def test_prefix_of_a_flag_is_a_usage_error(self, capsys):
+        # --t is a flag of hke; given to green it must not abbreviate --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["green", "--alpha", "1.5", "--beta", "1,1,0,0", "--t", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t 3" in capsys.readouterr().err
+
+    def test_full_flag_still_parses(self, capsys):
+        code, out = run_cli(["hke", "--alpha", "1.5", "--beta", "1,1,0,0", "--t", "3"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -145,6 +145,19 @@ class TestGreenByTimeIntegration:
                 gc = green_estimate(p, q, x, y)
                 assert 0.05 < gi.value / gc.value < 20.0
 
+    def test_bit_symmetric_under_swap(self):
+        rng = np.random.default_rng(64)
+        cases = [(1, 0.6, 0.5), (2, 1.0, 2.25), (2, 1.5, 3.25), (3, 0.8, 0.4)]
+        for d, alpha, q in cases:
+            p = ModelParams(d, alpha, (2.0, 0.5, 0.3, 0.2))
+            for _ in range(16):
+                x, y = dyadic_point(rng, d), dyadic_point(rng, d)
+                if x.distance_to(y) == 0.0:
+                    continue
+                assert green_by_time_integration(p, q, x, y) == green_by_time_integration(
+                    p, q, y, x
+                )
+
     def test_divergent_tail_raises(self):
         p = ModelParams(1, 1.5, (0, 0, 0, 0))
         with pytest.raises(GreenDivergenceError):

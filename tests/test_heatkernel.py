@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from dkl.geometry import (
 from dkl.heatkernel import (
     Regime,
     _jump_arr,
+    _killed_hke_arr,
     detect_regime,
     dominance_map,
     hke_closed,
@@ -185,6 +187,63 @@ class TestKilledHke:
         v = killed_hke(p, 1.0, pt(0.25), pt(1.5), q=1.0)
         f = hke_closed(p, 1.0, pt(0.25), pt(1.5)).free_value
         assert v == pytest.approx(0.25 * f, rel=1e-14)
+
+
+# (alpha, beta) per regime, each without and with the b3 log factor
+KILLED_ARR_PARAMS = [
+    (1.3, (1.0, 0.5, 0.0, 0.5)),  # one jump
+    (1.3, (1.0, 0.5, 0.4, 0.5)),
+    (0.7, (0.5, 2.5, 0.0, 0.3)),  # strict two jump
+    (0.7, (0.5, 2.5, 0.6, 0.3)),
+    (0.5, (1.0, 1.5, 0.0, 0.4)),  # critical: b2 == alpha + b1 in floats
+    (1.9, (0.5, 2.4, 0.7, 0.4)),
+]
+# numpy's power and log differ from libm by a few ulp; the worst gap measured
+# on this set is 7 ulp, and 15 ulp over about 570k nodes of random pairs
+KILLED_ARR_ULPS = 16.0
+
+
+def _killed_arr_pairs(d):
+    tang = (0.75,) * (d - 1)
+    zero = (0.0,) * (d - 1)
+    return [
+        (HalfSpacePoint(d, zero, 1e-6), HalfSpacePoint(d, tang, 2.0)),
+        (HalfSpacePoint(d, zero, 0.3), HalfSpacePoint(d, tang, 0.05)),
+    ]
+
+
+class TestKilledHkeArray:
+    TS = np.geomspace(1e-200, 1e3, 301)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_scalar_per_node(self, dim):
+        compared = 0
+        for (alpha, beta), q, (x, y) in itertools.product(
+            KILLED_ARR_PARAMS, (0.0, 0.8, 2.3), _killed_arr_pairs(dim)
+        ):
+            p = ModelParams(dim, alpha, beta)
+            arr = _killed_hke_arr(p, self.TS, x, y, q)
+            assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
+            for t, a in zip(self.TS, arr):
+                try:
+                    s = hke_closed(p, float(t), x, y, q=q).killed_value
+                except ArithmeticError:  # u^-d overflows or u underflows to 0
+                    continue
+                compared += 1
+                assert ulp_close(float(a), s, KILLED_ARR_ULPS), (alpha, beta, q, t, a, s)
+        assert {detect_regime(ModelParams(dim, a, b)) for a, b in KILLED_ARR_PARAMS} == set(Regime)
+        assert compared > 5000
+
+    def test_no_warning_at_extreme_times(self):
+        ts = np.array([5e-324, 1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300, np.finfo(float).max])
+        for dim, (alpha, beta), q in itertools.product(
+            (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
+        ):
+            for x, y in _killed_arr_pairs(dim):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    arr = _killed_hke_arr(ModelParams(dim, alpha, beta), ts, x, y, q)
+                assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
 
 
 class TestHkeUnified:
