@@ -277,10 +277,13 @@ def stable_factor(d: int, alpha: float, t: float, r: float) -> float:
 
 
 def stable_profile(d: int, alpha: float, u: float, r: float) -> float:
-    """:func:`stable_factor` at the time scale u = t^(1/alpha)."""
+    """:func:`stable_factor` at the time scale u = t^(1/alpha).
+
+    Where u^-d overflows, u = 0 included, the on-diagonal profile is inf.
+    """
     try:
         on = u ** (-float(d))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         on = math.inf
     if r <= 0.0:
         return on

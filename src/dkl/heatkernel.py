@@ -102,9 +102,15 @@ def _bracket_terms(
     two = _time_clamp(u, dist, alpha) * weight_from_heights(
         (b1, b1, 0.0, b4_eff), hmin, hmax, dist
     )
-    if b3 > 0.0:
+    # two = 0 where u = 0; its log factor may then be infinite (hmin = 0)
+    if b3 > 0.0 and two > 0.0:
         two *= math.log(_E + dist / min(hmin, dist)) ** b3
     return one, two
+
+
+def _survival(h: float, u: float, q: float) -> float:
+    """min(h/u, 1)^q, taking its limit as u falls to 0 at u = 0."""
+    return min(h / u, 1.0) ** q if u > 0.0 else float(h > 0.0) ** q
 
 
 def hke_closed(
@@ -125,12 +131,18 @@ def hke_closed(
         raise ValueError("t must be > 0")
     regime = detect_regime(params)
     d = params.dim
-    u = tscale if tscale is not None else t ** (1.0 / params.alpha)
+    if tscale is not None:
+        u = tscale
+    else:
+        try:
+            u = t ** (1.0 / params.alpha)
+        except OverflowError:
+            u = math.inf
     dist = x.distance_to(y)
-    sx = min(x.height / u, 1.0) ** q
-    sy = min(y.height / u, 1.0) ** q
+    sx = _survival(x.height, u, q)
+    sy = _survival(y.height, u, q)
+    on = stable_profile(d, params.alpha, u, 0.0)  # u^-d, inf where it overflows
     if dist == 0.0:
-        on = u ** (-float(d))
         return EstimateBreakdown(
             regime=regime,
             stable=on,
@@ -143,7 +155,7 @@ def hke_closed(
         )
     stable = stable_profile(d, params.alpha, u, dist)
     one, two = _bracket_terms(params, regime, u, x, y, dist)
-    free = min(u ** (-float(d)), stable * (one + two))
+    free = min(on, stable * (one + two))
     return EstimateBreakdown(
         regime=regime,
         stable=stable,
@@ -235,15 +247,14 @@ def _radial_two_jump(
     tang2 = sum((a - b) ** 2 for a, b in zip(x.tangential, y.tangential))
 
     b = w.params.beta
+    ends = np.array([[xh + u], [yh + u]])
 
     def f(r: np.ndarray) -> np.ndarray:
+        # one weight call on both legs: x -> mid at distance r, mid -> y at d2
         mid_h = xh + r + u
-        w1 = weight_from_heights_arr(
-            b, np.minimum(xh + u, mid_h), np.maximum(xh + u, mid_h), r
-        )
         d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
-        w2 = weight_from_heights_arr(
-            b, np.minimum(mid_h, yh + u), np.maximum(mid_h, yh + u), d2
+        w1, w2 = weight_from_heights_arr(
+            b, np.minimum(ends, mid_h), np.maximum(ends, mid_h), np.stack([r, d2])
         )
         return w1 * r ** (-(d + alpha)) * w2 * d2 ** (-(d + alpha)) * r ** (d - 1)
 

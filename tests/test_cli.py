@@ -269,6 +269,19 @@ class TestNoAbbreviations:
         assert len(out.strip().splitlines()) == 2
 
 
+class TestExtremeTimes:
+    @pytest.mark.parametrize("t", ["1e-200", "1e300"])
+    def test_hke_returns_the_limits(self, t, capsys):
+        # u = t^(1/alpha) underflows to 0 or overflows; off the diagonal the
+        # estimate tends to 0 both ways
+        code, out = run_cli(
+            ["hke", "--alpha", "0.3", "--beta", "1,1,0,0", "--t", t, "--x", "1", "--y", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[-2:] == ["0", "0"]
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -225,14 +225,11 @@ class TestKilledHkeArray:
             arr = _killed_hke_arr(p, self.TS, x, y, q)
             assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
             for t, a in zip(self.TS, arr):
-                try:
-                    s = hke_closed(p, float(t), x, y, q=q).killed_value
-                except ArithmeticError:  # u^-d overflows or u underflows to 0
-                    continue
+                s = hke_closed(p, float(t), x, y, q=q).killed_value
                 compared += 1
                 assert ulp_close(float(a), s, KILLED_ARR_ULPS), (alpha, beta, q, t, a, s)
         assert {detect_regime(ModelParams(dim, a, b)) for a, b in KILLED_ARR_PARAMS} == set(Regime)
-        assert compared > 5000
+        assert compared == len(KILLED_ARR_PARAMS) * 3 * 2 * len(self.TS)
 
     def test_no_warning_at_extreme_times(self):
         ts = np.array([5e-324, 1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300, np.finfo(float).max])
@@ -244,6 +241,24 @@ class TestKilledHkeArray:
                     warnings.simplefilter("error")
                     arr = _killed_hke_arr(ModelParams(dim, alpha, beta), ts, x, y, q)
                 assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
+
+    def test_scalar_takes_the_limits_at_extreme_times(self):
+        # u = t^(1/alpha) underflows to 0 or overflows to inf at these times
+        ts = [5e-324, 1e-300, 1e300, float(np.finfo(float).max)]
+        for dim, (alpha, beta), q in itertools.product(
+            (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
+        ):
+            p = ModelParams(dim, alpha, beta)
+            for x, y in _killed_arr_pairs(dim):
+                arr = _killed_hke_arr(p, np.array(ts), x, y, q)
+                for t, a in zip(ts, arr):
+                    s = hke_closed(p, t, x, y, q=q).killed_value
+                    assert ulp_close(float(a), s, KILLED_ARR_ULPS), (alpha, beta, q, t, a, s)
+        # a boundary point at u = 0: the two-jump term is 0 although its b3
+        # log factor is infinite there
+        bd = hke_closed(ModelParams(1, 0.3, (0.5, 2.5, 0.6, 0.3)), 1e-200,
+                        HalfSpacePoint(1, (), 0.0), HalfSpacePoint(1, (), 2.0), q=1.0)
+        assert (bd.stable, bd.two_jump, bd.killed_value) == (0.0, 0.0, 0.0)
 
 
 class TestHkeUnified:

@@ -56,6 +56,41 @@ class TestConverge:
             converge(float, 8, 32, lambda v: 0.0, "thing did not converge")
 
 
+class TestSharedFirstCall:
+    BREAKS = [0.0, 0.5, 2.0]  # two panels
+
+    @staticmethod
+    def _spy(f):
+        sizes = []
+
+        def g(x):
+            sizes.append(len(x))
+            return f(x)
+
+        return g, sizes
+
+    def test_orders_n0_and_2n0_share_one_call(self):
+        f, sizes = self._spy(np.exp)
+        got = integrate_panels(f, self.BREAKS, QuadratureSpec(), n0=8)
+        assert sizes == [3 * 8 * 2]
+        nodes, wts = panel_nodes(self.BREAKS, 16)
+        assert got == float(np.dot(np.exp(nodes), wts))
+
+    def test_no_prefetch_past_the_budget(self):
+        f, sizes = self._spy(np.sin)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^quadrature did not converge \(order 32 exceeds budget\)$"):
+            integrate_panels(f, self.BREAKS, ONE_ROUND)
+        assert sizes == [16 * 2]
+
+    def test_later_orders_are_evaluated_alone(self):
+        # x^-1/2 is integrable but too singular at 0 to settle by order 32
+        f, sizes = self._spy(lambda x: x ** -0.5)
+        with pytest.raises(NonConvergenceError, match=r"\(order 64 exceeds budget\)$"):
+            integrate_panels(f, self.BREAKS, QuadratureSpec(max_subdivisions=32), n0=8)
+        assert sizes == [3 * 8 * 2, 32 * 2]
+
+
 def _ragged_breaks(rows: int) -> np.ndarray:
     """Rows of 2 to 6 increasing breakpoints, NaN-padded to 6 columns."""
     rng = np.random.default_rng(7)
