@@ -27,7 +27,15 @@ from .geometry import (
     weight_from_heights,
     weight_from_heights_arr,
 )
-from .quadrature import QuadratureSpec, integrate_panels, merge_breaks, panel_nodes
+from .quadrature import (
+    QuadratureSpec,
+    converge,
+    integrate_panels,
+    integrate_rows,
+    merge_breaks,
+    panel_nodes,
+    row_breaks,
+)
 
 __all__ = [
     "Regime",
@@ -108,6 +116,14 @@ def _bracket_terms(
     return one, two
 
 
+def _time_scale(t: float, alpha: float) -> float:
+    """t^(1/alpha), infinite where it overflows."""
+    try:
+        return t ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _survival(h: float, u: float, q: float) -> float:
     """min(h/u, 1)^q, taking its limit as u falls to 0 at u = 0."""
     return min(h / u, 1.0) ** q if u > 0.0 else float(h > 0.0) ** q
@@ -131,13 +147,7 @@ def hke_closed(
         raise ValueError("t must be > 0")
     regime = detect_regime(params)
     d = params.dim
-    if tscale is not None:
-        u = tscale
-    else:
-        try:
-            u = t ** (1.0 / params.alpha)
-        except OverflowError:
-            u = math.inf
+    u = tscale if tscale is not None else _time_scale(t, params.alpha)
     dist = x.distance_to(y)
     sx = _survival(x.height, u, q)
     sy = _survival(y.height, u, q)
@@ -323,7 +333,9 @@ def twojump_ball_integral(
 
     The ball is centered halfway up the vertical line through x with radius
     a quarter of the distance; requires |x-y| > 6 t^(1/alpha).  Full
-    quadrature, for dim <= 3 only.
+    quadrature, for dim <= 2 only; in d = 2 a nested Gauss rule with panel
+    breaks on the weight's kinks, which raises NonConvergenceError past the
+    order budget of ``spec``.
     """
     spec = spec or QuadratureSpec()
     if t <= 0.0:
@@ -334,8 +346,8 @@ def twojump_ball_integral(
     if dist <= 6.0 * u:
         raise ValueError("requires |x-y| > 6 t^(1/alpha)")
     d = params.dim
-    if d > 3:
-        raise ValueError("the mid-ball quadrature supports dim <= 3 only")
+    if d > 2:
+        raise ValueError("the mid-ball quadrature supports dim <= 2 only")
     X = np.array(lift_ed(x, u).coords())
     Y = np.array(lift_ed(y, u).coords())
     radius = dist / 4.0
@@ -351,43 +363,33 @@ def twojump_ball_integral(
             lambda h: integrand(h[:, None]), np.linspace(lo, hi, 5), spec
         )
 
-    # nodes are (rho, phi) in d = 2 and (rho, cos theta, phi) in d = 3;
-    # the point is center + rho * omega for the unit direction omega
-    if d == 2:
-        def f2(nodes: np.ndarray) -> np.ndarray:
-            rho, phi = nodes.T
-            omega = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-            return integrand(center + rho[:, None] * omega) * rho
+    # the disk as h = ch + R sin(th), s = ct + R cos(th) v for |th| <= pi/2
+    # and |v| <= 1, with Jacobian (R cos(th))^2; the weight kinks where
+    # h = P_d and on the circles |z - P| = P_d and |z - P| = h, for P = X, Y,
+    # whose tangents to a row lie at h = 2 P_d and h = P_d / 2
+    ct, ch = center
+    quarter = 0.5 * math.pi
+    heights = [k * p for p in (X[1], Y[1]) for k in (0.5, 1.0, 2.0)]
+    arcs = [math.asin((k - ch) / radius) for k in heights if abs(k - ch) < radius]
+    th_breaks = merge_breaks([-quarter, 0.0, quarter], arcs, -quarter, quarter)
 
-        return scale * _tensor_integral(f2, [(0.0, radius), (0.0, 2.0 * math.pi)], spec)
+    def estimate(n: int) -> float:
+        th, wth = panel_nodes(th_breaks, n)
+        h = ch + radius * np.sin(th)
+        half = radius * np.cos(th)
+        kinks = []
+        with np.errstate(invalid="ignore"):  # NaN where a circle misses the row
+            for pt, pd in (X, Y):
+                for r in (np.sqrt(pd * pd - (h - pd) ** 2), np.sqrt(pd * (2.0 * h - pd))):
+                    kinks += [(pt - r - ct) / half, (pt + r - ct) / half]
+        breaks = row_breaks([-1.0, 0.0, 1.0], np.stack(kinks, axis=1), -1.0, 1.0)
+        inner = integrate_rows(
+            lambda v, row: integrand(np.stack([ct + half[row] * v, h[row]], axis=1)), breaks, n
+        )
+        return float(np.dot(inner * half * half, wth))
 
-    def f3(nodes: np.ndarray) -> np.ndarray:
-        rho, mu, phi = nodes.T
-        sin_th = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        omega = np.stack([sin_th * np.cos(phi), sin_th * np.sin(phi), mu], axis=1)
-        return integrand(center + rho[:, None] * omega) * rho * rho
-
-    return scale * _tensor_integral(
-        f3, [(0.0, radius), (-1.0, 1.0), (0.0, 2.0 * math.pi)], spec
-    )
-
-
-def _tensor_integral(f, ranges, spec: QuadratureSpec) -> float:
-    """Tensor-product Gauss quadrature over a box, doubled until stable."""
-    n = 12
-    prev = None
-    while n <= 96:
-        axes = [panel_nodes([lo, 0.5 * (lo + hi), hi], n) for lo, hi in ranges]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.prod([g.ravel() for g in wgrids], axis=0)
-        cur = float(np.dot(f(pts), wts))
-        if prev is not None and abs(cur - prev) <= 10.0 * spec.tol(cur):
-            return cur
-        prev = cur
-        n *= 2
-    return cur
+    return scale * converge(estimate, 12, spec.max_subdivisions, lambda v: 10.0 * spec.tol(v),
+                            "mid-ball integral did not converge")
 
 
 @dataclass(frozen=True)
@@ -414,7 +416,7 @@ def dominance_map(
         raise ValueError("dominance map requires the two-jump regime")
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    u = t ** (1.0 / params.alpha)
+    u = _time_scale(t, params.alpha)
     cells = []
     for y in ys:
         dist = x.distance_to(y)

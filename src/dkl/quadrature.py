@@ -7,8 +7,6 @@ repeated runs are bit-identical.
 
 Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
 which either meets its tolerance or raises :class:`NonConvergenceError`.
-The one exception is ``heatkernel._tensor_integral``, which still returns
-its last estimate once its order passes 96.
 
 Integrands of :func:`integrate_panels` must be pointwise: each value
 depends only on its own node.  The first two orders, ``n0`` and ``2*n0``,

@@ -281,6 +281,17 @@ class TestExtremeTimes:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[-2:] == ["0", "0"]
 
+    def test_map_past_the_time_scale_overflow(self, capsys):
+        # t^(1/alpha) overflows: every target is inside the 6 t^(1/alpha) ball
+        code, out = run_cli(
+            ["map", "--alpha", "0.5", "--beta", "0,1.5,0,0", "--t", "1e300", "--x", "0.5",
+             "--grid-n", "2", "--extent", "4"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4 and all(r.split(",")[-1] == "0" for r in rows)
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

@@ -335,29 +335,16 @@ class TestBallIntegral:
         ref, _ = dblquad(f, 0.0, 2.0 * math.pi, 0.0, R, epsabs=1e-12, epsrel=1e-10)
         assert val == pytest.approx(t * dist**2.5 * ref, rel=1e-7)
 
-    def test_d3_against_tplquad(self):
-        # a non-axial pair in d = 3: the tensor rule in (rho, cos theta, phi)
-        # against adaptive SciPy cubature of the scalar kernel
-        p = ModelParams(3, 0.7, (0.5, 1.6, 0.3, 0.4))
-        w = standard_weight(p)
-        t, x, y = 1e-3, pt(0.0, 0.0, 0.4), pt(3.0, -2.0, 1.1)
-        val = twojump_ball_integral(p, w, t, x, y, SPEC)
-        dist = x.distance_to(y)
-        u = t ** (1.0 / 0.7)
-        X, Y = lift_ed(x, u), lift_ed(y, u)
-        ch = 0.4 + dist / 2.0
-
-        def f(phi, mu, rho):
-            s = rho * math.sqrt(max(1.0 - mu * mu, 0.0))
-            z = pt(s * math.cos(phi), s * math.sin(phi), ch + rho * mu)
-            return eval_J(w, X, z) * eval_J(w, z, Y) * rho * rho
-
-        from scipy.integrate import tplquad
-
-        ref, _ = tplquad(
-            f, 0.0, dist / 4.0, -1.0, 1.0, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-10
-        )
-        assert val == pytest.approx(t * dist**3.7 * ref, rel=1e-8)
+    def test_kinked_weight_against_scipy_reference(self):
+        # the benchmark's case ball-d2-2: the weight's kink circles cross the
+        # disk; the reference is nested adaptive SciPy quad in polar coordinates
+        p = ModelParams(2, 1.5723919613891064,
+                        (1.9110604288963708, 4.51052311358384, 0.44802918952256787, 0.46759330723283377))
+        x = pt(301.0088160782103, 126.84844218209722)
+        y = pt(-6.8870922164812, 0.015511269633509336)
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
+        val = twojump_ball_integral(p, standard_weight(p), 7.369455434724758, x, y, spec)
+        assert val == pytest.approx(8.663704575015839e-08, rel=1e-6, abs=0.0)
 
     def test_precondition(self):
         p = ModelParams(1, 1.0, (0.5, 2.0, 0, 0))
@@ -373,10 +360,10 @@ class TestBallIntegral:
         b = twojump_ball_integral(p, w, t, pt(4.0, 0.7), pt(0.0, 0.7), SPEC)
         assert a == pytest.approx(b, rel=1e-9)
 
-    def test_dim_above_three_rejected(self):
-        p = ModelParams(4, 0.5, (0.5, 2.0, 0, 0))
-        with pytest.raises(ValueError, match="dim <= 3"):
-            twojump_ball_integral(p, standard_weight(p), 1e-4, pt(0, 0, 0, 0.7), pt(4, 0, 0, 1.2))
+    def test_dim_above_two_rejected(self):
+        p = ModelParams(3, 0.5, (0.5, 2.0, 0, 0))
+        with pytest.raises(ValueError, match="dim <= 2"):
+            twojump_ball_integral(p, standard_weight(p), 1e-4, pt(0, 0, 0.7), pt(4, 0, 1.2))
 
 
 class TestDominanceMap:

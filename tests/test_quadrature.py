@@ -3,7 +3,7 @@ import pytest
 
 import dkl.quadrature as quadrature
 from dkl.geometry import HalfSpacePoint, ModelParams, standard_weight
-from dkl.heatkernel import _tensor_integral
+from dkl.heatkernel import twojump_ball_integral
 from dkl.killing import compute_C
 from dkl.oracle import OracleParams, oracle_kappa
 from dkl.quadrature import (
@@ -158,16 +158,8 @@ class TestCallSitesRaiseOnBudget:
         with pytest.raises(NonConvergenceError, match="^killing-function integral did not converge"):
             oracle_kappa(OracleParams(0.5, 1, 1.0), x, ONE_ROUND)
 
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="_tensor_integral returns its last estimate once its order passes 96 "
-    "(ROADMAP item 2)",
-)
-def test_tensor_integral_raises_when_estimates_never_settle():
-    # the integral of this integrand is the node count, so it doubles per round
-    def f(p):
-        return np.full(len(p), float(len(p)))
-
-    with pytest.raises(NonConvergenceError):
-        _tensor_integral(f, [(0.0, 1.0), (0.0, 1.0)], QuadratureSpec())
+    def test_ball_integral(self):
+        params = ModelParams(2, 0.5, (0.5, 2.0, 0.0, 0.0))
+        x, y = HalfSpacePoint(2, (0.0,), 0.7), HalfSpacePoint(2, (4.0,), 0.7)
+        with pytest.raises(NonConvergenceError, match="^mid-ball integral did not converge"):
+            twojump_ball_integral(params, standard_weight(params), 1e-4, x, y, ONE_ROUND)
