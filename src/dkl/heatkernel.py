@@ -178,6 +178,11 @@ def hke_closed(
     )
 
 
+def _survival_arr(h: float, u: np.ndarray, q: float) -> np.ndarray:
+    """:func:`_survival` on an array of time scales u."""
+    return np.where(u > 0.0, np.minimum(h / u, 1.0) ** q, float(h > 0.0) ** q)
+
+
 def _killed_hke_arr(
     params: ModelParams,
     ts: np.ndarray,
@@ -191,8 +196,10 @@ def _killed_hke_arr(
     The same formula, factor by factor, on arrays.  Overflow takes the values
     of the scalar ``OverflowError`` branches: an infinite on-diagonal profile,
     a unit time clamp, and the on-diagonal profile where the off-diagonal one
-    is 0 * inf.  Numpy's ``power`` and ``log`` may differ from libm by a few
-    ulp, so the values agree with the scalar path to a few ulp, not bitwise.
+    is 0 * inf.  Where u underflows to 0, a boundary point takes the scalar
+    limits of its survival factor and of the two-jump term.  Numpy's
+    ``power`` and ``log`` may differ from libm by a few ulp, so the values
+    agree with the scalar path to a few ulp, not bitwise.
     """
     regime = detect_regime(params)
     d = params.dim
@@ -201,7 +208,7 @@ def _killed_hke_arr(
     dist = x.distance_to(y)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         u = np.asarray(ts, dtype=float) ** (1.0 / alpha)
-        survival = np.minimum(x.height / u, 1.0) ** q * np.minimum(y.height / u, 1.0) ** q
+        survival = _survival_arr(x.height, u, q) * _survival_arr(y.height, u, q)
         on = u ** (-float(d))
         ratio = (u / dist) ** alpha
         stable = np.fmin(on, ratio * np.float64(dist) ** (-float(d)))
@@ -214,7 +221,9 @@ def _killed_hke_arr(
                 (b1, b1, 0.0, b4_eff), hmin, hmax, dist
             )
             if b3 > 0.0:
-                two *= np.log(_E + dist / np.minimum(hmin, dist)) ** b3
+                # two = 0 where u = 0; its log factor may then be infinite (hmin = 0)
+                log = np.log(_E + dist / np.minimum(hmin, dist)) ** b3
+                two = np.where(two > 0.0, two * log, two)
             bracket = bracket + two
         return survival * np.minimum(on, stable * bracket)
 

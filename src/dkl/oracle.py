@@ -22,6 +22,7 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     converge,
+    converge_rows,
     geometric_breaks,
     integrate_panels,
     integrate_rows,
@@ -64,16 +65,16 @@ class OracleParams:
             raise ValueError("alpha must lie strictly in (0, 2)")
 
 
-def _q_kernel_arr(
-    gamma: float, d: int, s: np.ndarray, xd: float, yd: float, dist2: float
-) -> np.ndarray:
+def _q_kernel_arr(gamma: float, d: int, s: np.ndarray, xd, yd, dist2) -> np.ndarray:
     """Killed-BM transition density at times s, vectorized and overflow-free.
 
-    The Bessel factor enters exponentially scaled, which turns the Gaussian
-    exponent into -(distance^2)/(4s) exactly.
+    The heights ``xd``, ``yd`` and the squared distance ``dist2`` are scalars
+    or arrays shaped like ``s``, one value per node.  The Bessel factor
+    enters exponentially scaled, which turns the Gaussian exponent into
+    -(distance^2)/(4s) exactly.
     """
     z = xd * yd / (2.0 * s)
-    radial = (math.sqrt(xd * yd) / (2.0 * s)) * bessel_I_scaled_arr(gamma, z)
+    radial = (np.sqrt(xd * yd) / (2.0 * s)) * bessel_I_scaled_arr(gamma, z)
     tangential = (4.0 * math.pi * s) ** (-(d - 1) / 2.0)
     return radial * tangential * np.exp(-dist2 / (4.0 * s))
 
@@ -220,26 +221,53 @@ def oracle_p(
 ) -> float:
     """Transition density of the subordinate process by time-change mixing."""
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300)
+    (val,) = _p_rows(op, [_p_cell(t, x, y)], spec)
+    if isinstance(val, NonConvergenceError):
+        raise val
+    return val
+
+
+def _p_cell(t: float, x: HalfSpacePoint, y: HalfSpacePoint) -> tuple:
+    """The cell ``(t, x height, y height, squared distance)`` of :func:`_p_rows`."""
     if t <= 0.0:
         raise ValueError("t must be > 0")
     if x.height <= 0.0 or y.height <= 0.0:
         raise ValueError("interior points required")
-    a = op.alpha / 2.0
     dist = x.distance_to(y)
-    dist2 = dist * dist
-    tsc = t ** (1.0 / a)
+    return (t, x.height, y.height, dist * dist)
+
+
+def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> list:
+    """:func:`oracle_p` at each cell ``(t, x height, y height, squared
+    distance)``, every cell a row of one :func:`converge_rows` call.
+
+    Returns one entry per cell: its density, or the
+    :class:`NonConvergenceError` of a cell whose orders ran out.
+    """
+    a = op.alpha / 2.0
     w_left, _, _ = _g_spline(a)
-    s_lo = max(w_left * tsc * 0.9, dist2 / 2800.0, 1e-300)
-    scale = max(dist2, x.height * y.height, tsc)
-    s_hi = scale * 1e10
-    inner = [v for v in (dist2, x.height * y.height, tsc) if s_lo < v < s_hi]
-    xd, yd, d, gamma = x.height, y.height, op.dim, op.gamma
+    tsc, rows = [], []
+    for t, xd, yd, dist2 in cells:
+        ts = t ** (1.0 / a)
+        s_lo = max(w_left * ts * 0.9, dist2 / 2800.0, 1e-300)
+        scale = max(dist2, xd * yd, ts)
+        s_hi = scale * 1e10
+        inner = [v for v in (dist2, xd * yd, ts) if s_lo < v < s_hi]
+        tsc.append(ts)
+        rows.append(merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi))
+    breaks = np.full((len(rows), max(map(len, rows))), np.nan)
+    for i, row in enumerate(rows):
+        breaks[i, :len(row)] = row
+    _, xds, yds, dist2s = zip(*cells)
+    per_cell = [np.array(v, dtype=float) for v in (tsc, xds, yds, dist2s)]
+    gamma, d = op.gamma, op.dim
 
-    def f(s: np.ndarray) -> np.ndarray:
-        return _q_kernel_arr(gamma, d, s, xd, yd, dist2) * _g_eval(a, s / tsc) / tsc
+    def f(s: np.ndarray, row: np.ndarray) -> np.ndarray:
+        # one cell takes its scalars as they are, several their per-node values
+        ts, xd, yd, dist2 = (v[0] if len(v) == 1 else v[row] for v in per_cell)
+        return _q_kernel_arr(gamma, d, s, xd, yd, dist2) * _g_eval(a, s / ts) / ts
 
-    breaks = merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi)
-    return integrate_panels(f, breaks, spec)
+    return converge_rows(f, breaks, spec)
 
 
 def oracle_J(
@@ -394,20 +422,22 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None, ceiling=None):
         xs = np.geomspace(0.05, 20.0, 20)
     if ys is None:
         ys = np.geomspace(0.05, 20.0, 20)
-    cells = []
     pad = (0.0,) * (op.dim - 1)
     ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
+    grid = []
     for t in ts:
         for xh in xs:
             for yh in ys:
                 xpt = HalfSpacePoint(op.dim, pad, float(xh))
                 ypt = HalfSpacePoint(op.dim, ytang, float(yh))
-                try:
-                    num = oracle_p(op, float(t), xpt, ypt, spec)
-                except NonConvergenceError as exc:
-                    cells.append((t, xh, yh, exc, None))
-                    continue
-                cells.append((t, xh, yh, num, killed_hke(params, float(t), xpt, ypt, q=q_fit)))
+                grid.append((t, xh, yh, xpt, ypt))
+    nums = _p_rows(op, [_p_cell(float(t), xpt, ypt) for t, _, _, xpt, ypt in grid], spec)
+    cells = []
+    for (t, xh, yh, xpt, ypt), num in zip(grid, nums):
+        if isinstance(num, NonConvergenceError):
+            cells.append((t, xh, yh, num, None))
+        else:
+            cells.append((t, xh, yh, num, killed_hke(params, float(t), xpt, ypt, q=q_fit)))
     report = ratio_report(
         "oracle_vs_estimate",
         cells,

@@ -6,7 +6,8 @@ agree.  Breakpoints are deterministic functions of the problem scales, so
 repeated runs are bit-identical.
 
 Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
-which either meets its tolerance or raises :class:`NonConvergenceError`.
+which either meets its tolerance or raises :class:`NonConvergenceError`, or
+through its row version :func:`converge_rows` below.
 
 Integrands of :func:`integrate_panels` must be pointwise: each value
 depends only on its own node.  The first two orders, ``n0`` and ``2*n0``,
@@ -24,6 +25,14 @@ need their own blocks: :func:`row_breaks` adds per-row kinks to shared
 breakpoints, padding a missing kink into a zero-width panel so that rows
 have equal length, :func:`row_nodes` lays out nodes as (rows, nodes per
 row) and :func:`row_dot` takes the per-row dot products.
+
+:func:`converge_rows` is :func:`integrate_panels` for every row of such
+breakpoints at once.  Each row is refined on its own and stops at its own
+order, by the rule of :func:`converge`, ``abs(cur - prev) <= spec.tol(cur)``;
+only the rows still open go on to the next order, and a row whose budget
+runs out holds the :class:`NonConvergenceError`, with :func:`converge`'s
+message, in place of its value.  Every row's value is the bits of
+:func:`integrate_panels` on that row alone.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ __all__ = [
     "row_nodes",
     "row_dot",
     "integrate_rows",
+    "converge_rows",
 ]
 
 
@@ -215,24 +225,97 @@ def integrate_rows(
     it returns the integrand at ``x``.  Each row's value is ``np.dot`` of
     its own values and weights, padding never enters.
     """
+    edges, panels = _row_panels(breaks)
+    return _rows_at(f, edges, panels, np.arange(len(panels)), (n,))[0]
+
+
+def _row_panels(breaks) -> tuple[np.ndarray, np.ndarray]:
+    """The panels of NaN-padded row breakpoints: their ends, shape
+    (panels, 2) row after row, and each row's panel count."""
     breaks = np.asarray(breaks, dtype=float)
-    panels = np.count_nonzero(~np.isnan(breaks), axis=1) - 1
-    if np.any(panels < 1):
+    real = ~np.isnan(breaks[:, 1:])
+    panels = np.count_nonzero(real, axis=1)
+    if np.any(panels < 1) or np.any(np.isnan(breaks[:, 0])):
         raise ValueError("need at least two breakpoints per row")
-    sizes = panels * n
-    out = np.empty(len(breaks))
-    for start, stop in row_blocks(sizes):
-        b = breaks[start:stop]
-        real = ~np.isnan(b[:, 1:])
-        nodes, wts = panel_nodes(np.stack([b[:, :-1][real], b[:, 1:][real]], axis=1), n)
-        rows = np.arange(start, stop)
-        vals = np.asarray(f(nodes, np.repeat(rows, sizes[start:stop])), dtype=float)
-        # rows with equal panel counts stack into one matrix for the dots
-        first = np.cumsum(sizes[start:stop]) - sizes[start:stop]
-        for p in np.unique(panels[start:stop]):
-            pick = panels[start:stop] == p
-            idx = first[pick][:, None] + np.arange(p * n)
-            out[rows[pick]] = row_dot(vals[idx], wts[idx])
+    return np.stack([breaks[:, :-1][real], breaks[:, 1:][real]], axis=1), panels
+
+
+def _rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: np.ndarray,
+             orders: tuple[int, ...]) -> np.ndarray:
+    """Per-row integrals at each of ``orders``, shape (len(orders), rows).
+
+    ``edges`` and ``panels`` are from :func:`_row_panels`; ``rows`` is the
+    row index that ``f`` sees for each row.  All orders of a block share one
+    call of ``f``, on their nodes joined.
+    """
+    out = np.empty((len(orders), len(panels)))
+    ends = np.cumsum(panels)
+    for start, stop in row_blocks(panels * sum(orders)):
+        p = panels[start:stop]
+        rules = [panel_nodes(edges[ends[start] - p[0]:ends[stop - 1]], n) for n in orders]
+        x = rules[0][0] if len(orders) == 1 else np.concatenate([nodes for nodes, _ in rules])
+        row = np.concatenate([np.repeat(rows[start:stop], p * n) for n in orders])
+        vals = np.asarray(f(x, row), dtype=float)
+        at = 0
+        for k, (n, (_, wts)) in enumerate(zip(orders, rules)):
+            v = vals[at:at + len(wts)]
+            at += len(wts)
+            # rows with equal panel counts stack into one matrix for the dots
+            first = np.cumsum(p * n) - p * n
+            for q in np.unique(p):
+                pick = np.flatnonzero(p == q)
+                idx = first[pick][:, None] + np.arange(q * n)
+                out[k, start + pick] = row_dot(v[idx], wts[idx])
+    return out
+
+
+def converge_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    breaks: np.ndarray,
+    spec: QuadratureSpec,
+) -> list:
+    """:func:`integrate_panels` for each row of ``breaks``, all rows at once.
+
+    ``f`` and ``breaks`` are as in :func:`integrate_rows`.  Every row is
+    refined over the orders 16, 32, ... on its own and stops at the first
+    order where ``abs(cur - prev) <= spec.tol(cur)``, the rule of
+    :func:`converge`; only the rows still open go on to the next order.
+    Orders 16 and 32 share one call of ``f`` per block.  Each row's value
+    is bit-identical to :func:`integrate_panels` on that row alone.
+
+    Returns a list with one entry per row: its value, or, for a row whose
+    orders ran out, the :class:`NonConvergenceError` that
+    :func:`integrate_panels` would have raised.  A single row goes through
+    :func:`integrate_panels` itself, which has less bookkeeping per order.
+    """
+    edges, panels = _row_panels(breaks)
+    if len(panels) == 1:
+        row = np.append(edges[:, 0], edges[-1, 1])
+        try:
+            return [integrate_panels(lambda x: f(x, np.zeros(len(x), dtype=int)), row, spec)]
+        except NonConvergenceError as exc:
+            return [exc]
+    out: list = [None] * len(panels)
+    live = np.arange(len(panels))
+    n = 32
+    if n > spec.max_subdivisions:
+        _rows_at(f, edges, panels, live, (16,))
+    else:
+        prev, cur = _rows_at(f, edges, panels, live, (16, n))
+        while True:
+            done = np.array([abs(c - p) <= spec.tol(c) for p, c in zip(prev.tolist(), cur.tolist())])
+            for i, c in zip(live[done].tolist(), cur[done].tolist()):
+                out[i] = c
+            keep = ~done
+            live = live[keep]
+            n *= 2
+            if len(live) == 0 or n > spec.max_subdivisions:
+                break
+            edges = edges[np.repeat(keep, panels)]
+            panels, prev = panels[keep], cur[keep]
+            cur = _rows_at(f, edges, panels, live, (n,))[0]
+    for i in live.tolist():
+        out[i] = NonConvergenceError(f"quadrature did not converge (order {n} exceeds budget)")
     return out
 
 

@@ -95,21 +95,35 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
     out = np.empty_like(r)
     small = r <= _SERIES_CUT
     if np.any(small):
-        rs = r[small]
+        # largest arguments first: they need the most terms, so the elements
+        # still summing are always a prefix rs[:k] of this order
+        order = np.argsort(-r[small], kind="stable")
+        rs = r[small][order]
         with np.errstate(divide="ignore"):
             term = np.where(
                 rs > 0.0, (0.5 * rs) ** gamma, 1.0 if gamma == 0.0 else 0.0
             ) / math.gamma(gamma + 1.0)
         total = term.copy()
         quarter = 0.25 * rs * rs
+        # the running prefix views of term, quarter and total
+        tk, qk, sk = term, quarter, total
         for m in range(1, 600):
-            term = term * quarter / (m * (gamma + m))
-            total += term
-            # tested every 8th term only: a term past convergence is below
-            # 1e-18 total, under half an ulp, so the extra terms leave total as is
-            if m % 8 == 0 and np.all(term <= 1e-18 * total):
-                break
-        out[small] = total * np.exp(-rs)
+            tk *= qk
+            tk /= m * (gamma + m)
+            sk += tk
+            # tested every 8th term only.  Past term <= 1e-18 total the terms
+            # fall, each below half an ulp of total, so adding them leaves
+            # total as is: an element's bits do not depend on whether it
+            # stops at its own test or sums on with the prefix
+            if m % 8 == 0:
+                still = np.flatnonzero(~(tk <= 1e-18 * sk))
+                if len(still) == 0:
+                    break
+                k = int(still[-1]) + 1
+                tk, qk, sk = term[:k], quarter[:k], total[:k]
+        vals = np.empty_like(rs)
+        vals[order] = total * np.exp(-rs)
+        out[small] = vals
     if np.any(~small):
         rl = r[~small]
         mu = 4.0 * gamma * gamma
@@ -117,7 +131,8 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
         total = np.ones_like(rl)
         # fixed 30-term truncation; min term is far below 1e-18 for r > 30
         for k in range(1, 31):
-            term = term * (-(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / rl
+            term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+            term /= rl
             total += term
         out[~small] = total / np.sqrt(2.0 * math.pi * rl)
     return out

@@ -9,7 +9,7 @@ import dkl.oracle
 from dkl.cli import main
 from dkl.geometry import ModelParams, standard_weight
 from dkl.killing import compute_C
-from dkl.oracle import oracle_p
+from dkl.oracle import _p_rows
 from dkl.quadrature import NonConvergenceError
 
 
@@ -68,24 +68,31 @@ class TestSolveQ:
 
 
 class TestOracle:
+    # every oracle density of the command goes through the batched cell path
     def _run(self, capsys, monkeypatch, fake):
-        monkeypatch.setattr(dkl.oracle, "oracle_p", fake)
-        monkeypatch.setattr(dkl.cli, "oracle_p", fake, raising=False)
+        monkeypatch.setattr(dkl.oracle, "_p_rows", fake)
         code = main(["oracle", "--grid-n", "2", "--t-list", "1.0"])
         return code, capsys.readouterr()
 
     def test_each_cell_evaluated_once(self, capsys, monkeypatch):
-        calls = []
-        code, out = self._run(capsys, monkeypatch, lambda *a: calls.append(a) or oracle_p(*a))
+        cells = []
+        code, out = self._run(
+            capsys, monkeypatch, lambda op, c, spec: cells.extend(c) or _p_rows(op, c, spec)
+        )
         assert code == 0
         assert len(out.out.strip().splitlines()) == 1 + 4
-        assert len(calls) == 4
+        assert len(cells) == 4
+        assert {(t, x, y) for t, x, y, _ in cells} == {
+            (1.0, x, y) for x in (0.05, 20.0) for y in (0.05, 20.0)
+        }
 
     def test_unconverged_cell_fails_the_command(self, capsys, monkeypatch):
-        def fake(op, t, x, y, spec):
-            if x.height == y.height == 20.0:
-                raise NonConvergenceError("cell did not converge")
-            return oracle_p(op, t, x, y, spec)
+        def fake(op, cells, spec):
+            vals = _p_rows(op, cells, spec)
+            return [
+                NonConvergenceError("cell did not converge") if x == y == 20.0 else v
+                for (_, x, y, _), v in zip(cells, vals)
+            ]
 
         code, out = self._run(capsys, monkeypatch, fake)
         assert (code, out.out) == (1, "")

@@ -203,13 +203,20 @@ KILLED_ARR_PARAMS = [
 KILLED_ARR_ULPS = 16.0
 
 
-def _killed_arr_pairs(d):
+def _killed_arr_pairs(d, boundary=False):
     tang = (0.75,) * (d - 1)
     zero = (0.0,) * (d - 1)
-    return [
+    pairs = [
         (HalfSpacePoint(d, zero, 1e-6), HalfSpacePoint(d, tang, 2.0)),
         (HalfSpacePoint(d, zero, 0.3), HalfSpacePoint(d, tang, 0.05)),
     ]
+    if boundary:
+        # a point of height 0, on either side of the pair
+        pairs += [
+            (HalfSpacePoint(d, zero, 0.0), HalfSpacePoint(d, tang, 2.0)),
+            (HalfSpacePoint(d, tang, 0.3), HalfSpacePoint(d, zero, 0.0)),
+        ]
+    return pairs
 
 
 class TestKilledHkeArray:
@@ -249,7 +256,7 @@ class TestKilledHkeArray:
             (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
         ):
             p = ModelParams(dim, alpha, beta)
-            for x, y in _killed_arr_pairs(dim):
+            for x, y in _killed_arr_pairs(dim, boundary=True):
                 arr = _killed_hke_arr(p, np.array(ts), x, y, q)
                 for t, a in zip(ts, arr):
                     s = hke_closed(p, t, x, y, q=q).killed_value

@@ -8,6 +8,9 @@ import dkl.quadrature as quadrature
 from dkl.geometry import eval_B
 from dkl.oracle import (
     OracleParams,
+    _comparison,
+    _g_eval,
+    _g_spline,
     _mass_F,
     compare_oracle_vs_estimate,
     fit_survival_exponent,
@@ -17,8 +20,15 @@ from dkl.oracle import (
     oracle_p,
     oracle_survival,
 )
-from dkl.quadrature import QuadratureSpec, geometric_breaks, merge_breaks, panel_nodes
-from dkl.special import one_minus_scaled_I
+from dkl.quadrature import (
+    NonConvergenceError,
+    QuadratureSpec,
+    geometric_breaks,
+    integrate_panels,
+    merge_breaks,
+    panel_nodes,
+)
+from dkl.special import bessel_I_scaled_arr, one_minus_scaled_I
 
 from conftest import pt
 
@@ -269,7 +279,57 @@ class TestSurvival:
         assert vals[-1] <= 1.0 + 1e-6
 
 
+def _oracle_p_one_cell(op, t, x, y, spec):
+    """The oracle density of one cell, one panel rule per call."""
+    xd, yd = x.height, y.height
+    dist = x.distance_to(y)
+    dist2 = dist * dist
+    a = op.alpha / 2.0
+    tsc = t ** (1.0 / a)
+    s_lo = max(_g_spline(a)[0] * tsc * 0.9, dist2 / 2800.0, 1e-300)
+    s_hi = max(dist2, xd * yd, tsc) * 1e10
+    inner = [v for v in (dist2, xd * yd, tsc) if s_lo < v < s_hi]
+
+    def f(s):
+        radial = (math.sqrt(xd * yd) / (2.0 * s)) * bessel_I_scaled_arr(op.gamma, xd * yd / (2.0 * s))
+        tangential = (4.0 * math.pi * s) ** (-(op.dim - 1) / 2.0)
+        q = radial * tangential * np.exp(-dist2 / (4.0 * s))
+        return q * _g_eval(a, s / tsc) / tsc
+
+    breaks = merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi)
+    return integrate_panels(f, breaks, spec)
+
+
 class TestComparison:
+    @pytest.mark.parametrize("block", [1000, 16384], ids=["small", "default"])
+    @pytest.mark.parametrize(
+        "spec",
+        [QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300),
+         QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=128)],
+        ids=["default", "tight"],
+    )
+    def test_cells_match_one_panel_rule_each(self, spec, block, monkeypatch):
+        # bit for bit: every cell stops at its own order, and a cell whose
+        # orders run out holds the error a one-cell rule raises
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        failed = 0
+        for op in (OracleParams(0.5, 1, 1.0), OracleParams(1.5, 2, 0.6)):
+            heights = np.geomspace(0.05, 20.0, 5)
+            _, _, _, cells = _comparison(op, spec, (0.25, 4.0), heights, heights[1:], q_fit=1.0)
+            assert len(cells) == 2 * 5 * 4
+            for t, xh, yh, num, _ in cells:
+                # the comparison's points: y one unit off along the boundary in d = 2
+                x = pt(*(0.0,) * (op.dim - 1), float(xh))
+                y = pt(*(1.0,) * (op.dim - 1), float(yh))
+                try:
+                    want = _oracle_p_one_cell(op, t, x, y, spec)
+                except NonConvergenceError as exc:
+                    failed += 1
+                    assert isinstance(num, NonConvergenceError) and str(num) == str(exc)
+                    continue
+                assert num == want, (op, t, xh, yh)
+        assert failed > 0 if spec.max_subdivisions == 128 else failed == 0
+
     def test_interior_cells_near_on_diagonal(self):
         op = OracleParams(0.5, 1, 1.0)
         rep, q_fit, r2 = compare_oracle_vs_estimate(

@@ -10,6 +10,7 @@ from dkl.quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     converge,
+    converge_rows,
     integrate_panels,
     integrate_rows,
     panel_nodes,
@@ -141,10 +142,70 @@ class TestRowRule:
             integrate_rows(_row_integrand, np.array([[0.0, 1.0], [2.0, np.nan]]), 4)
 
 
+# rows converging at orders 32, 128 and never: exp, sin(40 x) and x^-1/2
+MIXED_BREAKS = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, np.nan], [0.0, 0.5, 2.0]])
+MIXED_FS = [np.exp, lambda x: np.sin(40.0 * x), lambda x: x ** -0.5]
+
+
+def _mixed_integrand(x, row):
+    out = np.empty_like(x)
+    for i, f in enumerate(MIXED_FS):
+        out[row == i] = f(x[row == i])
+    return out
+
+
+class TestConvergeRows:
+    @pytest.mark.parametrize("block", [1, 100, 16384], ids=["row-per-block", "small", "default"])
+    def test_rows_match_integrate_panels_each(self, block, monkeypatch):
+        # bit for bit, each row stopping at its own order or failing as alone
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        breaks = _ragged_breaks(23)
+        got = converge_rows(_row_integrand, breaks, QuadratureSpec())
+        for i, row in enumerate(breaks):
+            want = integrate_panels(lambda x: _row_integrand(x, i), row[~np.isnan(row)],
+                                    QuadratureSpec())
+            assert got[i] == want
+
+    def test_only_open_rows_go_on(self):
+        calls = []
+
+        def spy(x, row):
+            calls.append(sorted(set(row.tolist())))
+            return _mixed_integrand(x, row)
+
+        got = converge_rows(spy, MIXED_BREAKS, QuadratureSpec(max_subdivisions=256))
+        assert calls == [[0, 1, 2], [1, 2], [1, 2], [2]]
+        for i, f in enumerate(MIXED_FS[:2]):
+            assert got[i] == integrate_panels(f, MIXED_BREAKS[i][~np.isnan(MIXED_BREAKS[i])],
+                                              QuadratureSpec())
+        assert isinstance(got[2], NonConvergenceError)
+        assert str(got[2]) == "quadrature did not converge (order 512 exceeds budget)"
+
+
 class TestCallSitesRaiseOnBudget:
     def test_integrate_panels(self):
         with pytest.raises(NonConvergenceError, match="^quadrature did not converge"):
             integrate_panels(np.sin, [0.0, 1.0, 2.0], ONE_ROUND)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+    def test_converge_rows(self, rows):
+        sizes = []
+
+        def spy(x, row):
+            sizes.append(len(x))
+            return _mixed_integrand(x, row)
+
+        got = converge_rows(spy, MIXED_BREAKS[:rows], ONE_ROUND)
+        assert all(isinstance(v, NonConvergenceError) for v in got) and len(got) == rows
+        assert {str(v) for v in got} == {"quadrature did not converge (order 32 exceeds budget)"}
+        assert sizes == [16 * int(np.sum(~np.isnan(MIXED_BREAKS[:rows, 1:])))]
+
+    def test_converge_rows_some_rows_past_the_budget(self):
+        # exp settles at order 32; sin(40 x) needs 128 and x^-1/2 never does
+        got = converge_rows(_mixed_integrand, MIXED_BREAKS, QuadratureSpec(max_subdivisions=64))
+        assert got[0] == integrate_panels(np.exp, [0.0, 1.0, 2.0], QuadratureSpec())
+        assert [str(v) for v in got[1:]] == ["quadrature did not converge (order 128 exceeds budget)"] * 2
+        assert all(isinstance(v, NonConvergenceError) for v in got[1:])
 
     @pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
     def test_compute_C(self, dim):

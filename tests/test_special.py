@@ -7,6 +7,7 @@ import scipy.special as sp
 from scipy.integrate import quad
 
 from dkl.special import (
+    _SERIES_CUT,
     bessel_I,
     bessel_I_scaled,
     bessel_I_scaled_arr,
@@ -46,6 +47,25 @@ class TestBesselI:
                 assert bessel_I_scaled(g, r) == pytest.approx(
                     float(bessel_I_scaled_arr(g, np.array([r]))[0]), rel=1e-14
                 )
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 1.5, 7.0])
+    def test_array_values_are_those_of_one_element_calls(self, g):
+        # bit for bit: the series runs longest on the largest arguments, and an
+        # element keeps its own bits whatever shares the array with it
+        rng = np.random.default_rng(3)
+        cut = _SERIES_CUT
+        r = np.concatenate([
+            np.zeros(4),
+            10.0 ** rng.uniform(-300.0, -3.0, 40),
+            rng.uniform(0.0, cut, 200),
+            [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
+            rng.uniform(cut, 3.0 * cut, 100),
+            10.0 ** rng.uniform(2.0, 5.0, 20),
+        ])
+        rng.shuffle(r)
+        got = bessel_I_scaled_arr(g, r)
+        for v, x in zip(r, got):
+            assert x == bessel_I_scaled_arr(g, np.array([v]))[0], v
 
     def test_log_scaled_value(self):
         val = bessel_I(0.5, 1500.0, log=True)
