@@ -14,6 +14,16 @@ possibly arbitrarily close to 0, handled on a logarithmic axis whose reach
 is chosen from delta and beta3, with the power factors assembled in log
 space so no intermediate quantity overflows.
 
+In d = 1 the map is evaluated for many q at once, each q a row
+(``_c_rows``); ``compute_C`` is its one-row case and ``scan_shape`` passes
+its grid, its midpoint and its zero checks in one call.  A row's left half
+has its own log-axis breakpoints, since delta sets the reach, and the rows
+are laid out one after another; the right half's nodes, Jacobian and
+weight do not depend on q, so each order computes them once for all rows.
+Orders 16 and 32 share one call, and each row stops at its own order by
+the rule of ``quadrature.converge``, so a q's value is the same bits
+whatever else is in the batch.  Nothing is kept from one call to the next.
+
 For dim >= 2 the outer integrand over theta = arctan(rho) carries
 cos^alpha theta, singular at pi/2: its panels shrink fourfold toward pi/2
 and its order is the inner order, so the convergence test refines both.
@@ -40,10 +50,12 @@ from .quadrature import (
     converge,
     decaying_log_breaks,
     panel_nodes,
+    refine_rows,
     row_blocks,
     row_breaks,
     row_dot,
     row_nodes,
+    rows_at,
 )
 
 __all__ = [
@@ -63,37 +75,51 @@ class ShapeViolationError(RuntimeError):
         self.offending = offending
 
 
+_MSG = "killing-constant integral did not converge"
+
+
 def _delta_eff(alpha: float, q: float, beta1: float) -> float:
     """Power of s in the s -> 0 integrand: s^(delta_eff - 1) up to logs."""
     return 1.0 + beta1 + min(0.0, q) + min(0.0, alpha - q - 1.0)
 
 
-def _left_values(m: np.ndarray, alpha: float, q: float, ln_w: np.ndarray) -> np.ndarray:
+def _left_breaks(alpha: float, q: float, b1: float, b3: float) -> list[float]:
+    """Log-axis breakpoints of the left half (0, 1/2] for one q.
+
+    The reach is set by delta and beta3; the first breakpoint is its lower
+    end and the last is log(1/2).
+    """
+    delta = _delta_eff(alpha, q, b1)
+    reach = 60.0 + 3.0 * (b3 + 1.0) * max(math.log(60.0 / delta), 0.0)
+    return decaying_log_breaks(-reach / delta, math.log(0.5), delta)
+
+
+def _left_values(m: np.ndarray, alpha: float, q, ln_w: np.ndarray) -> np.ndarray:
     """Integrand * s on the log axis, s = exp(-m), assembled overflow-free.
 
     The two numerator factors are split into a bounded bracket and a pure
     exponential whose rate joins the weight's log so only exp of a
     nonpositive combination is ever taken.  ``ln_w`` is the log of the
-    weight value along the pair.
+    weight value along the pair; ``q`` is a number or an array of one q
+    per node.
     """
     e2 = alpha - q - 1.0
-    ln_pow = np.zeros_like(m)
-    if q < 0.0:
-        fa = -np.expm1(-abs(q) * m)  # 1 - s^|q| in [0, 1)
-        ln_pow = ln_pow + abs(q) * m
-    else:
-        fa = np.expm1(-q * m)  # s^q - 1 in (-1, 0]
-    if e2 < 0.0:
-        fb = np.expm1(-abs(e2) * m)  # -(1 - s^|e2|) in (-1, 0]
-        ln_pow = ln_pow + abs(e2) * m
-    else:
-        fb = -np.expm1(-e2 * m)  # 1 - s^e2 in [0, 1)
+    neg_q = q < 0.0
+    neg_e2 = e2 < 0.0
+    qm = np.abs(q) * m
+    em = np.abs(e2) * m
+    # the brackets: 1 - s^|q| in [0, 1) for q < 0, else s^q - 1 in (-1, 0];
+    # -(1 - s^|e2|) in (-1, 0] for e2 < 0, else 1 - s^e2 in [0, 1); their
+    # product is expm1(-qm) expm1(-em), negated unless one exponent is < 0
+    fab = np.expm1(-qm) * np.expm1(-em)
+    fab = np.where(neg_q != neg_e2, fab, -fab)
+    ln_pow = np.where(neg_q, qm, 0.0) + np.where(neg_e2, em, 0.0)
     s = np.exp(-m)
     expo = ln_pow + ln_w - m - (1.0 + alpha) * np.log1p(-s)
-    return fa * fb * np.exp(expo)
+    return fab * np.exp(expo)
 
 
-def _log_weight_left(b, wv: np.ndarray, ln_c: np.ndarray) -> np.ndarray:
+def _log_weight_left(b, wv: np.ndarray, ln_c) -> np.ndarray:
     """log of the four-parameter weight at heights (e^w, 1), distance (1-e^w)c.
 
     ``ln_c`` is log c, broadcast against ``wv``.  Valid for w <= log(1/2);
@@ -119,47 +145,63 @@ def _log_weight_left(b, wv: np.ndarray, ln_c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bracket_minus_limit(u: np.ndarray, alpha: float, q: float) -> np.ndarray:
+def _grade(alpha: float) -> float:
+    """Power of the right half's substitution u = 1 - s = (1/2) v^g."""
+    return max(1.5, 2.0 / (2.0 - alpha))
+
+
+def _graded(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """u = (1/2) v^g and du/dv: the power grading tames u^(1-alpha) at u = 0."""
+    g = _grade(alpha)
+    return 0.5 * v**g, (0.5 * g) * v ** (g - 1.0)
+
+
+def _bracket_minus_limit(u: np.ndarray, alpha: float, q, pvals: np.ndarray) -> np.ndarray:
     """a1(u)*a2(u) - (-q)(alpha-q-1), stable down to u = 0.
 
-    The direct difference loses all precision below u ~ 1e-6 (both factors
-    approach their limits only linearly), so a two-term Taylor expansion
-    takes over there; its leading coefficient is (3-alpha)/2 times the limit
-    and never vanishes.
+    ``pvals`` is a1(u)*a2(u).  The direct difference loses all precision
+    below u ~ 1e-6 (both factors approach their limits only linearly), so a
+    two-term Taylor expansion takes over there; its leading coefficient is
+    (3-alpha)/2 times the limit and never vanishes.
     """
     e2 = alpha - q - 1.0
     limit = (-q) * e2
-    out = np.empty_like(u)
-    big = u >= 1e-6
-    if np.any(big):
-        ub = u[big]
-        ls = np.log1p(-ub)
-        a1 = np.expm1(q * ls) / ub
-        a2 = -np.expm1(e2 * ls) / ub
-        out[big] = a1 * a2 - limit
-    if np.any(~big):
-        us = u[~big]
-        c1 = (3.0 - alpha) / 2.0
-        c2 = (
-            (1.0 - q) * (1.0 - e2) / 4.0
-            + (1.0 / 3.0 - q / 2.0 + q * q / 6.0)
-            + (1.0 / 3.0 - e2 / 2.0 + e2 * e2 / 6.0)
-        )
-        out[~big] = limit * (c1 * us + c2 * us * us)
-    return out
+    c1 = (3.0 - alpha) / 2.0
+    c2 = (
+        (1.0 - q) * (1.0 - e2) / 4.0
+        + (1.0 / 3.0 - q / 2.0 + q * q / 6.0)
+        + (1.0 / 3.0 - e2 / 2.0 + e2 * e2 / 6.0)
+    )
+    return np.where(u >= 1e-6, pvals - limit, limit * (c1 * u + c2 * u * u))
 
 
-def _kernel_right(u: np.ndarray, alpha: float, q: float) -> np.ndarray:
-    """Integrand kernel at s = 1 - u for u <= 1/2, written cancellation-free.
+def _right_values(u: np.ndarray, wvals: np.ndarray, jac: np.ndarray, alpha: float, q,
+                  diagonal_limit: float) -> np.ndarray:
+    """Right-half integrand times du/dv at s = 1 - u, u <= 1/2, cancellation-free.
 
     Both numerator factors vanish linearly in u, so dividing them by u first
     keeps every intermediate finite: the remaining power is u^(1-alpha),
-    which cannot overflow for alpha < 2.
+    which cannot overflow for alpha < 2.  For alpha >= 1.5 the leading term
+    L diag u^(1-alpha) is left out here; :func:`_leading_term` is its
+    integral.  ``q`` broadcasts against ``u``.
     """
     ls = np.log1p(-u)
-    a1 = np.expm1(q * ls) / u
-    a2 = -np.expm1((alpha - q - 1.0) * ls) / u
-    return a1 * a2 * u ** (1.0 - alpha)
+    pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
+    if alpha < 1.5:
+        return pvals * u ** (1.0 - alpha) * wvals * jac
+    # remainder split so each bracket is individually cancellation-free:
+    # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
+    rem = u ** (1.0 - alpha) * (
+        pvals * (wvals - diagonal_limit)
+        + diagonal_limit * _bracket_minus_limit(u, alpha, q, pvals)
+    )
+    return rem * jac
+
+
+def _leading_term(alpha: float, q, diagonal_limit: float):
+    """Integral over u in (0, 1/2] of the term that alpha >= 1.5 subtracts."""
+    coef = -q * (alpha - q - 1.0) * diagonal_limit
+    return coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
 
 
 _RIGHT_BREAKS = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -180,16 +222,9 @@ def _s_value(
     offsets are evaluated together as (offset x node) arrays, in row blocks
     of at most about ``quadrature.BLOCK_ELEMENTS`` elements.
     """
-    b1 = beta[0]
-    b3 = beta[2]
-    delta = _delta_eff(alpha, q, b1)
-    # left half (0, 1/2] on the log axis; reach set by delta and beta3
-    reach = 60.0 + 3.0 * (b3 + 1.0) * max(math.log(60.0 / delta), 0.0)
-    w_lo = -reach / delta
-    w_hi = math.log(0.5)
-    base_l = decaying_log_breaks(w_lo, w_hi, delta)
-    # right half, u = 1 - s = (1/2) v^g: power grading tames u^(1-alpha)
-    g = max(1.5, 2.0 / (2.0 - alpha))
+    base_l = _left_breaks(alpha, q, beta[0], beta[2])
+    w_lo, w_hi = base_l[0], base_l[-1]
+    g = _grade(alpha)
 
     def block(cb: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -203,30 +238,63 @@ def _s_value(
         u_star = np.concatenate([1.0 / (1.0 + cb), 1.0 / cb], axis=1)
         kinks_r = (2.0 * u_star) ** (1.0 / g)
         v, wts_r = row_nodes(row_breaks(_RIGHT_BREAKS, kinks_r, 0.0, 1.0), n)
-        u = 0.5 * v**g
-        jac = (0.5 * g) * v ** (g - 1.0)
+        u, jac = _graded(v, alpha)
         # from u, not s: forming 1-s from s near 1 would lose all precision
         wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u * cb)
+        right = row_dot(_right_values(u, wvals, jac, alpha, q, diagonal_limit), wts_r)
         if alpha >= 1.5:
-            # remainder split so each bracket is individually cancellation-free:
-            # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
-            ls = np.log1p(-u)
-            pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
-            rem = u ** (1.0 - alpha) * (
-                pvals * (wvals - diagonal_limit)
-                + diagonal_limit * _bracket_minus_limit(u, alpha, q)
-            )
-            right = row_dot(rem * jac, wts_r)
-            coef = -q * (alpha - q - 1.0) * diagonal_limit
-            right += coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
-        else:
-            right = row_dot(_kernel_right(u, alpha, q) * wvals * jac, wts_r)
+            right += _leading_term(alpha, q, diagonal_limit)
         return left + right
 
     c = np.asarray(c, dtype=float)[:, None]
     # panels per row: the left base, the right base and at most three kinks
     sizes = np.full(len(c), n * (len(base_l) + len(_RIGHT_BREAKS) + 1))
     return np.concatenate([block(c[i:j]) for i, j in row_blocks(sizes)])
+
+
+def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
+            spec: QuadratureSpec) -> list:
+    """The d = 1 map at every q of ``qs`` at once, each q a row.
+
+    Each row is refined on its own by :func:`quadrature.refine_rows`, the
+    rule of :func:`compute_C`, so its value is the same bits whatever else
+    is in the batch.  The left half's breakpoints depend on q and are laid
+    out row after row; the right half's nodes, Jacobian and weight do not,
+    so every order computes them once for all rows.  Rows go in blocks of
+    at most about ``quadrature.BLOCK_ELEMENTS`` nodes.  Every q must lie in
+    (-1, alpha + beta1).  Returns one entry per q: C(q), or the
+    :class:`NonConvergenceError` that :func:`compute_C` would raise.
+    """
+    alpha, beta = params.alpha, params.beta
+    diag = w.diagonal_limit
+    qs = np.asarray(qs, dtype=float)
+    bases = [_left_breaks(alpha, q, beta[0], beta[2]) for q in qs.tolist()]
+    panels = np.array([len(b) - 1 for b in bases])
+    edges = np.array([(lo, hi) for b in bases for lo, hi in zip(b[:-1], b[1:])])
+
+    def left(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+        return _left_values(-x, alpha, qs[row], _log_weight_left(beta, x, 0.0))
+
+    def at(live: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+        out = rows_at(left, edges, panels, live, orders)
+        # right half: one set of nodes, Jacobian and weight for every row
+        right_rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
+        u, jac = _graded(np.concatenate([v for v, _ in right_rules]), alpha)
+        # from u, not s: forming 1-s from s near 1 would lose all precision
+        wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u)
+        for start, stop in row_blocks(np.full(len(live), len(u))):
+            q = qs[live[start:stop]]
+            rv = _right_values(u, wvals, jac, alpha, q[:, None], diag)
+            at_r = 0
+            for k, (_, wr) in enumerate(right_rules):
+                right = row_dot(rv[:, at_r:at_r + len(wr)], wr)
+                if alpha >= 1.5:
+                    right += _leading_term(alpha, q, diag)
+                out[k, start:stop] += right
+                at_r += len(wr)
+        return out
+
+    return refine_rows(at, len(qs), spec, _MSG)
 
 
 def _sphere_area(k: int) -> float:
@@ -265,15 +333,10 @@ def compute_C(
             f"q must lie in (-1, alpha+beta1) = (-1, {alpha + beta[0]}), got {q}"
         )
     d = params.dim
-    diag = w.diagonal_limit
-
-    msg = "killing-constant integral did not converge"
     if d == 1:
-        return converge(
-            lambda n: float(_s_value(alpha, q, beta, np.ones(1), diag, n)[0]),
-            16, spec.max_subdivisions, spec.tol, msg,
-        )
+        return _map_values(params, [q], w, spec)[0]
 
+    diag = w.diagonal_limit
     surface = _sphere_area(d - 2) if d > 2 else 2.0
 
     def total_at(n: int) -> float:
@@ -282,7 +345,21 @@ def compute_C(
         # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
         return surface * float(np.dot(wts * np.sin(th) ** (d - 2) * np.cos(th) ** alpha, inner))
 
-    return converge(total_at, 16, spec.max_subdivisions, spec.tol, msg)
+    return converge(total_at, 16, spec.max_subdivisions, spec.tol, _MSG)
+
+
+def _map_values(params: ModelParams, qs: list[float], w: BoundaryWeight,
+                spec: QuadratureSpec) -> list[float]:
+    """C at every q of ``qs``: one :func:`_c_rows` call in d = 1 (the
+    d = 1 path of :func:`compute_C`), :func:`compute_C` per q otherwise.
+    Raises the first row's error, as a loop would."""
+    if params.dim != 1:
+        return [compute_C(params, q, w, spec) for q in qs]
+    values = _c_rows(params, qs, w, spec)
+    for v in values:
+        if isinstance(v, NonConvergenceError):
+            raise v
+    return values
 
 
 def _bracketed_root(g, a: float, ga: float, b: float, gb: float, res_tol: float, width):
@@ -426,10 +503,14 @@ def scan_shape(
     alpha = params.alpha
     top = alpha + params.beta[0]
     qs = np.linspace(-1.0 + edge_margin, top - edge_margin, grid_size)
-    vals = np.array([compute_C(params, float(q), w, spec) for q in qs])
-
     q_mid = (alpha - 1.0) / 2.0
-    c_mid = compute_C(params, q_mid, w, spec)
+    # the zeros of C, where they lie inside the grid's span
+    zs = [z for z in {min(alpha - 1.0, 0.0), max(alpha - 1.0, 0.0)}
+          if -1.0 + edge_margin < z < top - edge_margin]
+    # grid, midpoint and zero checks in one evaluation of the map
+    every = _map_values(params, [*qs.tolist(), q_mid, *zs], w, spec)
+    vals = np.array(every[:grid_size])
+    c_mid = every[grid_size]
     scale = float(np.max(np.abs(vals)))
     noise = 10.0 * (spec.rel_tol * scale + spec.abs_tol)
     z_tol = 10.0 * spec.rel_tol * max(abs(c_mid), scale * 1e-3) + 10.0 * spec.abs_tol
@@ -447,11 +528,7 @@ def scan_shape(
             inc_ok = False
             offending.append((q0, v0, q1, v1))
 
-    zeros_ok = True
-    for z in {min(alpha - 1.0, 0.0), max(alpha - 1.0, 0.0)}:
-        if -1.0 + edge_margin < z < top - edge_margin:
-            if abs(compute_C(params, z, w, spec)) > z_tol:
-                zeros_ok = False
+    zeros_ok = not any(abs(v) > z_tol for v in every[grid_size + 1:])
 
     detected = []
     for i in range(len(qs) - 1):

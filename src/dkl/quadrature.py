@@ -7,7 +7,7 @@ repeated runs are bit-identical.
 
 Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
 which either meets its tolerance or raises :class:`NonConvergenceError`, or
-through its row version :func:`converge_rows` below.
+through its row version :func:`refine_rows` below.
 
 Integrands of :func:`integrate_panels` must be pointwise: each value
 depends only on its own node.  The first two orders, ``n0`` and ``2*n0``,
@@ -24,15 +24,19 @@ memory of every array call.  The lower-level pieces serve callers that
 need their own blocks: :func:`row_breaks` adds per-row kinks to shared
 breakpoints, padding a missing kink into a zero-width panel so that rows
 have equal length, :func:`row_nodes` lays out nodes as (rows, nodes per
-row) and :func:`row_dot` takes the per-row dot products.
+row), :func:`row_dot` takes the per-row dot products and :func:`rows_at`
+integrates a subset of NaN-padded rows at several orders, one call of the
+integrand per block.
 
-:func:`converge_rows` is :func:`integrate_panels` for every row of such
-breakpoints at once.  Each row is refined on its own and stops at its own
-order, by the rule of :func:`converge`, ``abs(cur - prev) <= spec.tol(cur)``;
-only the rows still open go on to the next order, and a row whose budget
-runs out holds the :class:`NonConvergenceError`, with :func:`converge`'s
-message, in place of its value.  Every row's value is the bits of
-:func:`integrate_panels` on that row alone.
+:func:`refine_rows` is :func:`converge` for many estimates at once, one per
+row.  Each row is refined on its own and stops at its own order, by the
+rule of :func:`converge`, ``abs(cur - prev) <= spec.tol(cur)``; orders 16
+and 32 share one evaluation, only the rows still open go on to the next
+order, and a row whose budget runs out holds the
+:class:`NonConvergenceError`, with :func:`converge`'s message, in place of
+its value.  :func:`converge_rows` is :func:`integrate_panels` for every
+row of NaN-padded breakpoints at once, refined this way: every row's value
+is the bits of :func:`integrate_panels` on that row alone.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ __all__ = [
     "row_breaks",
     "row_nodes",
     "row_dot",
+    "rows_at",
     "integrate_rows",
     "converge_rows",
+    "refine_rows",
 ]
 
 
@@ -209,8 +215,11 @@ def row_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_dot(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Per-row dot products, each bit-identical to ``np.dot`` of its row."""
-    return np.matmul(vals[:, None, :], wts[:, :, None])[:, 0, 0]
+    """Per-row dot products, each bit-identical to ``np.dot`` of its row.
+
+    ``wts`` has one row per row of ``vals``, or is one row shared by all.
+    """
+    return np.matmul(vals[:, None, :], wts[..., None])[:, 0, 0]
 
 
 def integrate_rows(
@@ -226,7 +235,7 @@ def integrate_rows(
     its own values and weights, padding never enters.
     """
     edges, panels = _row_panels(breaks)
-    return _rows_at(f, edges, panels, np.arange(len(panels)), (n,))[0]
+    return rows_at(f, edges, panels, np.arange(len(panels)), (n,))[0]
 
 
 def _row_panels(breaks) -> tuple[np.ndarray, np.ndarray]:
@@ -240,14 +249,22 @@ def _row_panels(breaks) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([breaks[:, :-1][real], breaks[:, 1:][real]], axis=1), panels
 
 
-def _rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: np.ndarray,
-             orders: tuple[int, ...]) -> np.ndarray:
-    """Per-row integrals at each of ``orders``, shape (len(orders), rows).
+def rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: np.ndarray,
+            orders: tuple[int, ...]) -> np.ndarray:
+    """Integrals of the rows ``rows`` at each of ``orders``, shape
+    (len(orders), len(rows)).
 
-    ``edges`` and ``panels`` are from :func:`_row_panels`; ``rows`` is the
-    row index that ``f`` sees for each row.  All orders of a block share one
-    call of ``f``, on their nodes joined.
+    ``edges`` holds the panel ends of every row, shape (panels, 2) row after
+    row, and ``panels`` each row's panel count (:func:`_row_panels` makes
+    both from NaN-padded breakpoints).  ``rows`` are sorted row indices;
+    ``f(x, row)`` sees them as the row of each node.  For each block of rows
+    all orders share one call of ``f``, on their nodes joined, and each
+    row's value is ``np.dot`` of its own values and weights.
     """
+    if len(rows) < len(panels):
+        picked = np.zeros(len(panels), dtype=bool)
+        picked[rows] = True
+        edges, panels = edges[np.repeat(picked, panels)], panels[rows]
     out = np.empty((len(orders), len(panels)))
     ends = np.cumsum(panels)
     for start, stop in row_blocks(panels * sum(orders)):
@@ -258,14 +275,25 @@ def _rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: np.ndarray,
         vals = np.asarray(f(x, row), dtype=float)
         at = 0
         for k, (n, (_, wts)) in enumerate(zip(orders, rules)):
-            v = vals[at:at + len(wts)]
+            out[k, start:stop] = _chunk_dots(vals[at:at + len(wts)], wts, p * n)
             at += len(wts)
-            # rows with equal panel counts stack into one matrix for the dots
-            first = np.cumsum(p * n) - p * n
-            for q in np.unique(p):
-                pick = np.flatnonzero(p == q)
-                idx = first[pick][:, None] + np.arange(q * n)
-                out[k, start + pick] = row_dot(v[idx], wts[idx])
+    return out
+
+
+def _chunk_dots(vals: np.ndarray, wts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.dot`` of ``vals`` and ``wts`` over consecutive chunks of ``sizes``.
+
+    Chunks of equal size stack into one :func:`row_dot`, so each value is
+    bit-identical to ``np.dot`` of its chunk alone.
+    """
+    if np.all(sizes == sizes[0]):
+        return row_dot(vals.reshape(len(sizes), -1), wts.reshape(len(sizes), -1))
+    out = np.empty(len(sizes))
+    first = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        pick = np.flatnonzero(sizes == size)
+        idx = first[pick][:, None] + np.arange(size)
+        out[pick] = row_dot(vals[idx], wts[idx])
     return out
 
 
@@ -276,17 +304,12 @@ def converge_rows(
 ) -> list:
     """:func:`integrate_panels` for each row of ``breaks``, all rows at once.
 
-    ``f`` and ``breaks`` are as in :func:`integrate_rows`.  Every row is
-    refined over the orders 16, 32, ... on its own and stops at the first
-    order where ``abs(cur - prev) <= spec.tol(cur)``, the rule of
-    :func:`converge`; only the rows still open go on to the next order.
-    Orders 16 and 32 share one call of ``f`` per block.  Each row's value
-    is bit-identical to :func:`integrate_panels` on that row alone.
-
-    Returns a list with one entry per row: its value, or, for a row whose
-    orders ran out, the :class:`NonConvergenceError` that
-    :func:`integrate_panels` would have raised.  A single row goes through
-    :func:`integrate_panels` itself, which has less bookkeeping per order.
+    ``f`` and ``breaks`` are as in :func:`integrate_rows`; the rows are
+    refined by :func:`refine_rows`.  Each row's value is bit-identical to
+    :func:`integrate_panels` on that row alone, and a row whose orders ran
+    out holds the :class:`NonConvergenceError` that :func:`integrate_panels`
+    would have raised.  A single row goes through :func:`integrate_panels`
+    itself, which has less bookkeeping per order.
     """
     edges, panels = _row_panels(breaks)
     if len(panels) == 1:
@@ -295,13 +318,36 @@ def converge_rows(
             return [integrate_panels(lambda x: f(x, np.zeros(len(x), dtype=int)), row, spec)]
         except NonConvergenceError as exc:
             return [exc]
-    out: list = [None] * len(panels)
-    live = np.arange(len(panels))
+    return refine_rows(lambda live, orders: rows_at(f, edges, panels, live, orders),
+                       len(panels), spec)
+
+
+def refine_rows(
+    at: Callable[[np.ndarray, tuple[int, ...]], np.ndarray],
+    rows: int,
+    spec: QuadratureSpec,
+    msg: str = "quadrature did not converge",
+) -> list:
+    """:func:`converge` for ``rows`` estimates at once, each on its own.
+
+    ``at(live, orders)`` returns the estimates of the rows ``live`` (sorted
+    row indices) at each of ``orders``, shape (len(orders), len(live)).
+    Orders 16 and 32 are asked for in one call; after that only the rows
+    still open are asked for, one order per call.  A row stops at the first
+    order where ``abs(cur - prev) <= spec.tol(cur)``, the rule of
+    :func:`converge`.
+
+    Returns a list with one entry per row: its value, or, for a row whose
+    orders ran out, the :class:`NonConvergenceError` that :func:`converge`
+    would have raised with ``msg``.
+    """
+    out: list = [None] * rows
+    live = np.arange(rows)
     n = 32
     if n > spec.max_subdivisions:
-        _rows_at(f, edges, panels, live, (16,))
+        at(live, (16,))
     else:
-        prev, cur = _rows_at(f, edges, panels, live, (16, n))
+        prev, cur = at(live, (16, n))
         while True:
             done = np.array([abs(c - p) <= spec.tol(c) for p, c in zip(prev.tolist(), cur.tolist())])
             for i, c in zip(live[done].tolist(), cur[done].tolist()):
@@ -311,11 +357,10 @@ def converge_rows(
             n *= 2
             if len(live) == 0 or n > spec.max_subdivisions:
                 break
-            edges = edges[np.repeat(keep, panels)]
-            panels, prev = panels[keep], cur[keep]
-            cur = _rows_at(f, edges, panels, live, (n,))[0]
+            prev = cur[keep]
+            cur = at(live, (n,))[0]
     for i in live.tolist():
-        out[i] = NonConvergenceError(f"quadrature did not converge (order {n} exceeds budget)")
+        out[i] = NonConvergenceError(f"{msg} (order {n} exceeds budget)")
     return out
 
 

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence, TextIO
 
 
 def fmt(value) -> str:
-    """Canonical CSV field: 17 significant digits, inf spelled out."""
+    """Canonical CSV field: 17 significant digits; ``format`` spells the
+    non-finite floats ``inf``, ``-inf`` and ``nan``."""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
         return format(value, ".17g")
     return str(value)
 

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dkl.cli
@@ -11,6 +12,7 @@ from dkl.geometry import ModelParams, standard_weight
 from dkl.killing import compute_C
 from dkl.oracle import _p_rows
 from dkl.quadrature import NonConvergenceError
+from dkl.util import fmt
 
 
 def run_cli(args, capsys):
@@ -213,6 +215,30 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         code, _ = run_cli(["solve-q", "--config", str(cfg)], capsys)
         assert code == 2
+
+
+class TestFmt:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (float("nan"), "nan"),
+            (-float("nan"), "nan"),
+            (np.float64("inf"), "inf"),
+            (np.float64("-inf"), "-inf"),
+            (np.float64("nan"), "nan"),
+            (-0.0, "-0"),
+            (np.float64(-0.0), "-0"),
+            (5e-324, "4.9406564584124654e-324"),
+            (np.float64(2.2250738585072009e-308), "2.2250738585072009e-308"),
+            (0.1, "0.10000000000000001"),
+            (3, "3"),
+            ("d1", "d1"),
+        ],
+    )
+    def test_spellings(self, value, text):
+        assert fmt(value) == text
 
 
 class TestDeterminism:

@@ -7,8 +7,16 @@ from scipy.integrate import quad, trapezoid
 import dkl.killing as killing
 import dkl.quadrature as quadrature
 from dkl.geometry import ModelParams, standard_weight
-from dkl.killing import _bracketed_root, _refine_zero, _s_value, compute_C, scan_shape, solve_q
-from dkl.quadrature import QuadratureSpec
+from dkl.killing import (
+    _bracketed_root,
+    _c_rows,
+    _refine_zero,
+    _s_value,
+    compute_C,
+    scan_shape,
+    solve_q,
+)
+from dkl.quadrature import NonConvergenceError, QuadratureSpec
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -133,6 +141,73 @@ class TestComputeC:
             compute_C(p, -1.0, w, SPEC)
         with pytest.raises(ValueError):
             compute_C(p, 1.5, w, SPEC)
+
+
+# (alpha, beta, qs) for the d = 1 rows: q < 0, q in (0, alpha - 1), q within
+# 1e-3 of alpha + beta1, alpha >= 1.5 (the subtracted leading term), beta3
+# and beta4 > 0
+MAP_ROWS = [
+    (0.7, (1.0, 1.5, 0.5, 0.3), [-0.9, -0.4, -1e-3, 0.2, 1.0, 1.7 - 5e-4, 1.7 - 1e-6]),
+    (1.4, (0.5, 1.0, 0.0, 0.0), [-0.5, 0.1, 0.25, 0.39, 1.2, 1.9 - 2e-4, 1.9 - 1e-3]),
+    (1.8, (0.8, 2.0, 1.0, 0.5), [-0.7, 0.2, 0.5, 0.79, 2.0, 2.6 - 1e-3, 2.6 - 3e-5]),
+    (1.5, (0.0, 0.0, 0.0, 0.0), [-0.99, -0.2, 0.0, 0.25, 0.5, 1.2, 1.5 - 1e-3]),
+]
+
+
+def _alone(p, w, q, spec):
+    """compute_C on q alone: its value or its error message."""
+    try:
+        return compute_C(p, q, w, spec)
+    except NonConvergenceError as exc:
+        return str(exc)
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("alpha, b, qs", MAP_ROWS, ids=["q-neg-b3b4", "q-mid", "subtract", "plain"])
+    @pytest.mark.parametrize("block", [64, 16384], ids=["small-blocks", "default"])
+    @pytest.mark.parametrize("spec", [SPEC, QuadratureSpec()], ids=["tight", "default-spec"])
+    def test_rows_are_bit_identical_to_each_q_alone(self, alpha, b, qs, block, spec, monkeypatch):
+        p = ModelParams(1, alpha, b)
+        w = standard_weight(p)
+        alone = [compute_C(p, q, w, spec) for q in qs]
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+        assert _c_rows(p, qs, w, spec) == alone
+        # reversed and repeated rows: a value does not depend on its neighbours
+        assert _c_rows(p, qs[::-1] + qs[:2], w, spec) == alone[::-1] + alone[:2]
+
+    @pytest.mark.parametrize("alpha, b, qs", MAP_ROWS, ids=["q-neg-b3b4", "q-mid", "subtract", "plain"])
+    @pytest.mark.parametrize("n_max", [16, 32, 64], ids=["one-round", "n32", "n64"])
+    def test_rows_out_of_budget_hold_the_error(self, alpha, b, qs, n_max):
+        spec = QuadratureSpec(max_subdivisions=n_max)
+        p = ModelParams(1, alpha, b)
+        w = standard_weight(p)
+        got = [v if isinstance(v, float) else str(v) for v in _c_rows(p, qs, w, spec)]
+        assert got == [_alone(p, w, q, spec) for q in qs]
+        if n_max == 16:
+            assert got == ["killing-constant integral did not converge (order 32 exceeds budget)"] * len(qs)
+
+    @pytest.mark.parametrize("alpha, b", [(0.6, (1.0, 0.5, 0.5, 0.0)), (1.7, (0.5, 2.0, 0.0, 1.0))])
+    def test_scan_values_are_the_map(self, alpha, b):
+        p = ModelParams(1, alpha, b)
+        w = standard_weight(p)
+        table = scan_shape(p, w, 24, SPEC, strict=False)
+        assert table.values == tuple(compute_C(p, q, w, SPEC) for q in table.qs)
+        c_mid = compute_C(p, (alpha - 1.0) / 2.0, w, SPEC)
+        assert table.min_value == min(min(table.values), c_mid)
+
+    def test_scan_makes_no_single_q_call_outside_the_zero_search(self, monkeypatch):
+        seen = []
+
+        def counted(params, q, *rest):
+            seen.append(q)
+            return compute_C(params, q, *rest)
+
+        p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0))
+        w = standard_weight(p)
+        monkeypatch.setattr(killing, "compute_C", counted)
+        monkeypatch.setattr(killing, "_refine_zero", lambda *args: 0.0)
+        scan_shape(p, w, 24, SPEC, strict=False)
+        assert seen == []
 
 
 class TestSolveQ:

@@ -9,11 +9,13 @@ from dkl.oracle import OracleParams, oracle_kappa
 from dkl.quadrature import (
     NonConvergenceError,
     QuadratureSpec,
+    _chunk_dots,
     converge,
     converge_rows,
     integrate_panels,
     integrate_rows,
     panel_nodes,
+    refine_rows,
     row_blocks,
 )
 
@@ -180,6 +182,50 @@ class TestConvergeRows:
                                               QuadratureSpec())
         assert isinstance(got[2], NonConvergenceError)
         assert str(got[2]) == "quadrature did not converge (order 512 exceeds budget)"
+
+
+class TestRefineRows:
+    # row i settles once the order reaches half of STOP[i]; row 2 never does
+    STOP = [32, 64, 10**9]
+
+    def _estimate(self, n, i):
+        return 1.0 if n >= self.STOP[i] // 2 else float(n)
+
+    def test_each_row_is_converge_on_that_row(self):
+        asked = []
+
+        def at(live, orders):
+            asked.append((live.tolist(), orders))
+            return np.array([[self._estimate(n, i) for i in live.tolist()] for n in orders])
+
+        spec = QuadratureSpec(max_subdivisions=128)
+        got = refine_rows(at, 3, spec, "rows did not converge")
+        assert asked == [([0, 1, 2], (16, 32)), ([1, 2], (64,)), ([2], (128,))]
+        for i in (0, 1):
+            assert got[i] == converge(lambda n: self._estimate(n, i), 16, 128, spec.tol)
+        with pytest.raises(NonConvergenceError) as exc:
+            converge(lambda n: self._estimate(n, 2), 16, 128, spec.tol, "rows did not converge")
+        assert isinstance(got[2], NonConvergenceError) and str(got[2]) == str(exc.value)
+
+    def test_one_round_asks_for_order_16_only(self):
+        asked = []
+
+        def at(live, orders):
+            asked.append(orders)
+            return np.ones((len(orders), len(live)))
+
+        got = refine_rows(at, 2, ONE_ROUND)
+        assert asked == [(16,)]
+        assert [str(v) for v in got] == ["quadrature did not converge (order 32 exceeds budget)"] * 2
+
+
+@pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 7, 3, 1]], ids=["equal", "mixed"])
+def test_chunk_dots_match_np_dot_per_chunk(sizes):
+    rng = np.random.default_rng(3)
+    vals, wts = rng.standard_normal((2, sum(sizes)))
+    ends = np.cumsum(sizes)
+    want = [np.dot(vals[e - k:e], wts[e - k:e]) for k, e in zip(sizes, ends)]
+    assert _chunk_dots(vals, wts, np.array(sizes)).tolist() == want
 
 
 class TestCallSitesRaiseOnBudget:
