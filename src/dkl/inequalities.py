@@ -32,6 +32,7 @@ from .quadrature import (
     decaying_log_breaks,
     geometric_breaks,
     integrate_panels,
+    integrate_rows,
     merge_breaks,
     panel_nodes,
     power_graded_breaks,
@@ -348,12 +349,14 @@ def _sample_l_cal1(rng) -> dict:
     }
 
 
-def _eval_l_cal1(p, spec):
+def _l_cal1_outer(p):
+    """The outer integrand of l_cal1; the order-16 inner rules of all its
+    times go in one row rule."""
     alpha, q = p["alpha"], p["q"]
     b1, b2, b3, b4 = p["b1"], p["b2"], p["b3"], p["b4"]
-    xd, yd, t, tsc = p["xd"], p["yd"], p["t"], p["tsc"]
+    xd, yd, t = p["xd"], p["yd"], p["t"]
 
-    def inner_log(r: np.ndarray, au: float, bu: float) -> np.ndarray:
+    def inner_log(r: np.ndarray, au, bu) -> np.ndarray:
         v = np.ones_like(r)
         if b3 > 0.0:
             v = np.log(_E + r / au) ** b3 * np.log(_E + r / bu) ** b3
@@ -362,7 +365,7 @@ def _eval_l_cal1(p, spec):
         return v
 
     def outer(s: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
+        live = []
         for i, si in enumerate(s):
             rem = (t - si) ** (1.0 / alpha)
             s1a = si ** (1.0 / alpha)
@@ -372,16 +375,23 @@ def _eval_l_cal1(p, spec):
                 * min(xd / rem, 1.0) ** (q - b1)
                 * min(yd / s1a, 1.0) ** (q - b2)
             )
-            if lo >= 2.0 or pref == 0.0:
-                out[i] = 0.0
-                continue
-            au = max(yd, s1a)
-            bu = max(xd, rem)
-            nodes, wts = panel_nodes(geometric_breaks(lo, 2.0, 3.0), 16)
-            out[i] = pref * float(np.dot(inner_log(nodes, au, bu) / nodes, wts))
+            if lo < 2.0 and pref != 0.0:
+                live.append((i, pref, lo, max(xd, rem)))
+        out = np.zeros_like(s)
+        if live:
+            idx, pref, au, bu = map(np.array, zip(*live))
+            rows = [geometric_breaks(lo, 2.0, 3.0) for lo in au.tolist()]
+            out[idx] = pref * integrate_rows(lambda r, row: inner_log(r, au[row], bu[row]) / r, rows, 16)
         return out
 
-    lhs = integrate_panels(outer, _cal0_breaks(p), spec, n0=8)
+    return outer
+
+
+def _eval_l_cal1(p, spec):
+    alpha, q = p["alpha"], p["q"]
+    b1, b2, b3, b4 = p["b1"], p["b2"], p["b3"], p["b4"]
+    xd, yd, t, tsc = p["xd"], p["yd"], p["t"], p["tsc"]
+    lhs = integrate_panels(_l_cal1_outer(p), _cal0_breaks(p), spec, n0=8)
 
     def rhs_inner(r: np.ndarray) -> np.ndarray:
         v = np.minimum(r**alpha, t)

@@ -255,9 +255,6 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
         inner = [v for v in (dist2, xd * yd, ts) if s_lo < v < s_hi]
         tsc.append(ts)
         rows.append(merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi))
-    breaks = np.full((len(rows), max(map(len, rows))), np.nan)
-    for i, row in enumerate(rows):
-        breaks[i, :len(row)] = row
     _, xds, yds, dist2s = zip(*cells)
     per_cell = [np.array(v, dtype=float) for v in (tsc, xds, yds, dist2s)]
     gamma, d = op.gamma, op.dim
@@ -267,7 +264,7 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
         ts, xd, yd, dist2 = (v[0] if len(v) == 1 else v[row] for v in per_cell)
         return _q_kernel_arr(gamma, d, s, xd, yd, dist2) * _g_eval(a, s / ts) / ts
 
-    return converge_rows(f, breaks, spec)
+    return converge_rows(f, rows, spec)
 
 
 def oracle_J(

@@ -16,7 +16,8 @@ fixed cost on the many small integrals that stop at ``2*n0``.
 
 The row rule integrates many 1-D integrals at once, one per row, each over
 its own breakpoints.  :func:`integrate_rows` takes the rows' breakpoints as
-one 2-D array whose rows may end in NaN padding; the padding is dropped, so
+one 2-D array whose rows may end in NaN padding, or as a list of rows of
+unequal lengths, which it pads with NaN; the padding is dropped, so
 each row's value is bit-identical to integrating that row alone with
 :func:`panel_nodes` and ``np.dot``.  Rows go in consecutive blocks
 (:func:`row_blocks`) of at most :data:`BLOCK_ELEMENTS` nodes, a bound on the
@@ -228,7 +229,8 @@ def integrate_rows(
     """One integral per row of ``breaks`` at Gauss-Legendre order n per panel.
 
     Row i runs over the panels of ``breaks[i]``, whose trailing entries may
-    be NaN (at least two must not be).  For each block of rows from
+    be NaN (at least two must not be); ``breaks`` may also be a list of
+    rows of unequal lengths, padded with NaN.  For each block of rows from
     :func:`row_blocks`, ``f(x, row)`` is called once with the block's nodes
     ``x``, flat and row after row, and ``row``, the row index of each node;
     it returns the integrand at ``x``.  Each row's value is ``np.dot`` of
@@ -239,8 +241,14 @@ def integrate_rows(
 
 
 def _row_panels(breaks) -> tuple[np.ndarray, np.ndarray]:
-    """The panels of NaN-padded row breakpoints: their ends, shape
-    (panels, 2) row after row, and each row's panel count."""
+    """The panels of NaN-padded row breakpoints, or of a list of rows of
+    any lengths: their ends, shape (panels, 2) row after row, and each
+    row's panel count."""
+    if not isinstance(breaks, np.ndarray):
+        rows = breaks
+        breaks = np.full((len(rows), max(map(len, rows))), np.nan)
+        for i, row in enumerate(rows):
+            breaks[i, :len(row)] = row
     breaks = np.asarray(breaks, dtype=float)
     real = ~np.isnan(breaks[:, 1:])
     panels = np.count_nonzero(real, axis=1)

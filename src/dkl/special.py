@@ -1,11 +1,14 @@
 """Modified Bessel function of the first kind and one-sided stable densities.
 
-The Bessel evaluation switches between the ascending series (all terms
-positive, no cancellation) and the large-argument asymptotic expansion,
-with exponentially scaled and log-scaled variants for overflow-free use
-inside Gaussian products.  The stable density uses a convergent tail
-series for large arguments and an integral representation elsewhere, with
-a cross-validation band where the two must agree.
+The Bessel function has one implementation, :func:`bessel_I_scaled_arr`;
+the scalar :func:`bessel_I_scaled` and :func:`bessel_I` are its
+one-element case.  It switches from the ascending series (all terms
+positive, no cancellation) to the large-argument asymptotic expansion at
+r = max(30, gamma^2 / 8), since the expansion needs r large against
+gamma^2.  Exponentially scaled and log-scaled variants serve
+overflow-free use inside Gaussian products.  The stable density uses a
+convergent tail series for large arguments and an integral representation
+elsewhere, with a cross-validation band where the two must agree.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from .quadrature import NonConvergenceError, converge, panel_nodes
+from .quadrature import NonConvergenceError, QuadratureSpec, integrate_panels
 
 __all__ = [
     "bessel_I",
@@ -28,49 +31,13 @@ __all__ = [
 _SERIES_CUT = 30.0
 
 
-def _series_scaled(gamma: float, r: float) -> float:
-    """exp(-r) * I_gamma(r) by the ascending series (all terms positive)."""
-    if r == 0.0:
-        return 1.0 if gamma == 0.0 else 0.0
-    term = (0.5 * r) ** gamma / math.gamma(gamma + 1.0)
-    total = term
-    quarter_r2 = 0.25 * r * r
-    for m in range(1, 600):
-        term *= quarter_r2 / (m * (gamma + m))
-        total += term
-        if term < 1e-18 * total:
-            break
-    else:
-        raise NonConvergenceError("Bessel series did not converge")
-    return total * math.exp(-r)
-
-
-def _asymptotic_factor(gamma: float, r: float) -> float:
-    """S(r) with I_gamma(r) ~ e^r / sqrt(2 pi r) * S(r); truncated at min term."""
-    mu = 4.0 * gamma * gamma
-    term = 1.0
-    total = 1.0
-    prev_abs = math.inf
-    for k in range(1, 60):
-        term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * r)
-        if abs(term) >= prev_abs:
-            break
-        total += term
-        prev_abs = abs(term)
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
 def bessel_I_scaled(gamma: float, r: float) -> float:
-    """exp(-r) * I_gamma(r); never overflows."""
+    """exp(-r) * I_gamma(r): :func:`bessel_I_scaled_arr` at one point."""
     if gamma < 0.0:
         raise ValueError("order must be >= 0")
     if r < 0.0:
         raise ValueError("argument must be >= 0")
-    if r <= _SERIES_CUT:
-        return _series_scaled(gamma, r)
-    return _asymptotic_factor(gamma, r) / math.sqrt(2.0 * math.pi * r)
+    return float(bessel_I_scaled_arr(gamma, np.array([r], dtype=float))[0])
 
 
 def bessel_I(gamma: float, r: float, log: bool = False) -> float:
@@ -89,20 +56,21 @@ def bessel_I(gamma: float, r: float, log: bool = False) -> float:
     return scaled * math.exp(r)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized exp(-r) I_gamma(r) sharing the scalar coefficients."""
+    """Vectorized exp(-r) I_gamma(r); raises :class:`NonConvergenceError`
+    where the series overflows or its 600 terms run out."""
     r = np.asarray(r, dtype=float)
     out = np.empty_like(r)
-    small = r <= _SERIES_CUT
+    small = r <= max(_SERIES_CUT, gamma * gamma / 8.0)
     if np.any(small):
         # largest arguments first: they need the most terms, so the elements
         # still summing are always a prefix rs[:k] of this order
         order = np.argsort(-r[small], kind="stable")
         rs = r[small][order]
-        with np.errstate(divide="ignore"):
-            term = np.where(
-                rs > 0.0, (0.5 * rs) ** gamma, 1.0 if gamma == 0.0 else 0.0
-            ) / math.gamma(gamma + 1.0)
+        term = np.where(
+            rs > 0.0, (0.5 * rs) ** gamma, 1.0 if gamma == 0.0 else 0.0
+        ) / math.gamma(gamma + 1.0)
         total = term.copy()
         quarter = 0.25 * rs * rs
         # the running prefix views of term, quarter and total
@@ -121,6 +89,10 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
                     break
                 k = int(still[-1]) + 1
                 tk, qk, sk = term[:k], quarter[:k], total[:k]
+        else:
+            raise NonConvergenceError("Bessel series did not converge")
+        if not np.all(np.isfinite(total)):
+            raise NonConvergenceError("Bessel series overflowed")
         vals = np.empty_like(rs)
         vals[order] = total * np.exp(-rs)
         out[small] = vals
@@ -129,7 +101,8 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
         mu = 4.0 * gamma * gamma
         term = np.ones_like(rl)
         total = np.ones_like(rl)
-        # fixed 30-term truncation; min term is far below 1e-18 for r > 30
+        # fixed 30-term truncation; past max(30, gamma^2 / 8) it is within
+        # 2e-13 of scipy's ive for gamma <= 50
         for k in range(1, 31):
             term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
             term /= rl
@@ -205,6 +178,9 @@ def _zolotarev_A(a: float, phi: np.ndarray) -> np.ndarray:
     )
 
 
+_STABLE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=1024)
+
+
 def _stable_integral(a: float, x: float) -> float:
     """Integral representation, accurate for small and moderate x."""
     one_m = 1.0 - a
@@ -226,16 +202,10 @@ def _stable_integral(a: float, x: float) -> float:
         A = _zolotarev_A(a, phi)
         return A * np.exp(-lam * A)
 
-    breaks = np.linspace(0.0, phi_hi, 9)
-
-    def estimate(n: int) -> float:
-        nodes, wts = panel_nodes(breaks, n)
-        return float(np.dot(f(nodes), wts))
-
-    val = converge(
-        estimate, 32, 1024, lambda v: 1e-11 * abs(v) + 1e-300,
-        f"stable density integral did not converge at a={a}, x={x}",
-    )
+    try:
+        val = integrate_panels(f, np.linspace(0.0, phi_hi, 9), _STABLE_SPEC, n0=32)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(f"stable density integral at a={a}, x={x}: {exc}") from None
     return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
 
 

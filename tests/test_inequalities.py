@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from dkl.inequalities import REGISTRY, _sphere_slice, check, lemma_ids
-from dkl.quadrature import QuadratureSpec
+from dkl.inequalities import (
+    _E,
+    REGISTRY,
+    _cal0_breaks,
+    _l_cal1_outer,
+    _sample_l_cal1,
+    _sphere_slice,
+    check,
+    lemma_ids,
+)
+from dkl.quadrature import QuadratureSpec, geometric_breaks, panel_nodes
 from dkl.report import ComparabilityReport
 
 SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
@@ -169,3 +178,61 @@ class TestSphereSlice:
         got = _sphere_slice(d)(self.RADII, self.X, lambda h: h.copy())
         want = [self.height_integral(d, self.X, r) for r in self.RADII]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestLCal1Outer:
+    """The outer integrand of l_cal1 takes every time's inner rule in one row
+    rule; each value keeps the bits of that inner rule taken on its own."""
+
+    @staticmethod
+    def per_node(p, s):
+        """The outer integrand one time at a time, with ``panel_nodes`` and
+        ``np.dot``; also counts the times cut off by lo >= 2 and pref == 0."""
+        alpha, q = p["alpha"], p["q"]
+        b1, b2, b3, b4 = p["b1"], p["b2"], p["b3"], p["b4"]
+        xd, yd, t = p["xd"], p["yd"], p["t"]
+
+        def inner_log(r, au, bu):
+            v = np.ones_like(r)
+            if b3 > 0.0:
+                v = np.log(_E + r / au) ** b3 * np.log(_E + r / bu) ** b3
+            if b4 > 0.0:
+                v = v * np.log(_E + 1.0 / r) ** b4
+            return v
+
+        out = np.empty_like(s)
+        cut = {"lo": 0, "pref": 0}
+        for i, si in enumerate(s):
+            rem = (t - si) ** (1.0 / alpha)
+            s1a = si ** (1.0 / alpha)
+            lo = max(yd, s1a)
+            pref = si * min(xd / rem, 1.0) ** (q - b1) * min(yd / s1a, 1.0) ** (q - b2)
+            if lo >= 2.0 or pref == 0.0:
+                cut["lo" if lo >= 2.0 else "pref"] += 1
+                out[i] = 0.0
+                continue
+            au = max(yd, s1a)
+            bu = max(xd, rem)
+            nodes, wts = panel_nodes(geometric_breaks(lo, 2.0, 3.0), 16)
+            out[i] = pref * float(np.dot(inner_log(nodes, au, bu) / nodes, wts))
+        return out, cut
+
+    def test_rows_equal_the_per_node_rule(self):
+        cut = {"lo": 0, "pref": 0}
+        for i in range(40):
+            p = _sample_l_cal1(np.random.default_rng([5, i]))
+            # the sampler keeps s^(1/alpha) < t^(1/alpha) = tsc < 2; the
+            # widened copy reaches past r = 2, where the inner range is empty
+            wide = dict(p, tsc=3.0, t=3.0 ** p["alpha"])
+            for q in (p, wide):
+                s = np.concatenate([
+                    [0.0, 5e-324],
+                    panel_nodes(_cal0_breaks(q), 8)[0],
+                    panel_nodes(_cal0_breaks(q), 16)[0],
+                ])
+                with np.errstate(divide="ignore"):
+                    want, got_cut = self.per_node(q, s)
+                    got = _l_cal1_outer(q)(s)
+                assert got.tolist() == want.tolist(), (i, q)
+                cut = {k: cut[k] + got_cut[k] for k in cut}
+        assert cut["lo"] > 0 and cut["pref"] > 0

@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sp
 from scipy.integrate import quad
 
+from dkl.quadrature import NonConvergenceError
 from dkl.special import (
     _SERIES_CUT,
     bessel_I,
@@ -41,12 +42,33 @@ class TestBesselI:
             ref = sp.ive(g, rs)
             assert np.max(np.abs(mine - ref) / ref) < 5e-13
 
+    @pytest.mark.parametrize("g", [12.0, 15.0, 20.0, 30.0, 50.0])
+    def test_high_orders_against_scipy(self, g):
+        # the series runs to r = max(30, g^2 / 8): the asymptotic expansion
+        # is only good once r is large against g^2
+        rs = np.geomspace(1e-3, 650.0, 120)
+        ref = sp.ive(g, rs)
+        ok = ref > 0.0
+        mine = bessel_I_scaled_arr(g, rs)
+        assert np.max(np.abs(mine[ok] - ref[ok]) / ref[ok]) < 5e-13
+        for r in rs[ok][::7]:
+            assert abs(bessel_I_scaled(g, r) / sp.ive(g, r) - 1.0) < 5e-13
+            if r < 700.0:
+                assert abs(bessel_I(g, r) / sp.iv(g, r) - 1.0) < 5e-13
+        assert abs(bessel_I(20.0, 30.5) / sp.iv(20.0, 30.5) - 1.0) < 1e-12
+
+    def test_series_overflow_raises(self, recwarn):
+        # I_100(1000) is past the float range, and so is the series summing it
+        with pytest.raises(NonConvergenceError, match="Bessel series overflowed"):
+            bessel_I_scaled(100.0, 1000.0)
+        with pytest.raises(NonConvergenceError):
+            bessel_I_scaled_arr(100.0, np.array([1.0, 1000.0]))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_scalar_vector_agree(self):
-        for g in (0.0, 0.7):
-            for r in (0.3, 29.0, 31.0, 400.0):
-                assert bessel_I_scaled(g, r) == pytest.approx(
-                    float(bessel_I_scaled_arr(g, np.array([r]))[0]), rel=1e-14
-                )
+        for g in (0.0, 0.7, 20.0):
+            for r in (0.3, 29.0, 31.0, 49.0, 51.0, 400.0):
+                assert bessel_I_scaled(g, r) == bessel_I_scaled_arr(g, np.array([r]))[0]
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.5, 7.0])
     def test_array_values_are_those_of_one_element_calls(self, g):
