@@ -168,7 +168,7 @@ def weight_from_heights_arr(b, hmin, hmax, dist):
     hmin = np.asarray(hmin, dtype=float)
     hmax = np.asarray(hmax, dtype=float)
     dist = np.asarray(dist, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safe_min = np.where(hmin > 0.0, hmin, 1.0)
         t13 = np.minimum(safe_min / dist, 1.0) ** b1
         if b3 > 0.0:

@@ -21,7 +21,7 @@ has its own log-axis breakpoints, since delta sets the reach, and the rows
 are laid out one after another; the right half's nodes, Jacobian and
 weight do not depend on q, so each order computes them once for all rows.
 Orders 16 and 32 share one call, and each row stops at its own order by
-the rule of ``quadrature.converge``, so a q's value is the same bits
+the rule of ``quadrature.refine_rows``, so a q's value is the same bits
 whatever else is in the batch.  Nothing is kept from one call to the next.
 
 For dim >= 2 the outer integrand over theta = arctan(rho) carries
@@ -184,18 +184,24 @@ def _right_values(u: np.ndarray, wvals: np.ndarray, jac: np.ndarray, alpha: floa
     which cannot overflow for alpha < 2.  For alpha >= 1.5 the leading term
     L diag u^(1-alpha) is left out here; :func:`_leading_term` is its
     integral.  ``q`` broadcasts against ``u``.
+
+    Near alpha = 2 the grading sends the smallest u to 0 or below the
+    normal range, where u^(1-alpha) overflows.  The remainder is
+    O(u^(2-alpha)), 0 to double precision there, so it is 0 wherever
+    u <= exp(-700/(alpha-1)).
     """
     ls = np.log1p(-u)
-    pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
-    if alpha < 1.5:
-        return pvals * u ** (1.0 - alpha) * wvals * jac
-    # remainder split so each bracket is individually cancellation-free:
-    # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
-    rem = u ** (1.0 - alpha) * (
-        pvals * (wvals - diagonal_limit)
-        + diagonal_limit * _bracket_minus_limit(u, alpha, q, pvals)
-    )
-    return rem * jac
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pvals = (np.expm1(q * ls) / u) * (-np.expm1((alpha - q - 1.0) * ls) / u)
+        if alpha < 1.5:
+            return pvals * u ** (1.0 - alpha) * wvals * jac
+        # remainder split so each bracket is individually cancellation-free:
+        # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
+        rem = u ** (1.0 - alpha) * (
+            pvals * (wvals - diagonal_limit)
+            + diagonal_limit * _bracket_minus_limit(u, alpha, q, pvals)
+        )
+    return np.where(u > math.exp(-700.0 / (alpha - 1.0)), rem * jac, 0.0)
 
 
 def _leading_term(alpha: float, q, diagonal_limit: float):
@@ -275,7 +281,7 @@ def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
     def left(x: np.ndarray, row: np.ndarray) -> np.ndarray:
         return _left_values(-x, alpha, qs[row], _log_weight_left(beta, x, 0.0))
 
-    def at(live: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
         out = rows_at(left, edges, panels, live, orders)
         # right half: one set of nodes, Jacobian and weight for every row
         right_rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
@@ -292,9 +298,9 @@ def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
                     right += _leading_term(alpha, q, diag)
                 out[k, start:stop] += right
                 at_r += len(wr)
-        return out
+        return out.tolist()
 
-    return refine_rows(at, len(qs), spec, _MSG)
+    return refine_rows(at, len(qs), 16, spec.max_subdivisions, spec.tol, _MSG)
 
 
 def _sphere_area(k: int) -> float:

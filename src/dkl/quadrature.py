@@ -5,14 +5,14 @@ refined by doubling the per-panel order until two successive estimates
 agree.  Breakpoints are deterministic functions of the problem scales, so
 repeated runs are bit-identical.
 
-Every order-doubling refinement in ``dkl`` goes through :func:`converge`,
-which either meets its tolerance or raises :class:`NonConvergenceError`, or
-through its row version :func:`refine_rows` below.
-
-Integrands of :func:`integrate_panels` must be pointwise: each value
-depends only on its own node.  The first two orders, ``n0`` and ``2*n0``,
-share one integrand call on both node sets joined, which saves a call's
-fixed cost on the many small integrals that stop at ``2*n0``.
+One driver, :func:`refine_rows`, does every order-doubling refinement in
+``dkl``: each row stops once ``abs(cur - prev) <= tol(cur)`` or holds a
+:class:`NonConvergenceError` once its budget runs out.  The first two
+orders, ``n0`` and ``2*n0``, share one call, which saves a call's fixed cost
+on the many small integrals that stop at ``2*n0``.  :func:`converge` is its
+one-row case.  :func:`integrate_panels` calls its integrand once on the
+nodes of the orders asked, joined, so integrands must be pointwise: each
+value depends only on its own node.
 
 The row rule integrates many 1-D integrals at once, one per row, each over
 its own breakpoints.  :func:`integrate_rows` takes the rows' breakpoints as
@@ -29,15 +29,9 @@ row), :func:`row_dot` takes the per-row dot products and :func:`rows_at`
 integrates a subset of NaN-padded rows at several orders, one call of the
 integrand per block.
 
-:func:`refine_rows` is :func:`converge` for many estimates at once, one per
-row.  Each row is refined on its own and stops at its own order, by the
-rule of :func:`converge`, ``abs(cur - prev) <= spec.tol(cur)``; orders 16
-and 32 share one evaluation, only the rows still open go on to the next
-order, and a row whose budget runs out holds the
-:class:`NonConvergenceError`, with :func:`converge`'s message, in place of
-its value.  :func:`converge_rows` is :func:`integrate_panels` for every
-row of NaN-padded breakpoints at once, refined this way: every row's value
-is the bits of :func:`integrate_panels` on that row alone.
+:func:`converge_rows` is :func:`integrate_panels` for every row of
+NaN-padded breakpoints at once, refined by the same driver: every row's
+value is the bits of :func:`integrate_panels` on that row alone.
 """
 
 from __future__ import annotations
@@ -103,17 +97,18 @@ def converge(estimate: Callable[[int], float], n0: int, n_max: int,
 
     Returns the first estimate within ``tol(cur)`` of the one before it;
     raises :class:`NonConvergenceError` with ``msg`` once the orders run out.
+    The one-row case of :func:`refine_rows`.
     """
-    n = n0
-    prev = estimate(n)
-    while True:
-        n *= 2
-        if n > n_max:
-            raise NonConvergenceError(f"{msg} (order {n} exceeds budget)")
-        cur = estimate(n)
-        if abs(cur - prev) <= tol(cur):
-            return cur
-        prev = cur
+    return _one_row(refine_rows(lambda live, orders: [[estimate(n)] for n in orders],
+                                1, n0, n_max, tol, msg))
+
+
+def _one_row(values: list) -> float:
+    """The value of a one-row :func:`refine_rows`, or its error raised."""
+    (value,) = values
+    if isinstance(value, NonConvergenceError):
+        raise value
+    return value
 
 
 def panel_nodes(breaks: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,22 +147,23 @@ def integrate_panels(
     short of ``2*n0``); each later order gets a call of its own.  The
     estimates are the same bits as with one call per order.
     """
-    ahead = {}
+    return _one_row(refine_rows(_panels_at(f, breaks), 1, n0, spec.max_subdivisions, spec.tol))
 
-    def estimate(n: int) -> float:
-        if n in ahead:
-            return ahead.pop(n)
-        nodes, weights = panel_nodes(breaks, n)
-        if n == n0 and 2 * n0 <= spec.max_subdivisions:
-            nodes2, weights2 = panel_nodes(breaks, 2 * n0)
-            vals = np.asarray(f(np.concatenate([nodes, nodes2])), dtype=float)
-            ahead[2 * n0] = float(np.dot(vals[len(nodes):], weights2))
-            vals = vals[:len(nodes)]
-        else:
-            vals = np.asarray(f(nodes), dtype=float)
-        return float(np.dot(vals, weights))
 
-    return converge(estimate, n0, spec.max_subdivisions, spec.tol)
+def _panels_at(f: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float]):
+    """The ``at`` of :func:`refine_rows` for the integral of a pointwise ``f``
+    over ``breaks``: one call of ``f`` on the nodes of every order asked."""
+    breaks = np.asarray(breaks, dtype=float)  # once, not once per order
+
+    def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
+        nodes, wts = panel_nodes(breaks, orders[0])
+        if len(orders) == 1:
+            return [[float(np.dot(np.asarray(f(nodes), dtype=float), wts))]]
+        nodes2, wts2 = panel_nodes(breaks, orders[1])
+        vals = np.asarray(f(np.concatenate([nodes, nodes2])), dtype=float)
+        return [[float(np.dot(vals[:len(nodes)], wts))], [float(np.dot(vals[len(nodes):], wts2))]]
+
+    return at
 
 
 # nodes per array call of the row rule; rows beyond it go in further blocks
@@ -257,7 +253,7 @@ def _row_panels(breaks) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([breaks[:, :-1][real], breaks[:, 1:][real]], axis=1), panels
 
 
-def rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: np.ndarray,
+def rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: Sequence[int],
             orders: tuple[int, ...]) -> np.ndarray:
     """Integrals of the rows ``rows`` at each of ``orders``, shape
     (len(orders), len(rows)).
@@ -316,58 +312,60 @@ def converge_rows(
     refined by :func:`refine_rows`.  Each row's value is bit-identical to
     :func:`integrate_panels` on that row alone, and a row whose orders ran
     out holds the :class:`NonConvergenceError` that :func:`integrate_panels`
-    would have raised.  A single row goes through :func:`integrate_panels`
-    itself, which has less bookkeeping per order.
+    would have raised.  A single row takes the ``at`` of
+    :func:`integrate_panels`, which has less bookkeeping per order.
     """
     edges, panels = _row_panels(breaks)
     if len(panels) == 1:
         row = np.append(edges[:, 0], edges[-1, 1])
-        try:
-            return [integrate_panels(lambda x: f(x, np.zeros(len(x), dtype=int)), row, spec)]
-        except NonConvergenceError as exc:
-            return [exc]
-    return refine_rows(lambda live, orders: rows_at(f, edges, panels, live, orders),
-                       len(panels), spec)
+        at = _panels_at(lambda x: f(x, np.zeros(len(x), dtype=int)), row)
+    else:
+        def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
+            return rows_at(f, edges, panels, live, orders).tolist()
+    return refine_rows(at, len(panels), 16, spec.max_subdivisions, spec.tol)
 
 
 def refine_rows(
-    at: Callable[[np.ndarray, tuple[int, ...]], np.ndarray],
+    at: Callable[[Sequence[int], tuple[int, ...]], list],
     rows: int,
-    spec: QuadratureSpec,
+    n0: int,
+    n_max: int,
+    tol: Callable[[float], float],
     msg: str = "quadrature did not converge",
 ) -> list:
-    """:func:`converge` for ``rows`` estimates at once, each on its own.
+    """Refine ``rows`` estimates, each on its own, over the orders n0,
+    2*n0, ... up to n_max.
 
-    ``at(live, orders)`` returns the estimates of the rows ``live`` (sorted
-    row indices) at each of ``orders``, shape (len(orders), len(live)).
-    Orders 16 and 32 are asked for in one call; after that only the rows
-    still open are asked for, one order per call.  A row stops at the first
-    order where ``abs(cur - prev) <= spec.tol(cur)``, the rule of
-    :func:`converge`.
+    ``at(live, orders)`` returns, per order, the list of the estimates of
+    the rows ``live`` (sorted row indices, a sequence).  Orders n0 and 2*n0
+    are asked for in one call (n0 alone if 2*n0 > n_max); after that only
+    the rows still open, one order per call.  A row stops at the first
+    order where ``abs(cur - prev) <= tol(cur)``.
 
     Returns a list with one entry per row: its value, or, for a row whose
-    orders ran out, the :class:`NonConvergenceError` that :func:`converge`
-    would have raised with ``msg``.
+    orders ran out, a :class:`NonConvergenceError` with ``msg``.
     """
+    # each row's latest estimate, until it settles or its orders run out
     out: list = [None] * rows
-    live = np.arange(rows)
-    n = 32
-    if n > spec.max_subdivisions:
-        at(live, (16,))
+    live = range(rows)
+    n = 2 * n0
+    if n > n_max:
+        at(live, (n0,))
     else:
-        prev, cur = at(live, (16, n))
+        prev, cur = at(live, (n0, n))
         while True:
-            done = np.array([abs(c - p) <= spec.tol(c) for p, c in zip(prev.tolist(), cur.tolist())])
-            for i, c in zip(live[done].tolist(), cur[done].tolist()):
+            still = []
+            for i, p, c in zip(live, prev, cur):
                 out[i] = c
-            keep = ~done
-            live = live[keep]
+                if not abs(c - p) <= tol(c):
+                    still.append(i)
+            live = still
             n *= 2
-            if len(live) == 0 or n > spec.max_subdivisions:
+            if not live or n > n_max:
                 break
-            prev = cur[keep]
+            prev = [out[i] for i in live]
             cur = at(live, (n,))[0]
-    for i in live.tolist():
+    for i in live:
         out[i] = NonConvergenceError(f"{msg} (order {n} exceeds budget)")
     return out
 

@@ -68,9 +68,13 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
         # still summing are always a prefix rs[:k] of this order
         order = np.argsort(-r[small], kind="stable")
         rs = r[small][order]
-        term = np.where(
-            rs > 0.0, (0.5 * rs) ** gamma, 1.0 if gamma == 0.0 else 0.0
-        ) / math.gamma(gamma + 1.0)
+        try:
+            term = np.where(
+                rs > 0.0, (0.5 * rs) ** gamma, 1.0 if gamma == 0.0 else 0.0
+            ) / math.gamma(gamma + 1.0)
+        except OverflowError:
+            # Gamma(gamma + 1) overflows from gamma ~ 171 on: take the first term in logs
+            term = np.exp(gamma * np.log(0.5 * rs) - math.lgamma(gamma + 1.0))
         total = term.copy()
         quarter = 0.25 * rs * rs
         # the running prefix views of term, quarter and total

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -191,32 +193,59 @@ class TestRefineRows:
     def _estimate(self, n, i):
         return 1.0 if n >= self.STOP[i] // 2 else float(n)
 
-    def test_each_row_is_converge_on_that_row(self):
-        asked = []
-
+    def _at(self, asked):
         def at(live, orders):
-            asked.append((live.tolist(), orders))
-            return np.array([[self._estimate(n, i) for i in live.tolist()] for n in orders])
+            asked.append((list(live), orders))
+            return [[self._estimate(n, i) for i in live] for n in orders]
 
-        spec = QuadratureSpec(max_subdivisions=128)
-        got = refine_rows(at, 3, spec, "rows did not converge")
-        assert asked == [([0, 1, 2], (16, 32)), ([1, 2], (64,)), ([2], (128,))]
+        return at
+
+    def _check_rows(self, n0, tol):
+        asked = []
+        got = refine_rows(self._at(asked), 3, n0, 128, tol, "rows did not converge")
         for i in (0, 1):
-            assert got[i] == converge(lambda n: self._estimate(n, i), 16, 128, spec.tol)
+            assert got[i] == converge(lambda n: self._estimate(n, i), n0, 128, tol)
         with pytest.raises(NonConvergenceError) as exc:
-            converge(lambda n: self._estimate(n, 2), 16, 128, spec.tol, "rows did not converge")
+            converge(lambda n: self._estimate(n, 2), n0, 128, tol, "rows did not converge")
         assert isinstance(got[2], NonConvergenceError) and str(got[2]) == str(exc.value)
+        return asked
+
+    def test_each_row_is_converge_on_that_row(self):
+        asked = self._check_rows(16, QuadratureSpec().tol)
+        assert asked == [([0, 1, 2], (16, 32)), ([1, 2], (64,)), ([2], (128,))]
+
+    def test_start_order_and_tolerance_are_the_callers(self):
+        # what the callers of converge pass: n0 = 8 and 10 times the spec's tolerance
+        spec = QuadratureSpec()
+        asked = self._check_rows(8, lambda v: 10.0 * spec.tol(v))
+        assert asked == [([0, 1, 2], (8, 16)), ([0, 1, 2], (32,)), ([1, 2], (64,)), ([2], (128,))]
 
     def test_one_round_asks_for_order_16_only(self):
         asked = []
 
         def at(live, orders):
             asked.append(orders)
-            return np.ones((len(orders), len(live)))
+            return [[1.0] * len(live) for _ in orders]
 
-        got = refine_rows(at, 2, ONE_ROUND)
+        got = refine_rows(at, 2, 16, 16, ONE_ROUND.tol)
         assert asked == [(16,)]
         assert [str(v) for v in got] == ["quadrature did not converge (order 32 exceeds budget)"] * 2
+
+    @pytest.mark.parametrize("n_max", [16, 64, 2048])
+    def test_one_row_is_converge(self, n_max):
+        # settles at order 256 with a budget of 2048, never with the smaller ones
+        def estimate(n):
+            return math.exp(-1.0 / n) if n < 256 else 1.0 / 3.0
+
+        spec = QuadratureSpec(max_subdivisions=n_max)
+        (got,) = refine_rows(lambda live, orders: [[estimate(n)] for n in orders],
+                             1, 8, n_max, spec.tol, "thing did not converge")
+        try:
+            want = converge(estimate, 8, n_max, spec.tol, "thing did not converge")
+        except NonConvergenceError as exc:
+            assert type(got) is NonConvergenceError and str(got) == str(exc)
+        else:
+            assert type(got) is float and got == want
 
 
 @pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 7, 3, 1]], ids=["equal", "mixed"])

@@ -65,6 +65,17 @@ class TestBesselI:
             bessel_I_scaled_arr(100.0, np.array([1.0, 1000.0]))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_orders_past_the_gamma_overflow(self, recwarn):
+        # Gamma(g + 1) overflows from g ~ 171 on, so the first term is taken in logs
+        assert bessel_I_scaled(172.0, 0.0) == 0.0
+        assert bessel_I_scaled(172.0, 1.0) == 0.0
+        assert abs(bessel_I_scaled(172.0, 100.0) / sp.ive(172.0, 100.0) - 1.0) < 1e-12
+        assert abs(bessel_I_scaled(180.0, 700.0) / sp.ive(180.0, 700.0) - 1.0) < 1e-12
+        # I_200(5000) is past the float range, and so is the series summing it
+        with pytest.raises(NonConvergenceError, match="Bessel series overflowed"):
+            bessel_I_scaled(200.0, 5000.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_scalar_vector_agree(self):
         for g in (0.0, 0.7, 20.0):
             for r in (0.3, 29.0, 31.0, 49.0, 51.0, 400.0):
