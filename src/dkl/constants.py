@@ -1,9 +1,9 @@
-"""Frozen empirical constants: comparability ceilings and regression bounds.
+"""Frozen empirical constants: the measured extremes of ``dkl.grids.SWEEPS``.
 
-The analytic results assert two-sided comparability with unspecified
-constants, so the artifact records the constants it observes during an
-exploration run and asserts them afterwards.  The store is a line-based
-text file of `name value` records in exact decimal text.
+The analytic results assert comparability with unspecified constants, so
+the artifact records the extremes it observes during an exploration run and
+asserts them, with slack, afterwards (see :mod:`dkl.report`).  The store is
+a line-based text file of `name value` records in exact decimal text.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 _DATA_PACKAGE = "dkl._data"
 _FILENAME = "ceilings.txt"
@@ -31,10 +30,6 @@ def load_constants() -> dict[str, float]:
         name, value = stripped.split()
         out[name] = float(value)
     return out
-
-
-def get_ceiling(name: str) -> Optional[float]:
-    return load_constants().get(name)
 
 
 def get_constant(name: str) -> float:

@@ -1,34 +1,31 @@
-"""Canonical seeded sample sets and the registry of frozen-constant sweeps.
+"""The registry of frozen constants and their seeded sample sets.
 
-The analytic results hold up to constants they do not specify, so every
-comparability assertion is two-phase: an exploration run records the
-empirical constant and the tests assert the frozen value with fixed slack.
-``SWEEPS`` holds, for each constant outside the lemma suite, its sample set,
-its per-sample ratio and which extreme of the ratios is frozen.  The
-freezing script and the tests both evaluate a constant through its entry.
-The sample sets are deterministic.  For the seeded per-index samplers a
-test's smaller count sweeps a prefix of the freezing run's samples; for the
-grid entries (Bessel, stable mass, oracle) the count sets the grid's
-resolution, so the tests sweep them at the freezing run's count.
+``SWEEPS`` holds one :class:`dkl.report.Sweep` per frozen constant: the 16
+lemma entries of :mod:`dkl.inequalities` and the other comparability
+constants defined here.  Each entry gives its sample set, its per-sample
+ratio and which extreme of the ratios is frozen.  The freezing script stores
+each entry's measured extreme; the tests and the lemma checks hold the same
+extreme to that value times 1.10 (divided by it for a floor), with no sample
+excluded (see :mod:`dkl.report`).  The sample sets are deterministic.  For
+the seeded per-index samplers a test's smaller count sweeps a prefix of the
+freezing run's samples; for the grid entries (Bessel, stable mass, oracle)
+the count sets the grid's resolution, so the tests sweep them at the
+freezing run's count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import oracle
-from .constants import get_constant
 from .geometry import (
     HalfSpacePoint,
     ModelParams,
     eval_A,
-    eval_B,
-    lift_ed,
     stable_factor,
     standard_weight,
     weight_from_heights,
@@ -42,9 +39,9 @@ from .heatkernel import (
     hke_unified,
     twojump_ball_integral,
 )
-from .inequalities import _quadruple
+from .inequalities import _eval_comp_AB, _quadruple, lemma_sweeps
 from .quadrature import QuadratureSpec, integrate_panels
-from .report import ComparabilityReport, ratio_report
+from .report import CEILING, FLOOR, ComparabilityReport, Sweep, sweep
 from .special import bessel_I_scaled
 from .util import log_uniform
 
@@ -79,12 +76,6 @@ def standard_grid(n: int) -> Iterator[dict]:
             "x": _point(rng, dim),
             "y": _point(rng, dim),
         }
-
-
-def _comp_ab(smp) -> float:
-    u = smp["tsc"]
-    num = eval_A(smp["b"], smp["t"], smp["x"], smp["y"], smp["alpha"], tscale=u)
-    return num / eval_B(smp["b"], lift_ed(smp["x"], u), lift_ed(smp["y"], u))
 
 
 def _regime_consistency(smp) -> Optional[float]:
@@ -315,29 +306,8 @@ def _bessel(smp) -> float:
     return bessel_I_scaled(g, float(r)) / (min(1.0, r) ** (g + 0.5) * r**-0.5)
 
 
-TWO_SIDED, CEILING, FLOOR = "two-sided", "ceiling", "floor"
-SLACK = 1.10
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """How one frozen constant is measured.
-
-    ``samples(n)`` yields the samples of a sweep of size n; ``ratio(sample)``
-    is as in :func:`dkl.report.ratio_report`, and a sample whose ratio does
-    not converge is excluded only where ``skip_unconverged`` is set.  ``kind``
-    says which value is frozen: the two-sided ceiling max(max ratio, 1/min
-    ratio), the one-sided ceiling max ratio, or the floor min ratio.
-    """
-
-    samples: Callable[[int], Iterable]
-    ratio: Callable[[Any], Optional[float]]
-    n: int  # samples of the freezing run
-    kind: str = TWO_SIDED
-    skip_unconverged: bool = False
-
-
-SWEEPS: dict[str, Sweep] = {"acc_comp_ab": Sweep(standard_grid, _comp_ab, 10_000)}
+SWEEPS: dict[str, Sweep] = lemma_sweeps()
+SWEEPS["acc_comp_ab"] = Sweep(standard_grid, partial(_eval_comp_AB, spec=None), 10_000)
 for _regime in UNIFIED_PARAM_SETS:
     SWEEPS[f"acc_unified_{_regime}"] = Sweep(partial(unified_points, _regime), _unified, 1000)
 for _d in (1, 2):
@@ -362,32 +332,14 @@ SWEEPS["acc_interior_ondiag"] = Sweep(standard_grid, _interior_ondiag, 30_000, F
 SWEEPS["acc_bessel"] = Sweep(_bessel_samples, _bessel, 200)
 
 
-def measure(name: str, n: Optional[int] = None) -> tuple[float, ComparabilityReport]:
-    """The constant a named sweep measures, and its report, over n samples
-    (the freezing run's count when n is None)."""
-    entry = SWEEPS[name]
-    samples = entry.samples(entry.n if n is None else n)
-    two_sided = entry.kind == TWO_SIDED
-    rep = ratio_report(
-        name, samples, entry.ratio, two_sided, skip_unconverged=entry.skip_unconverged
-    )
-    if entry.kind == TWO_SIDED:
-        return max(rep.max_ratio, 1.0 / rep.min_ratio), rep
-    return (rep.min_ratio if entry.kind == FLOOR else rep.max_ratio), rep
-
-
 def check_frozen(
     name: str, n: Optional[int] = None
 ) -> tuple[bool, float, float, ComparabilityReport]:
-    """Sweep a named constant against its frozen value.
+    """Sweep a named constant over n samples (the freezing run's count when
+    n is None) against its frozen value.
 
-    Returns (holds, measured value, bound, report); the bound is the frozen
-    value times ``SLACK``, or divided by it for a floor.  The bound holds only
-    if the sweep kept at least one sample and excluded none.
+    Returns (passed, measured value, bound, report); see
+    :class:`dkl.report.ComparabilityReport` for the verdict.
     """
-    value, rep = measure(name, n)
-    frozen = get_constant(name)
-    complete = rep.samples > 0 and rep.excluded == 0
-    if SWEEPS[name].kind == FLOOR:
-        return bool(complete and value >= frozen / SLACK), value, frozen / SLACK, rep
-    return bool(complete and value <= frozen * SLACK), value, frozen * SLACK, rep
+    rep = sweep(name, SWEEPS[name], n)
+    return rep.passed, rep.value, rep.ceiling, rep

@@ -1,24 +1,21 @@
 """Numerical verification corpus for the comparability and inequality lemmas.
 
-Each registry entry draws parameter tuples from its documented admissible
-region (log-uniform over six decades per positive scale), evaluates the
-left side by quadrature where it is an integral and the right side in
-closed form, and reports the empirical ratio extremes with witnesses.
-One-sided claims bound only the upper ratio; two-sided claims also bound
-the lower one.  Ceilings are frozen from an exploration run and stored in
-a checked-in constants file.
+Each lemma is one :class:`dkl.report.Sweep` of the frozen-constant registry
+``dkl.grids.SWEEPS``.  Its samples are parameter tuples from the lemma's
+admissible region (log-uniform over six decades per positive scale); its
+ratio evaluates the left side by quadrature where it is an integral and the
+right side in closed form.  One-sided claims freeze only the upper ratio;
+two-sided claims also bound the lower one.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
 
 import numpy as np
 
-from .constants import get_ceiling
 from .geometry import (
     HalfSpacePoint,
     eval_A,
@@ -37,20 +34,12 @@ from .quadrature import (
     panel_nodes,
     power_graded_breaks,
 )
-from .report import ComparabilityReport, ratio_report
+from .report import CEILING, TWO_SIDED, ComparabilityReport, Sweep, sweep
 from .util import log_uniform
 
-__all__ = ["REGISTRY", "LemmaCheck", "check", "lemma_ids"]
+__all__ = ["check", "lemma_ids", "lemma_sweeps"]
 
 _E = math.e
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    lemma_id: str
-    two_sided: bool
-    sampler: Callable
-    evaluate: Callable  # (params dict, spec) -> (lo_ratio, hi_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +286,18 @@ def _cal0_integrand(p):
 
 
 def _cal0_breaks(p) -> list[float]:
-    t = p["t"]
-    inner = [v for v in (p["yd"] ** p["alpha"], t - p["xd"] ** p["alpha"], t / 2.0) if 0.0 < v < t]
+    """Panels on [0, t] for the cal_0 and l_cal1 time integrals.
+
+    The clamps switch at s = yd^alpha and s = t - xd^alpha.  Past its switch
+    a clamped factor is a power of s (of t - s), so where the switch lies
+    below t/2 the panels grade toward it, one break per two decades.
+    """
+    t, xa, ya = p["t"], p["xd"] ** p["alpha"], p["yd"] ** p["alpha"]
+    inner = [v for v in (ya, t - xa, t / 2.0) if 0.0 < v < t]
+    if ya < t / 2.0:
+        inner += geometric_breaks(ya, t / 2.0, 0.5)
+    if xa < t / 2.0:
+        inner += [t - w for w in geometric_breaks(xa, t / 2.0, 0.5)]
     return merge_breaks([0.0, t], inner, 0.0, t)
 
 
@@ -631,6 +630,9 @@ def _eval_cal_2(p, spec):
         return radial * T(r, xd, lambda h: _f_profile(gamma, e1, e2, k, l, h))
 
     inner = [v for v in (xd, u, xu, 2.0 * xd) if 0.0 < v < 2.0]
+    if d == 1 and xd < 2.0:
+        # f(xd - r) carries (xd - r)^gamma: grade toward r = xd from below
+        inner += [xd - v for v in geometric_breaks(xd * 1e-8, xd / 2.0, 1.0)]
     breaks = merge_breaks(geometric_breaks(2e-5, 2.0, 2.0), inner, 0.0, 2.0)
     lhs = integrate_panels(shell, breaks, spec, n0=8)
 
@@ -739,10 +741,11 @@ def _vertical_kinks(xd: float, yd: float, tang2: float, tsc: float) -> list[floa
     ks = [xd, yd, tsc, max(xd, tsc), tsc - xd, yd - xd]
     if yd > 0.0:
         ks.append((tang2 + yd * yd) / (2.0 * yd) - xd)  # mid height = separation
-    root = yd * yd - tang2
-    if root > 0.0:
-        s = math.sqrt(root)
-        ks.extend([yd + s - xd, yd - s - xd])  # far height = separation
+    for h in (yd, tsc):  # far height or clamp = separation of the second leg
+        root = h * h - tang2
+        if root > 0.0:
+            s = math.sqrt(root)
+            ks.extend([yd + s - xd, yd - s - xd])
     return [k for k in ks if k > 0.0]
 
 
@@ -829,55 +832,54 @@ def _eval_lower_2(p, spec):
 
 
 # ---------------------------------------------------------------------------
-# registry and driver
+# registry entries and driver
 
-REGISTRY: dict[str, LemmaCheck] = {
-    c.lemma_id: c
-    for c in [
-        LemmaCheck("slowly_varying", False, _sample_slowly_varying, _eval_slowly_varying),
-        LemmaCheck(
-            "slowly_varying_2", False, _sample_slowly_varying_2, _eval_slowly_varying_2
-        ),
-        LemmaCheck("kill_log", False, _sample_kill_log, _eval_kill_log),
-        LemmaCheck("kill_log_2", False, _sample_kill_log_2, _eval_kill_log_2),
-        LemmaCheck("cal_00", False, _sample_cal_00, _eval_cal_00),
-        LemmaCheck("cal_0", False, _sample_cal_0, _eval_cal_0),
-        LemmaCheck("l_cal1", False, _sample_l_cal1, _eval_l_cal1),
-        LemmaCheck("cal_new1", False, _sample_cal_new1, _eval_cal_new1),
-        LemmaCheck("cal_new2", False, _sample_cal_new2, _eval_cal_new2),
-        LemmaCheck("cal_basic", True, _sample_cal_basic, _eval_cal_basic),
-        LemmaCheck("cal_2", False, _sample_cal_2, _eval_cal_2),
-        LemmaCheck("cal_3", True, _sample_cal_3, _eval_cal_3),
-        LemmaCheck("cal_green", True, _sample_cal_green, _eval_cal_green),
-        LemmaCheck("comp_AB", True, _sample_weight_pair, _eval_comp_AB),
-        LemmaCheck(
-            "two_jump_region",
-            True,
-            lambda rng: _sample_two_jump(rng, critical=False),
-            _eval_two_jump_region,
-        ),
-        LemmaCheck(
-            "lower_2",
-            True,
-            lambda rng: _sample_two_jump(rng, critical=True),
-            _eval_lower_2,
-        ),
+
+def _lemma(lemma_id: str, kind: str, sampler, evaluate, seed: int, spec) -> Sweep:
+    crc = zlib.crc32(lemma_id.encode())
+
+    def samples(n: int):
+        return (sampler(np.random.default_rng([seed, crc, i])) for i in range(n))
+
+    def ratio(params: dict) -> tuple[float, float]:
+        lo, hi = evaluate(params, spec)
+        return (hi if lo is None else lo), hi
+
+    return Sweep(samples, ratio, 10_000, kind, skip_unconverged=True)
+
+
+def lemma_sweeps(seed: int = 0, spec: QuadratureSpec | None = None) -> dict[str, Sweep]:
+    """The 16 lemma entries, sampled at ``seed`` and evaluated at ``spec``.
+
+    Sample i of a lemma draws from ``default_rng([seed, crc32(lemma id), i])``,
+    so a smaller count sweeps a prefix of a larger one.  The defaults (seed 0,
+    rel 1e-7 and abs 1e-12) are those of the freezing run.
+    """
+    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
+    table = [
+        ("slowly_varying", CEILING, _sample_slowly_varying, _eval_slowly_varying),
+        ("slowly_varying_2", CEILING, _sample_slowly_varying_2, _eval_slowly_varying_2),
+        ("kill_log", CEILING, _sample_kill_log, _eval_kill_log),
+        ("kill_log_2", CEILING, _sample_kill_log_2, _eval_kill_log_2),
+        ("cal_00", CEILING, _sample_cal_00, _eval_cal_00),
+        ("cal_0", CEILING, _sample_cal_0, _eval_cal_0),
+        ("l_cal1", CEILING, _sample_l_cal1, _eval_l_cal1),
+        ("cal_new1", CEILING, _sample_cal_new1, _eval_cal_new1),
+        ("cal_new2", CEILING, _sample_cal_new2, _eval_cal_new2),
+        ("cal_basic", TWO_SIDED, _sample_cal_basic, _eval_cal_basic),
+        ("cal_2", CEILING, _sample_cal_2, _eval_cal_2),
+        ("cal_3", TWO_SIDED, _sample_cal_3, _eval_cal_3),
+        ("cal_green", TWO_SIDED, _sample_cal_green, _eval_cal_green),
+        ("comp_AB", TWO_SIDED, _sample_weight_pair, _eval_comp_AB),
+        ("two_jump_region", TWO_SIDED, partial(_sample_two_jump, critical=False),
+         _eval_two_jump_region),
+        ("lower_2", TWO_SIDED, partial(_sample_two_jump, critical=True), _eval_lower_2),
     ]
-}
+    return {row[0]: _lemma(*row, seed, spec) for row in table}
 
 
 def lemma_ids() -> list[str]:
-    return sorted(REGISTRY)
-
-
-def _witness(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        if isinstance(val, HalfSpacePoint):
-            out[key] = val.coords()
-        else:
-            out[key] = val
-    return out
+    return sorted(lemma_sweeps())
 
 
 def check(
@@ -885,27 +887,13 @@ def check(
     sampler_seed: int = 0,
     budget: int = 1000,
     spec: QuadratureSpec | None = None,
-    ceiling: Optional[float] = None,
 ) -> ComparabilityReport:
-    """Run one registry entry and report the empirical ratio extremes.
+    """Sweep one lemma over ``budget`` samples against its frozen constant.
 
-    Deterministic in (lemma_id, sampler_seed, budget, spec): each sample's
-    generator is keyed by the seed, the lemma id, and the sample index, so
-    a smaller budget draws a prefix of a larger one.
+    Deterministic in (lemma_id, sampler_seed, budget, spec); see
+    :func:`lemma_sweeps` for the samples.
     """
-    if lemma_id not in REGISTRY:
+    entries = lemma_sweeps(sampler_seed, spec)
+    if lemma_id not in entries:
         raise KeyError(f"unknown lemma id: {lemma_id}")
-    entry = REGISTRY[lemma_id]
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
-    if ceiling is None:
-        ceiling = get_ceiling(lemma_id)
-    crc = zlib.crc32(lemma_id.encode())
-    samples = (entry.sampler(np.random.default_rng([sampler_seed, crc, i])) for i in range(budget))
-
-    def ratios(params: dict) -> tuple[float, float]:
-        lo, hi = entry.evaluate(params, spec)
-        return (hi if lo is None else lo), hi
-
-    return ratio_report(
-        lemma_id, samples, ratios, entry.two_sided, ceiling, _witness, skip_unconverged=True
-    )
+    return sweep(lemma_id, entries[lemma_id], budget)

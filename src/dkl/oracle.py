@@ -389,7 +389,6 @@ def compare_oracle_vs_estimate(
     xs: Optional[Sequence[float]] = None,
     ys: Optional[Sequence[float]] = None,
     q_fit: Optional[float] = None,
-    ceiling: Optional[float] = None,
 ) -> tuple[ComparabilityReport, float, float]:
     """Ratio of the exact subordinate density to the closed-form killed
     estimate over a (t, x, y) grid; dim restricted to quadrature reach.
@@ -397,11 +396,11 @@ def compare_oracle_vs_estimate(
     The survival exponent of the estimate is fitted from the oracle's own
     survival probabilities.  Returns (report, q_fit, fit R^2).
     """
-    report, q_fit, r2, _cells = _comparison(op, spec, ts, xs, ys, q_fit, ceiling)
+    report, q_fit, r2, _cells = _comparison(op, spec, ts, xs, ys, q_fit)
     return report, q_fit, r2
 
 
-def _comparison(op, spec, ts, xs, ys, q_fit=None, ceiling=None):
+def _comparison(op, spec, ts, xs, ys, q_fit=None):
     """:func:`compare_oracle_vs_estimate` plus its cells, each
     ``(t, x height, y height, oracle, estimate)`` with t and the heights as
     given; a cell whose oracle density did not converge holds the
@@ -435,14 +434,7 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None, ceiling=None):
             cells.append((t, xh, yh, num, None))
         else:
             cells.append((t, xh, yh, num, killed_hke(params, float(t), xpt, ypt, q=q_fit)))
-    report = ratio_report(
-        "oracle_vs_estimate",
-        cells,
-        _cell_ratio,
-        ceiling=ceiling,
-        witness=lambda cell: {"t": float(cell[0]), "x": float(cell[1]), "y": float(cell[2])},
-        skip_unconverged=True,
-    )
+    report = ratio_report("oracle_vs_estimate", cells, _cell_ratio, skip_unconverged=True)
     return report, q_fit, r2, cells
 
 

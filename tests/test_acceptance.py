@@ -61,9 +61,9 @@ def killing_samples():
 
 
 def test_every_frozen_constant_has_its_code():
-    """Each name in the frozen file is a lemma, a registry sweep or an oracle fit."""
+    """Each name in the frozen file is a registry sweep or an oracle fit."""
     fits = {f"acc_oracle_qfit_{idx}" for idx in range(len(ORACLE_CONFIGS))}
-    assert set(load_constants()) == set(lemma_ids()) | set(SWEEPS) | fits
+    assert set(load_constants()) == set(SWEEPS) | fits
 
 
 def test_unconverged_sample_fails_the_bound(monkeypatch):

@@ -415,8 +415,9 @@ class TestInteriorOnDiagonal:
     def test_free_value_matches_on_diagonal_profile(self, rng):
         # nearby deep pairs: the free value is the on-diagonal profile
         from dkl.constants import get_constant
+        from dkl.report import SLACK
 
-        floor = get_constant("acc_interior_ondiag") / 1.1
+        floor = get_constant("acc_interior_ondiag") / SLACK
         for _ in range(300):
             dim = int(rng.integers(1, 3))
             alpha = float(rng.uniform(0.2, 1.9))

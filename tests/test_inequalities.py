@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
+import dkl.inequalities as inequalities
+from dkl.cli import main
 from dkl.inequalities import (
     _E,
-    REGISTRY,
     _cal0_breaks,
+    _eval_cal_3,
+    _eval_cal_green,
+    _eval_cal_new1,
+    _eval_slowly_varying,
     _l_cal1_outer,
     _sample_l_cal1,
     _sphere_slice,
     check,
     lemma_ids,
+    lemma_sweeps,
 )
-from dkl.quadrature import QuadratureSpec, geometric_breaks, panel_nodes
-from dkl.report import ComparabilityReport
+from dkl.quadrature import NonConvergenceError, QuadratureSpec, geometric_breaks, panel_nodes
+from dkl.report import CEILING, FLOOR, TWO_SIDED, ComparabilityReport
 
 SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
 BUDGET = 150
@@ -48,7 +54,7 @@ class TestRegistry:
 
 
 class TestFrozenCeilings:
-    @pytest.mark.parametrize("lemma_id", sorted(REGISTRY))
+    @pytest.mark.parametrize("lemma_id", lemma_ids())
     def test_passes_frozen_ceiling(self, lemma_id):
         rep = check(lemma_id, sampler_seed=0, budget=BUDGET, spec=SPEC)
         assert rep.ceiling is not None, f"no frozen ceiling for {lemma_id}"
@@ -56,6 +62,53 @@ class TestFrozenCeilings:
             f"{lemma_id}: range [{rep.min_ratio}, {rep.max_ratio}] "
             f"vs ceiling {rep.ceiling}, excluded={rep.excluded}"
         )
+
+
+class TestUnconvergedSamples:
+    """Samples whose quadrature once failed to converge at rel 1e-7 (the
+    default spec and criterion 12's) or at rel 1e-8 (the CLI's), each with
+    abs 1e-12; a check now counts such a sample as a failure."""
+
+    @pytest.mark.parametrize(
+        "lemma_id, seed, index",
+        [
+            ("two_jump_region", 0, 683),  # a kink of the second leg
+            ("lower_2", 0, 57),
+            ("cal_2", 0, 432),  # the d = 1 shell endpoint r = xd
+            ("l_cal1", 0, 778),  # the power of t - s below t - xd^alpha
+            ("cal_0", 2, 688),  # the power of s above yd^alpha
+            ("cal_0", 3, 345),
+        ],
+    )
+    def test_converges_at_both_tolerances(self, lemma_id, seed, index):
+        ratios = []
+        for rel_tol in (1e-7, 1e-8):
+            entry = lemma_sweeps(seed, QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12))[lemma_id]
+            *_, params = entry.samples(index + 1)
+            lo, hi = entry.ratio(params)
+            assert 0.0 < lo <= hi < math.inf
+            ratios.append(hi)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-6)
+
+    def test_unconverged_sample_fails_the_check(self, monkeypatch, capsys):
+        """One raising sample in 150 fails the report and the CLI, whatever
+        its extremes."""
+        calls = []
+
+        def flaky(p, spec):
+            calls.append(p)
+            if len(calls) == 5:
+                raise NonConvergenceError("quadrature did not converge")
+            return _eval_cal_3(p, spec)
+
+        monkeypatch.setattr(inequalities, "_eval_cal_3", flaky)
+        rep = check("cal_3", sampler_seed=0, budget=150, spec=SPEC)
+        assert (rep.samples, rep.excluded) == (149, 1)
+        assert rep.value <= rep.ceiling and not rep.passed
+        calls.clear()
+        assert main(["check", "--lemma", "cal_3", "--budget", "150"]) == 1
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert (row[0], row[1], row[2], row[-1]) == ("cal_3", "149", "1", "0")
 
 
 class TestDeterminism:
@@ -98,16 +151,19 @@ class TestReportInvariants:
         assert rep.argmax  # witnesses recorded
 
     def test_pass_logic(self):
-        good = ComparabilityReport("x", 10, 0, 0.5, 2.0, ceiling=3.0, two_sided=True)
+        good = ComparabilityReport("x", 10, 0, 0.5, 2.0, ceiling=3.0, kind=TWO_SIDED)
         assert good.passed
-        bad_low = ComparabilityReport("x", 10, 0, 0.2, 2.0, ceiling=3.0, two_sided=True)
+        bad_low = ComparabilityReport("x", 10, 0, 0.2, 2.0, ceiling=3.0, kind=TWO_SIDED)
         assert not bad_low.passed
-        one_sided = ComparabilityReport(
-            "x", 10, 0, 1e-9, 2.0, ceiling=3.0, two_sided=False
-        )
+        one_sided = ComparabilityReport("x", 10, 0, 1e-9, 2.0, ceiling=3.0, kind=CEILING)
         assert one_sided.passed
-        excluded = ComparabilityReport("x", 50, 10, 0.5, 2.0, ceiling=3.0)
-        assert not excluded.passed
+        floor = ComparabilityReport("x", 10, 0, 0.5, 1e9, ceiling=0.4, kind=FLOOR)
+        assert floor.passed
+        assert not ComparabilityReport("x", 10, 0, 0.3, 2.0, ceiling=0.4, kind=FLOOR).passed
+        # one excluded sample in a thousand fails the report
+        assert not ComparabilityReport("x", 999, 1, 0.5, 2.0, ceiling=3.0).passed
+        assert not ComparabilityReport("x", 0, 0, math.inf, 0.0, ceiling=3.0).passed
+        assert not ComparabilityReport("x", 10, 0, 0.5, 2.0).passed
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
@@ -117,27 +173,23 @@ class TestReportInvariants:
 class TestSpotValues:
     def test_slowly_varying_at_unit(self):
         # eps = 1, r = 1: log(e+1) about 1.3133 against bound 3
-        entry = REGISTRY["slowly_varying"]
-        _, hi = entry.evaluate({"eps": 1.0, "r": 1.0}, SPEC)
+        _, hi = _eval_slowly_varying({"eps": 1.0, "r": 1.0}, SPEC)
         assert hi == pytest.approx(math.log(math.e + 1.0) / 3.0, rel=1e-12)
 
     def test_cal_green_pure_power(self):
         # gamma=2, flat clamps, a=1: both sides equal 1
-        entry = REGISTRY["cal_green"]
-        lo, hi = entry.evaluate(
+        lo, hi = _eval_cal_green(
             {"gamma": 2.0, "b1": 0.0, "b2": 0.0, "a": 1.0, "k": 1.0, "l": 1.0}, SPEC
         )
         assert hi == pytest.approx(1.0, rel=1e-9)
 
     def test_cal_3_ratio_tends_to_one(self):
-        entry = REGISTRY["cal_3"]
-        lo, hi = entry.evaluate({"b1": 0.0, "b2": 0.0, "k": 1e-6, "l": 1e-6}, SPEC)
+        lo, hi = _eval_cal_3({"b1": 0.0, "b2": 0.0, "k": 1e-6, "l": 1e-6}, SPEC)
         # LHS = log(2/l), RHS = log(e + 1/l): ratio close to 1 for tiny l
         assert hi == pytest.approx(1.0, rel=0.1)
 
     def test_cal_new1_unit_ball(self):
-        entry = REGISTRY["cal_new1"]
-        _, hi = entry.evaluate({"dim": 1, "xd": 2.0, "A": 1.0}, SPEC)
+        _, hi = _eval_cal_new1({"dim": 1, "xd": 2.0, "A": 1.0}, SPEC)
         lhs = 2.0 * (math.sqrt(3.0) - 1.0)
         assert hi == pytest.approx(lhs / (1.0 * 2.0**-0.5), rel=1e-9)
 

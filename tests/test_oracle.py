@@ -337,7 +337,6 @@ class TestComparison:
             ts=(1.0,),
             xs=(2.0, 4.0),
             ys=(2.5, 4.5),
-            ceiling=math.inf,
         )
         assert r2 > 0.99
         assert 0.05 < rep.min_ratio and rep.max_ratio < 20.0
