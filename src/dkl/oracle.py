@@ -33,7 +33,7 @@ from .report import ComparabilityReport, ratio_report
 from .special import (
     bessel_I_scaled_arr,
     one_minus_scaled_I,
-    stable_one_density,
+    stable_one_density_arr,
 )
 
 __all__ = [
@@ -73,10 +73,21 @@ def _q_kernel_arr(gamma: float, d: int, s: np.ndarray, xd, yd, dist2) -> np.ndar
     enters exponentially scaled, which turns the Gaussian exponent into
     -(distance^2)/(4s) exactly.
     """
-    z = xd * yd / (2.0 * s)
-    radial = (np.sqrt(xd * yd) / (2.0 * s)) * bessel_I_scaled_arr(gamma, z)
-    tangential = (4.0 * math.pi * s) ** (-(d - 1) / 2.0)
-    return radial * tangential * np.exp(-dist2 / (4.0 * s))
+    # the radial factor, then the tangential and Gaussian ones, multiplied
+    # in place in this order; the tangential factor is exactly 1 in d = 1
+    two_s, xy = 2.0 * s, xd * yd
+    z = xy / two_s
+    out = np.sqrt(xy) / two_s
+    del two_s, xy
+    out *= bessel_I_scaled_arr(gamma, z)
+    if d > 1:
+        tangential = 4.0 * math.pi * s
+        tangential **= -(d - 1) / 2.0
+        out *= tangential
+    gauss = 4.0 * s
+    np.divide(-dist2, gauss, out=gauss)
+    out *= np.exp(gauss, out=gauss)
+    return out
 
 
 def killed_bm_density(
@@ -102,18 +113,24 @@ def killed_bm_density(
 _G_SPLINES: dict[float, tuple] = {}
 
 
-def _g_spline(a: float):
-    """log-log spline of the unit-time subordinator density plus tail pieces."""
-    key = round(a, 12)
-    if key in _G_SPLINES:
-        return _G_SPLINES[key]
+def _g_grid(a: float) -> np.ndarray:
+    """Knots of :func:`_g_spline`: 60 per decade from where the density is
+    about e^-600 of its scale up to 1e14."""
     frac = a / (1.0 - a)
     k_left = (1.0 - a) * a**frac
     w_left = (k_left / 600.0) ** (1.0 / frac)
     w_hi = 1e14
     n = max(int(60 * math.log10(w_hi / w_left)), 200)
-    grid = np.geomspace(w_left, w_hi, n)
-    vals = np.array([stable_one_density(a, float(w)) for w in grid])
+    return np.geomspace(w_left, w_hi, n)
+
+
+def _g_spline(a: float):
+    """log-log spline of the unit-time subordinator density plus tail pieces."""
+    key = round(a, 12)
+    if key in _G_SPLINES:
+        return _G_SPLINES[key]
+    grid = _g_grid(a)
+    vals = stable_one_density_arr(a, grid)
     good = vals > 0.0
     grid, vals = grid[good], vals[good]
     spline = CubicSpline(np.log(grid), np.log(vals))
@@ -256,13 +273,20 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
         tsc.append(ts)
         rows.append(merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi))
     _, xds, yds, dist2s = zip(*cells)
-    per_cell = [np.array(v, dtype=float) for v in (tsc, xds, yds, dist2s)]
+    tss, xds, yds, dist2s = (np.array(v, dtype=float) for v in (tsc, xds, yds, dist2s))
     gamma, d = op.gamma, op.dim
 
     def f(s: np.ndarray, row: np.ndarray) -> np.ndarray:
-        # one cell takes its scalars as they are, several their per-node values
-        ts, xd, yd, dist2 = (v[0] if len(v) == 1 else v[row] for v in per_cell)
-        return _q_kernel_arr(gamma, d, s, xd, yd, dist2) * _g_eval(a, s / ts) / ts
+        # one cell takes its scalars as they are, several their per-node
+        # values, each gathered only while it is needed
+        def at(v: np.ndarray):
+            return v[0] if len(v) == 1 else v[row]
+
+        out = _q_kernel_arr(gamma, d, s, at(xds), at(yds), at(dist2s))
+        ts = at(tss)
+        out *= _g_eval(a, s / ts)
+        out /= ts
+        return out
 
     return converge_rows(f, rows, spec)
 

@@ -46,7 +46,9 @@ class ComparabilityReport:
 
     ``argmin`` and ``argmax`` are the samples at the extremes.  ``ceiling``
     is the bound the frozen side :attr:`value` is held to (from below for a
-    floor); without one the report does not pass.
+    floor); without one the report does not pass.  ``paired`` marks a sweep
+    whose samples give (lower, upper) pairs: its extremes come from
+    different sides, so the lower one may exceed the upper one.
     """
 
     name: str
@@ -58,9 +60,14 @@ class ComparabilityReport:
     argmax: Any = None
     ceiling: Optional[float] = None
     kind: str = TWO_SIDED
+    paired: bool = False
 
     def __post_init__(self):
-        if self.samples > 0 and not (0.0 < self.min_ratio <= self.max_ratio):
+        if self.paired:
+            valid = 0.0 < self.min_ratio and 0.0 < self.max_ratio  # False for NaN
+        else:
+            valid = 0.0 < self.min_ratio <= self.max_ratio
+        if self.samples > 0 and not valid:
             raise ValueError(
                 f"ratio range invalid: ({self.min_ratio}, {self.max_ratio})"
             )
@@ -100,6 +107,7 @@ def ratio_report(
     lo, hi = math.inf, 0.0
     argmin = argmax = None
     count = excluded = 0
+    paired = False
     for smp in samples:
         try:
             r = ratio(smp)
@@ -111,12 +119,15 @@ def ratio_report(
         if r is None:
             continue
         count += 1
+        paired = paired or isinstance(r, tuple)
         r_lo, r_hi = r if isinstance(r, tuple) else (r, r)
         if r_hi > hi:
             hi, argmax = r_hi, smp
         if r_lo < lo:
             lo, argmin = r_lo, smp
-    return ComparabilityReport(name, count, excluded, lo, hi, argmin, argmax, ceiling, kind)
+    return ComparabilityReport(
+        name, count, excluded, lo, hi, argmin, argmax, ceiling, kind, paired
+    )
 
 
 def sweep(name: str, entry: Sweep, n: Optional[int] = None) -> ComparabilityReport:

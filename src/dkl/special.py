@@ -6,13 +6,21 @@ one-element case.  It switches from the ascending series (all terms
 positive, no cancellation) to the large-argument asymptotic expansion at
 r = max(30, gamma^2 / 8), since the expansion needs r large against
 gamma^2.  Exponentially scaled and log-scaled variants serve
-overflow-free use inside Gaussian products.  The stable density uses a
-convergent tail series for large arguments and an integral representation
-elsewhere, with a cross-validation band where the two must agree.
+overflow-free use inside Gaussian products.
+
+The one-sided stable density likewise has one implementation,
+:func:`stable_one_density_arr`, and the scalar :func:`stable_one_density`
+is its input-checked one-element case.  It uses a convergent tail series
+for large arguments and Zolotarev's integral representation elsewhere,
+with a cross-validation band where the two must agree.  The series sums
+blocks of terms on arrays, each element stopping at its own term, and
+takes its per-term factors and every exp and log from ``math``, so each
+element has the bits of the term-by-term scalar loop it replaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +33,7 @@ __all__ = [
     "bessel_I_scaled_arr",
     "one_minus_scaled_I",
     "stable_one_density",
+    "stable_one_density_arr",
     "stable_density",
 ]
 
@@ -97,9 +106,12 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
             raise NonConvergenceError("Bessel series did not converge")
         if not np.all(np.isfinite(total)):
             raise NonConvergenceError("Bessel series overflowed")
-        vals = np.empty_like(rs)
-        vals[order] = total * np.exp(-rs)
-        out[small] = vals
+        del term, quarter, tk, qk, sk
+        # total * exp(-rs), put back in r's order, with no array beyond rs
+        np.negative(rs, out=rs)
+        total *= np.exp(rs, out=rs)
+        rs[order] = total
+        out[small] = rs
     if np.any(~small):
         rl = r[~small]
         mu = 4.0 * gamma * gamma
@@ -143,33 +155,76 @@ def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-sided stable density, normalized so that the Laplace exponent is x^a
 
+_TERMS = 399  # series terms k = 1 .. _TERMS
+# the series is summed a block of terms at a time over the elements still
+# open; most elements stop within the first block
+_BLOCKS = (0, 64, 192, _TERMS)
 
-def _stable_series(a: float, x: float) -> tuple[float, float]:
-    """Tail series for the standard one-sided a-stable density at x.
+
+@functools.lru_cache(maxsize=None)
+def _series_coefs(a: float) -> list[tuple[np.ndarray, ...]]:
+    """Per-term factors of the tail series, computed once per index by ``math``.
+
+    Term k is (-1)^(k+1) exp(c_k - (a k + 1) log x) sin(pi a k), with
+    c_k = lgamma(a k + 1) - lgamma(k + 1).  Returns, per block of terms,
+    c_k, a k + 1, the signed sine and the stop rule's factor (0 for k <= 3,
+    which never stop).
+    """
+    ks = range(1, _TERMS + 1)
+    c = np.array([math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) for k in ks])
+    power = np.array([a * k + 1.0 for k in ks])
+    signed_sin = np.array([(1.0 if k % 2 else -1.0) * math.sin(math.pi * a * k) for k in ks])
+    factor = np.array([1e-17 if k > 3 else 0.0 for k in ks])
+    return [
+        tuple(v[i:j] for v in (c, power, signed_sin, factor))
+        for i, j in zip(_BLOCKS, _BLOCKS[1:])
+    ]
+
+
+def _stable_series(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tail series for the standard one-sided a-stable density at each x > 0.
 
     Returns (value, max_term); the second lets callers detect cancellation.
+    The value is nan where a term overflows or the terms run out.  Each
+    element sums its terms left to right and stops at its own first term
+    that meets the stop rule.
     """
-    total = 0.0
-    max_term = 0.0
-    prev_mag = math.inf
-    sign = 1.0
-    log_x = math.log(x)
-    for k in range(1, 400):
-        log_mag = math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) - (a * k + 1.0) * log_x
-        s = math.sin(math.pi * a * k)
-        if log_mag > 700.0:
-            return math.nan, math.inf
-        term = sign * math.exp(log_mag) * s
-        total += term
-        mag = abs(term)
-        max_term = max(max_term, mag)
-        # rational multiples of the index make single sine factors vanish, so
-        # two consecutive tiny terms are required before declaring convergence
-        if k > 3 and max(mag, prev_mag) < 1e-17 * max(abs(total), 1e-300):
-            return total / math.pi, max_term
-        prev_mag = mag
-        sign = -sign
-    return math.nan, math.inf
+    val = np.full(len(x), math.nan)
+    max_term = np.full(len(x), math.inf)
+    # per open element: its index, log x, the running sum, the largest
+    # |term| and the last |term| so far
+    open_ = np.arange(len(x))
+    log_x = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    total, peak, last = np.zeros(len(x)), np.zeros(len(x)), np.full(len(x), math.inf)
+    for c, power, signed_sin, factor in _series_coefs(a):
+        log_mag = c - power * log_x[:, None]
+        log_mag[log_mag > 700.0] = math.nan  # math.exp raises past 709.78
+        exps = np.fromiter(map(math.exp, log_mag.ravel().tolist()), float, log_mag.size)
+        # column 0 carries the running sum, column j the j-th term of the block
+        term = np.empty((len(open_), len(c) + 1))
+        term[:, 0] = total
+        np.multiply(exps.reshape(log_mag.shape), signed_sin, out=term[:, 1:])
+        sums = np.add.accumulate(term, axis=1)[:, 1:]  # strictly left to right
+        mag = np.abs(term)
+        mag[:, 0] = last
+        peaks = np.maximum.accumulate(mag[:, 1:], axis=1)
+        # an element ends at its first nan term or at the stop rule: rational
+        # multiples of the index make single sine factors vanish, so two
+        # consecutive tiny terms are required before declaring convergence
+        event = ~(np.maximum(mag[:, 1:], mag[:, :-1]) >= factor * np.maximum(np.abs(sums), 1e-300))
+        at = event.argmax(axis=1)
+        rows = np.arange(len(open_))
+        ended = event[rows, at]
+        done, r, k = open_[ended], rows[ended], at[ended]
+        val[done] = sums[r, k] / math.pi
+        max_term[done] = np.maximum(peak[r], peaks[r, k])
+        if ended.all():
+            break
+        keep = ~ended
+        open_, log_x = open_[keep], log_x[keep]
+        total, last = sums[keep, -1], mag[keep, -1]
+        peak = np.maximum(peak[keep], peaks[keep, -1])
+    return val, max_term
 
 
 def _zolotarev_A(a: float, phi: np.ndarray) -> np.ndarray:
@@ -185,64 +240,93 @@ def _zolotarev_A(a: float, phi: np.ndarray) -> np.ndarray:
 _STABLE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=1024)
 
 
-def _stable_integral(a: float, x: float) -> float:
-    """Integral representation, accurate for small and moderate x."""
+def _stable_integral(a: float, x: np.ndarray) -> np.ndarray:
+    """Integral representation at each x > 0, accurate for small and moderate x."""
     one_m = 1.0 - a
-    lam = x ** (-a / one_m)
+    lam = np.empty(len(x))
+    for i, v in enumerate(x.tolist()):
+        try:
+            lam[i] = v ** (-a / one_m)
+        except OverflowError:
+            lam[i] = math.inf  # x so small that the true value underflows
     a0 = a ** (a / one_m) * one_m  # kernel value at phi = 0, its minimum
-    if lam * a0 > 745.0:
-        return 0.0  # true value underflows
+    out = np.zeros(len(x))  # 0 where lam * a0 > 745: the true value underflows
+    rows = np.flatnonzero(~(lam * a0 > 745.0))
     # the kernel rises monotonically to +inf at pi; cut where it stops mattering
-    lo, hi = 0.0, math.pi
-    for _ in range(80):
+    lam_r = lam[rows]
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), math.pi)
+    for i in range(80):
         mid = 0.5 * (lo + hi)
-        if lam * float(_zolotarev_A(a, np.array([mid]))[0]) > 745.0:
-            hi = mid
-        else:
-            lo = mid
-    phi_hi = hi
+        # once lo and hi are adjacent floats, mid is one of them and the cut
+        # stops moving: the remaining steps would leave every bit as it is
+        if i >= 48 and np.all((mid == lo) | (mid == hi)):
+            break
+        up = lam_r * _zolotarev_A(a, mid) > 745.0
+        np.putmask(hi, up, mid)
+        np.putmask(lo, ~up, mid)
+    for r, lam_i, phi_hi in zip(rows.tolist(), lam_r.tolist(), hi.tolist()):
 
-    def f(phi: np.ndarray) -> np.ndarray:
-        A = _zolotarev_A(a, phi)
-        return A * np.exp(-lam * A)
+        def f(phi: np.ndarray) -> np.ndarray:
+            A = _zolotarev_A(a, phi)
+            return A * np.exp(-lam_i * A)
 
-    try:
-        val = integrate_panels(f, np.linspace(0.0, phi_hi, 9), _STABLE_SPEC, n0=32)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(f"stable density integral at a={a}, x={x}: {exc}") from None
-    return (a / (math.pi * one_m)) * x ** (-1.0 / one_m) * val
+        x_r = float(x[r])
+        try:
+            val = integrate_panels(f, np.linspace(0.0, phi_hi, 9), _STABLE_SPEC, n0=32)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"stable density integral at a={a}, x={x_r}: {exc}"
+            ) from None
+        out[r] = (a / (math.pi * one_m)) * x_r ** (-1.0 / one_m) * val
+    return out
 
 
-def stable_one_density(a: float, x: float) -> float:
-    """Density at x of the standard one-sided a-stable law (unit time).
+@np.errstate(over="ignore")  # a sum or noise bound past the float range is inf
+def stable_one_density_arr(a: float, x: np.ndarray) -> np.ndarray:
+    """Density at each x of the standard one-sided a-stable law (unit time).
 
     Series and integral representations cross-validate in an overlap band;
-    outside it the numerically reliable one is used.
+    outside it the numerically reliable one is used.  Raises
+    :class:`NonConvergenceError` if the two disagree at any element.
     """
     if not (0.0 < a < 1.0):
         raise ValueError("index must lie in (0, 1)")
-    if x <= 0.0:
-        return 0.0
-    val, max_term = _stable_series(a, x)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = ~(x <= 0.0)  # 0 at x <= 0
+    xs = x[pos]
+    if xs.size == 0:
+        return out
+    val, max_term = _stable_series(a, xs)
     # cancellation noise bound of the alternating series: per-term rounding
     # accumulated across the slowly decaying head; the 500x multiplier holds
-    # a 2.5x margin over the worst ratio observed in calibration sweeps
-    noise = (
-        500.0 * max_term * 2.2e-16 / max(abs(val), 1e-300)
-        if math.isfinite(val)
-        else math.inf
-    )
-    if noise <= 1e-9 and val > 0.0:
-        return val
-    integral = _stable_integral(a, x)
-    if math.isfinite(val) and val > 0.0 and noise <= 1e-3 and integral > 0.0:
+    # a 2.5x margin over the worst ratio observed in calibration sweeps.
+    # It is nan where the series failed, which no test below passes
+    noise = 500.0 * max_term * 2.2e-16 / np.maximum(np.abs(val), 1e-300)
+    use = (noise <= 1e-9) & (val > 0.0)
+    if not use.all():
+        rest = np.flatnonzero(~use)
+        integral = _stable_integral(a, xs[rest])
+        v, nz = val[rest], noise[rest]
         # cross-validation band: where both claim accuracy they must agree
-        if abs(val - integral) > max(1e-6, noise) * max(integral, abs(val)):
+        bad = (v > 0.0) & (nz <= 1e-3) & (integral > 0.0) & (
+            np.abs(v - integral) > np.maximum(1e-6, nz) * np.maximum(integral, np.abs(v))
+        )
+        if bad.any():
+            i = int(np.argmax(bad))
             raise NonConvergenceError(
-                f"stable density representations disagree at a={a}, x={x}: "
-                f"{val} vs {integral}"
+                f"stable density representations disagree at a={a}, x={float(xs[rest[i]])}: "
+                f"{float(v[i])} vs {float(integral[i])}"
             )
-    return integral
+        val[rest] = integral
+    out[pos] = val
+    return out
+
+
+def stable_one_density(a: float, x: float) -> float:
+    """Density at x of the standard one-sided a-stable law (unit time):
+    :func:`stable_one_density_arr` at one point."""
+    return float(stable_one_density_arr(a, np.array([x], dtype=float))[0])
 
 
 def stable_density(alpha_half: float, t: float, s: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -186,6 +187,21 @@ class TestCheck:
     def test_unknown_lemma_exit_2(self, capsys):
         code, _ = run_cli(["check", "--lemma", "not_a_lemma"], capsys)
         assert code == 2
+
+    def test_pair_lemma_at_a_small_budget(self, capsys):
+        # cal_basic's lower side is the larger for every sample at budget 5;
+        # the report is valid, so this is a verdict, not a usage error
+        code, out = run_cli(["check", "--lemma", "cal_basic", "--budget", "5"], capsys)
+        assert code in (0, 1)
+        assert out.splitlines()[1].startswith("cal_basic,5,0,")
+
+    def test_all_lemmas_stdout_is_pinned(self, capsys):
+        # SHA-256 of the stdout of `dkl check --lemma all --budget 1000`
+        code, out = run_cli(["check", "--lemma", "all", "--budget", "1000"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eda75f8681dbad76648e12a34b4e16eb966ba5476f86cd6639b926a6b682da40"
+        )
 
     def test_single_lemma_passes(self, capsys):
         code, out = run_cli(

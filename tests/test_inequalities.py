@@ -20,7 +20,7 @@ from dkl.inequalities import (
     lemma_sweeps,
 )
 from dkl.quadrature import NonConvergenceError, QuadratureSpec, geometric_breaks, panel_nodes
-from dkl.report import CEILING, FLOOR, TWO_SIDED, ComparabilityReport
+from dkl.report import CEILING, FLOOR, TWO_SIDED, ComparabilityReport, ratio_report
 
 SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
 BUDGET = 150
@@ -168,6 +168,26 @@ class TestReportInvariants:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             ComparabilityReport("x", 10, 0, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            ComparabilityReport("x", 10, 0, 2.0, 1.0, ceiling=3.0, kind=CEILING)
+
+    def test_pair_sweep_may_have_its_lower_side_above_its_upper(self):
+        # each side of a (lower, upper) pair gives one extreme, so the lower
+        # side's minimum may exceed the upper side's maximum
+        rep = ratio_report("x", [1, 2], lambda s: (7.0 * s, 5.0 * s), ceiling=20.0)
+        assert rep.paired and rep.min_ratio == 7.0 and rep.max_ratio == 10.0
+        assert rep.passed
+        ComparabilityReport("x", 10, 0, 2.0, 1.0, paired=True)
+        for lo, hi in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                ComparabilityReport("x", 10, 0, lo, hi, paired=True)
+        with pytest.raises(ValueError):
+            ratio_report("x", [1], lambda s: (0.0, 1.0))
+
+    def test_cal_basic_small_budget(self):
+        # at budget 5 every sample has a >= 1, where the lower side is the larger
+        rep = check("cal_basic", sampler_seed=0, budget=5, spec=SPEC)
+        assert rep.samples == 5 and rep.min_ratio > rep.max_ratio
 
 
 class TestSpotValues:

@@ -28,7 +28,7 @@ from dkl.quadrature import (
     merge_breaks,
     panel_nodes,
 )
-from dkl.special import bessel_I_scaled_arr, one_minus_scaled_I
+from dkl.special import bessel_I_scaled_arr, one_minus_scaled_I, stable_one_density_arr
 
 from conftest import pt
 
@@ -232,6 +232,24 @@ def _mass_F_one_time(gamma, xd, ti, n):
     phi = np.exp(-((xd - nodes) ** 2) / (4.0 * ti)) / math.sqrt(4.0 * math.pi * ti)
     om = one_minus_scaled_I(gamma, xd * nodes / (2.0 * ti))
     return float(np.dot(phi * om, wts)) + 0.5 * math.erfc(xd / (2.0 * sig))
+
+
+class TestSubordinatorSpline:
+    # largest relative error of the _g_eval spline measured at these points,
+    # rounded up; at alpha = 1.4 it is above oracle_p's default rel_tol 1e-8
+    MEASURED = {0.6: 3.3e-9, 1.0: 7.3e-8, 1.4: 1.9e-6}
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
+    def test_spline_error_off_the_knots(self, alpha):
+        # the interior points of a 4,000-point geometric grid over the knots,
+        # none of them a knot, where the density is above 1e-4 of its maximum
+        a = alpha / 2.0
+        lo, hi, _ = _g_spline(a)
+        w = np.geomspace(lo, hi, 4000)[1:-1]
+        exact = stable_one_density_arr(a, w)
+        keep = exact > 1e-4 * exact.max()
+        err = np.abs(_g_eval(a, w[keep]) / exact[keep] - 1.0)
+        assert err.max() <= self.MEASURED[alpha]
 
 
 class TestMassDefect:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -6,15 +7,19 @@ import pytest
 import scipy.special as sp
 from scipy.integrate import quad
 
+import dkl.special
+from dkl.oracle import _g_grid
 from dkl.quadrature import NonConvergenceError
 from dkl.special import (
     _SERIES_CUT,
+    _stable_series,
     bessel_I,
     bessel_I_scaled,
     bessel_I_scaled_arr,
     one_minus_scaled_I,
     stable_density,
     stable_one_density,
+    stable_one_density_arr,
 )
 
 
@@ -171,3 +176,90 @@ class TestStableDensity:
             stable_one_density(1.2, 1.0)
         with pytest.raises(ValueError):
             stable_density(0.5, -1.0, 1.0)
+
+
+def _branches(a, x):
+    """Which representation gives each element of stable_one_density_arr(a, x)."""
+    val, max_term = _stable_series(a, x[x > 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = 500.0 * max_term * 2.2e-16 / np.maximum(np.abs(val), 1e-300)
+    out = np.full(len(x), "x <= 0", dtype=object)
+    out[x > 0.0] = np.where(
+        (noise <= 1e-9) & (val > 0.0),
+        "series",
+        np.where((val > 0.0) & (noise <= 1e-3), "band", "integral"),
+    )
+    return out
+
+
+class TestStableDensityArray:
+    # SHA-256 of the float64 bytes of the spline grid values of oracle._g_spline,
+    # as the scalar density gave them one point at a time
+    GRID_SHA256 = {
+        0.6: "31ff27fee26e1daaaa86ffc354f7f08a354ee68b543625fdc84a667cda01e5e7",
+        1.0: "d633f394074562284ec41170a34ce9c3bd04ce1447f4b5b7d77a5bc37a81d30a",
+        1.4: "c0fabc41aa2eac938af95f82f95ea5cf4fcf6adca5ce483d278106bb7ab7ec0d",
+    }
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
+    def test_spline_grids_keep_their_bits(self, alpha):
+        a = alpha / 2.0
+        grid = _g_grid(a)
+        vals = stable_one_density_arr(a, grid)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == self.GRID_SHA256[alpha]
+        for i in range(0, len(grid), 97):
+            assert stable_one_density(a, float(grid[i])) == vals[i]
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+    def test_mixed_array_is_its_one_element_calls(self, a):
+        # bit for bit, whatever shares the array: every branch, in shuffled order
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            [0.0, -1.0, -math.inf, 1e-300],
+            10.0 ** rng.uniform(-4.0, 7.0, 300),
+        ])
+        rng.shuffle(x)
+        got = stable_one_density_arr(a, x)
+        for v, g in zip(x, got):
+            assert g == stable_one_density(a, float(v)), v
+        branch = _branches(a, x)
+        assert set(branch) == {"x <= 0", "series", "band", "integral"}
+        assert np.all(got[branch == "x <= 0"] == 0.0)
+        assert got[x == 1e-300][0] == 0.0  # the true value underflows
+        assert np.all(got[x > 0.0] >= 0.0)
+
+    def test_shape_is_kept(self):
+        x = np.array([[0.5, 2.0], [0.0, 30.0]])
+        got = stable_one_density_arr(0.5, x)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == 0.0
+        assert got[0, 1] == stable_one_density(0.5, 2.0)
+        assert stable_one_density_arr(0.5, np.array([])).shape == (0,)
+
+    def test_one_disagreeing_element_raises_for_the_array(self, monkeypatch):
+        a = 0.5
+        x = np.geomspace(1e-3, 1e3, 200)
+        band = x[_branches(a, x) == "band"]
+        assert len(band) > 0
+        target = float(band[0])
+        real = dkl.special._stable_integral
+
+        def off_at_target(a_, xs):
+            out = real(a_, xs)
+            out[xs == target] *= 1.0 + 1e-3  # outside the band's 1e-6
+            return out
+
+        monkeypatch.setattr(dkl.special, "_stable_integral", off_at_target)
+        with pytest.raises(NonConvergenceError, match="disagree"):
+            stable_one_density_arr(a, x)
+        with pytest.raises(NonConvergenceError, match="disagree"):
+            stable_one_density(a, target)
+        # without the disagreeing element the call goes through
+        stable_one_density_arr(a, x[x != target])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_index_outside_the_unit_interval(self, a):
+        with pytest.raises(ValueError):
+            stable_one_density(a, 1.0)
+        with pytest.raises(ValueError):
+            stable_one_density_arr(a, np.array([1.0]))
