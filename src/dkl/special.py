@@ -295,8 +295,6 @@ def stable_one_density_arr(a: float, x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape)
     pos = ~(x <= 0.0)  # 0 at x <= 0
     xs = x[pos]
-    if xs.size == 0:
-        return out
     val, max_term = _stable_series(a, xs)
     # cancellation noise bound of the alternating series: per-term rounding
     # accumulated across the slowly decaying head; the 500x multiplier holds
