@@ -163,22 +163,18 @@ def weight_from_heights(
 
 
 def weight_from_heights_arr(b, hmin, hmax, dist):
-    """Vectorized version of :func:`weight_from_heights` for numpy arrays."""
+    """Vectorized version of :func:`weight_from_heights` for numpy arrays: a
+    zero height keeps its power factor 0 ** b and drops its (infinite) log."""
     b1, b2, b3, b4 = b
-    hmin = np.asarray(hmin, dtype=float)
-    hmax = np.asarray(hmax, dtype=float)
-    dist = np.asarray(dist, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        safe_min = np.where(hmin > 0.0, hmin, 1.0)
-        t13 = np.minimum(safe_min / dist, 1.0) ** b1
+        t13 = np.minimum(hmin / dist, 1.0) ** b1
         if b3 > 0.0:
-            t13 = t13 * np.log(_E + np.minimum(hmax, dist) / np.minimum(safe_min, dist)) ** b3
-        t13 = np.where(hmin > 0.0, t13, 1.0 if b1 == 0.0 else 0.0)
-        safe_max = np.where(hmax > 0.0, hmax, 1.0)
-        t24 = np.minimum(safe_max / dist, 1.0) ** b2
+            log = np.log(_E + np.minimum(hmax, dist) / np.minimum(hmin, dist)) ** b3
+            t13 = np.where(hmin > 0.0, t13 * log, t13)
+        t24 = np.minimum(hmax / dist, 1.0) ** b2
         if b4 > 0.0:
-            t24 = t24 * np.log(_E + dist / np.minimum(safe_max, dist)) ** b4
-        t24 = np.where(hmax > 0.0, t24, 1.0 if b2 == 0.0 else 0.0)
+            log = np.log(_E + dist / np.minimum(hmax, dist)) ** b4
+            t24 = np.where(hmax > 0.0, t24 * log, t24)
     return t13 * t24
 
 

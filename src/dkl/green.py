@@ -5,8 +5,8 @@ alpha + (beta1+beta2)/2, expressed through a three-branch prefactor.  The
 verifier rescales to unit distance, integrates the killed heat-kernel
 estimate numerically over small times, and adds the exact piecewise-power
 tail for large times (the estimate is exactly the clamped on-diagonal
-profile there).  The small-time integrand is evaluated on the whole node
-array of each panel rule at once, by ``heatkernel._killed_hke_arr``.
+profile there).  The small-time integrand is the killed value of the array
+kernel ``heatkernel._hke_cells`` on each panel rule's whole node array.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import HalfSpacePoint, ModelParams
-from .heatkernel import _killed_hke_arr
+from .heatkernel import _hke_cells
 from .quadrature import QuadratureSpec, geometric_breaks, integrate_panels, merge_breaks
 
 __all__ = [
@@ -209,7 +209,10 @@ def green_by_time_integration(
             inner.append((1.0 - h) ** alpha)  # lifted height crosses the gap
     inner = [v for v in inner if t_lo < v < 1.0]
     breaks = merge_breaks(geometric_breaks(t_lo, 1.0, 1.0), inner, t_lo, 1.0)
-    small = integrate_panels(lambda ts: _killed_hke_arr(params, ts, xs, ys, q), breaks, spec)
+    hx, hy, unit = xs.height, ys.height, xs.distance_to(ys)
+    small = integrate_panels(
+        lambda ts: _hke_cells(params, ts ** (1.0 / alpha), hx, hy, unit, q)[3], breaks, spec
+    )
     large = _large_time_exact(d, alpha, q, xs.height, ys.height)
     q_hat = _qhat(params, q)
     return GreenBreakdown(

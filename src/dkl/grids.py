@@ -28,12 +28,12 @@ from .geometry import (
     eval_A,
     stable_factor,
     standard_weight,
-    weight_from_heights,
 )
 from .green import green_by_time_integration, green_estimate
 from .heatkernel import (
     Regime,
     _bracket_terms,
+    _time_scale,
     detect_regime,
     hke_closed,
     hke_unified,
@@ -165,16 +165,8 @@ def _ball(smp) -> float:
     """The mid-ball integral over the closed form of its second term."""
     params, t, x, y = smp
     val = twojump_ball_integral(params, standard_weight(params), t, x, y, QSPEC)
-    u = t ** (1.0 / params.alpha)
-    dist = x.distance_to(y)
-    b1, _, b3, _ = params.beta
-    hmin = min(x.height, y.height) + u
-    hmax = max(x.height, y.height) + u
-    closed = (
-        min(1.0, t * dist**-params.alpha)
-        * weight_from_heights((b1, b1, 0.0, b3), hmin, hmax, dist)
-        * math.log(math.e + dist / min(hmin, dist)) ** b3
-    )
+    u = _time_scale(t, params.alpha)
+    _, closed = _bracket_terms(params, Regime.TWO_JUMP_STRICT, u, x, y, x.distance_to(y))
     return val / closed
 
 

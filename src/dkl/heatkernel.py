@@ -21,7 +21,6 @@ from .geometry import (
     BoundaryWeight,
     HalfSpacePoint,
     ModelParams,
-    eval_J,
     lift_ed,
     stable_profile,
     weight_from_heights,
@@ -178,43 +177,36 @@ def hke_closed(
     )
 
 
-def _survival_arr(h: float, u: np.ndarray, q: float) -> np.ndarray:
-    """:func:`_survival` on an array of time scales u."""
-    return np.where(u > 0.0, np.minimum(h / u, 1.0) ** q, float(h > 0.0) ** q)
+def _hke_cells(params: ModelParams, u, hx, hy, dist, q: float = 0.0) -> tuple[np.ndarray, ...]:
+    """:func:`hke_closed` on arrays of cells: its one-jump and two-jump
+    bracket terms and its free and killed values.
 
-
-def _killed_hke_arr(
-    params: ModelParams,
-    ts: np.ndarray,
-    x: HalfSpacePoint,
-    y: HalfSpacePoint,
-    q: float,
-) -> np.ndarray:
-    """:func:`hke_closed`'s killed value for one distinct point pair at an
-    array of times.
-
-    The same formula, factor by factor, on arrays.  Overflow takes the values
-    of the scalar ``OverflowError`` branches: an infinite on-diagonal profile,
-    a unit time clamp, and the on-diagonal profile where the off-diagonal one
-    is 0 * inf.  Where u underflows to 0, a boundary point takes the scalar
-    limits of its survival factor and of the two-jump term.  Numpy's
-    ``power`` and ``log`` may differ from libm by a few ulp, so the values
-    agree with the scalar path to a few ulp, not bitwise.
+    The time scale ``u``, the heights ``hx`` and ``hy`` and the pair distance
+    ``dist`` broadcast against each other; a cell with ``dist == 0`` takes
+    the on-diagonal value.  Overflow takes the values of the scalar
+    ``OverflowError`` branches: an infinite on-diagonal profile, a unit time
+    clamp, and the on-diagonal profile where the off-diagonal one is 0 * inf.
+    Where u underflows to 0, a boundary point takes the scalar limits of its
+    survival factor and of the two-jump term.  Numpy's ``power`` and ``log``
+    may differ from libm by a few ulp, so the values agree with the scalar
+    path to a few ulp, not bitwise.
     """
     regime = detect_regime(params)
-    d = params.dim
-    alpha = params.alpha
+    d = float(params.dim)
     b1, _, b3, b4 = params.beta
-    dist = x.distance_to(y)
+    # numpy scalars where scalars are given: a division by 0 or an overflow
+    # then follows errstate, and a power keeps libm's bits
+    u, dist = (np.asarray(v, dtype=float)[()] for v in (u, dist))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        u = np.asarray(ts, dtype=float) ** (1.0 / alpha)
-        survival = _survival_arr(x.height, u, q) * _survival_arr(y.height, u, q)
-        on = u ** (-float(d))
-        ratio = (u / dist) ** alpha
-        stable = np.fmin(on, ratio * np.float64(dist) ** (-float(d)))
-        hmin = min(x.height, y.height) + u
-        hmax = max(x.height, y.height) + u
-        bracket = weight_from_heights_arr(params.beta, hmin, hmax, dist)
+        # min(h/u, 1)^q, with its limit as u falls to 0 at u = 0
+        sx, sy = (np.where(u > 0.0, np.minimum(h / u, 1.0), h > 0.0) ** q for h in (hx, hy))
+        on = u ** -d
+        ratio = (u / dist) ** params.alpha
+        stable = np.fmin(on, ratio * dist ** -d)
+        hmin = np.minimum(hx, hy) + u
+        hmax = np.maximum(hx, hy) + u
+        one = weight_from_heights_arr(params.beta, hmin, hmax, dist)
+        two = np.zeros(np.shape(one))
         if regime is not Regime.ONE_JUMP:
             b4_eff = b3 if regime is Regime.TWO_JUMP_STRICT else b3 + b4 + 1.0
             two = np.minimum(1.0, ratio) * weight_from_heights_arr(
@@ -224,8 +216,13 @@ def _killed_hke_arr(
                 # two = 0 where u = 0; its log factor may then be infinite (hmin = 0)
                 log = np.log(_E + dist / np.minimum(hmin, dist)) ** b3
                 two = np.where(two > 0.0, two * log, two)
-            bracket = bracket + two
-        return survival * np.minimum(on, stable * bracket)
+        free = np.minimum(on, stable * (one + two))
+        diag = np.equal(dist, 0.0)
+        if diag.any():
+            one = np.where(diag, 1.0, one)
+            two = np.where(diag, 0.0, two)
+            free = np.where(diag, on, free)
+        return one, two, free, sx * sy * free
 
 
 def killed_hke(
@@ -310,14 +307,20 @@ def hke_unified(
     dist = x.distance_to(y)
     if dist == 0.0:
         raise ValueError("distinct points required")
-    alpha = params.alpha
-    u = t ** (1.0 / alpha)
-    X = lift_ed(x, u)
-    Y = lift_ed(y, u)
-    bracket = t * eval_J(w, X, Y)
-    if detect_regime(params) is not Regime.ONE_JUMP:
+    u = _time_scale(t, params.alpha)
+    # the jump kernel between the points lifted by u, at the pair's own
+    # distance: lifting both heights by u leaves it unchanged
+    hmin = min(x.height, y.height) + u
+    hmax = max(x.height, y.height) + u
+    bracket = t * (
+        weight_from_heights(w.params.beta, hmin, hmax, dist) * dist ** -(params.dim + params.alpha)
+    )
+    cap = stable_profile(params.dim, params.alpha, u, 0.0)
+    # the two-jump term is >= 0: once the one-jump term reaches the cap it
+    # cannot move the value
+    if bracket < cap and detect_regime(params) is not Regime.ONE_JUMP:
         bracket += t * t * _radial_two_jump(params, w, t, u, x, y, dist, spec)
-    return min(u ** (-float(params.dim)), bracket)
+    return min(cap, bracket)
 
 
 def _jump_arr(params: ModelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,15 +429,12 @@ def dominance_map(
     if t <= 0.0:
         raise ValueError("t must be > 0")
     u = _time_scale(t, params.alpha)
-    cells = []
-    for y in ys:
-        dist = x.distance_to(y)
-        if dist == 0.0:
-            cells.append(DominanceCell(y, "OneJumpDominant", 1.0, 0.0, False, False))
-            continue
-        one, two = _bracket_terms(params, regime, u, x, y, dist)
-        tag = "OneJumpDominant" if one >= two else "TwoJumpDominant"
-        cells.append(
-            DominanceCell(y, tag, one, two, one == 0.0 and two == 0.0, dist > 6.0 * u)
-        )
-    return cells
+    dists = [x.distance_to(y) for y in ys]
+    heights = np.array([y.height for y in ys])
+    one, two, _, _ = _hke_cells(params, u, x.height, heights, np.array(dists))
+    # a diagonal cell has one = 1, two = 0 and is never valid
+    return [
+        DominanceCell(y, "OneJumpDominant" if o >= w else "TwoJumpDominant", o, w,
+                      o == 0.0 and w == 0.0, dist > 6.0 * u)
+        for y, dist, o, w in zip(ys, dists, one.tolist(), two.tolist())
+    ]

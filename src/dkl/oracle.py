@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import HalfSpacePoint, ModelParams
-from .heatkernel import killed_hke
+from .heatkernel import _hke_cells, _time_scale
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -445,19 +445,21 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
     pad = (0.0,) * (op.dim - 1)
     ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
     grid = []
+    cols = []  # per cell: time scale, x height, y height, distance
     for t in ts:
+        u = _time_scale(float(t), op.alpha)
         for xh in xs:
             for yh in ys:
                 xpt = HalfSpacePoint(op.dim, pad, float(xh))
                 ypt = HalfSpacePoint(op.dim, ytang, float(yh))
                 grid.append((t, xh, yh, xpt, ypt))
+                cols.append((u, xh, yh, xpt.distance_to(ypt)))
     nums = _p_rows(op, [_p_cell(float(t), xpt, ypt) for t, _, _, xpt, ypt in grid], spec)
-    cells = []
-    for (t, xh, yh, xpt, ypt), num in zip(grid, nums):
-        if isinstance(num, NonConvergenceError):
-            cells.append((t, xh, yh, num, None))
-        else:
-            cells.append((t, xh, yh, num, killed_hke(params, float(t), xpt, ypt, q=q_fit)))
+    est = _hke_cells(params, *np.array(cols, dtype=float).T, q_fit)[3].tolist()
+    cells = [
+        (t, xh, yh, num, None if isinstance(num, NonConvergenceError) else e)
+        for (t, xh, yh, _, _), num, e in zip(grid, nums, est)
+    ]
     report = ratio_report("oracle_vs_estimate", cells, _cell_ratio, skip_unconverged=True)
     return report, q_fit, r2, cells
 

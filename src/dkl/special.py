@@ -299,9 +299,10 @@ def stable_one_density_arr(a: float, x: np.ndarray) -> np.ndarray:
     # cancellation noise bound of the alternating series: per-term rounding
     # accumulated across the slowly decaying head; the 500x multiplier holds
     # a 2.5x margin over the worst ratio observed in calibration sweeps.
-    # It is nan where the series failed, which no test below passes
+    # It is nan where the series failed, which no test below passes.  Where
+    # every term underflows (max_term == 0) so does the density: keep the 0
     noise = 500.0 * max_term * 2.2e-16 / np.maximum(np.abs(val), 1e-300)
-    use = (noise <= 1e-9) & (val > 0.0)
+    use = (noise <= 1e-9) & ((val > 0.0) | (max_term == 0.0))
     if not use.all():
         rest = np.flatnonzero(~use)
         integral = _stable_integral(a, xs[rest])

@@ -16,8 +16,9 @@ from dkl.geometry import (
 )
 from dkl.heatkernel import (
     Regime,
+    _hke_cells,
     _jump_arr,
-    _killed_hke_arr,
+    _time_scale,
     detect_regime,
     dominance_map,
     hke_closed,
@@ -201,6 +202,7 @@ KILLED_ARR_PARAMS = [
 # numpy's power and log differ from libm by a few ulp; the worst gap measured
 # on this set is 7 ulp, and 15 ulp over about 570k nodes of random pairs
 KILLED_ARR_ULPS = 16.0
+FIELDS = ("one_jump", "two_jump", "free_value", "killed_value")
 
 
 def _killed_arr_pairs(d, boundary=False):
@@ -211,34 +213,56 @@ def _killed_arr_pairs(d, boundary=False):
         (HalfSpacePoint(d, zero, 0.3), HalfSpacePoint(d, tang, 0.05)),
     ]
     if boundary:
-        # a point of height 0, on either side of the pair
+        # a point of height 0, on either side of the pair, and a diagonal
+        # pair, whose on-diagonal value is infinite where u = 0
         pairs += [
             (HalfSpacePoint(d, zero, 0.0), HalfSpacePoint(d, tang, 2.0)),
             (HalfSpacePoint(d, tang, 0.3), HalfSpacePoint(d, zero, 0.0)),
+            (HalfSpacePoint(d, tang, 0.3), HalfSpacePoint(d, tang, 0.3)),
         ]
     return pairs
 
 
+def _cells_by_time(p, ts, x, y, q):
+    """One pair at an array of times, u on the array: the Green integrand."""
+    with np.errstate(over="ignore"):
+        u = np.asarray(ts, dtype=float) ** (1.0 / p.alpha)
+    return _hke_cells(p, u, x.height, y.height, x.distance_to(y), q)
+
+
+def _cells_by_cell(p, ts, x, y, q):
+    """A row of cells, each with its own u from the scalar time scale: the
+    dominance map and the oracle grid."""
+    n = len(ts)
+    u = np.array([_time_scale(float(t), p.alpha) for t in ts])
+    cols = (np.full(n, v) for v in (x.height, y.height, x.distance_to(y)))
+    return _hke_cells(p, u, *cols, q)
+
+
+@pytest.mark.parametrize("cells", [_cells_by_time, _cells_by_cell])
 class TestKilledHkeArray:
     TS = np.geomspace(1e-200, 1e3, 301)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_scalar_per_node(self, dim):
-        compared = 0
-        for (alpha, beta), q, (x, y) in itertools.product(
-            KILLED_ARR_PARAMS, (0.0, 0.8, 2.3), _killed_arr_pairs(dim)
-        ):
-            p = ModelParams(dim, alpha, beta)
-            arr = _killed_hke_arr(p, self.TS, x, y, q)
-            assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
-            for t, a in zip(self.TS, arr):
-                s = hke_closed(p, float(t), x, y, q=q).killed_value
-                compared += 1
-                assert ulp_close(float(a), s, KILLED_ARR_ULPS), (alpha, beta, q, t, a, s)
-        assert {detect_regime(ModelParams(dim, a, b)) for a, b in KILLED_ARR_PARAMS} == set(Regime)
-        assert compared == len(KILLED_ARR_PARAMS) * 3 * 2 * len(self.TS)
+    @staticmethod
+    def _assert_fields_match(p, ts, x, y, q, fields):
+        for i, t in enumerate(ts):
+            bd = hke_closed(p, float(t), x, y, q=q)
+            for name, arr in zip(FIELDS, fields):
+                a, s = float(arr[i]), getattr(bd, name)
+                assert ulp_close(a, s, KILLED_ARR_ULPS), (p, q, t, name, a, s)
 
-    def test_no_warning_at_extreme_times(self):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_scalar_per_node(self, cells, dim):
+        x = HalfSpacePoint(dim, (0.5,) * (dim - 1), 0.25)
+        pairs = _killed_arr_pairs(dim) + [(x, x)]
+        for (alpha, beta), q, (x, y) in itertools.product(KILLED_ARR_PARAMS, (0.0, 0.8, 2.3), pairs):
+            p = ModelParams(dim, alpha, beta)
+            fields = cells(p, self.TS, x, y, q)
+            assert all(np.all(f >= 0.0) for f in fields)
+            self._assert_fields_match(p, self.TS, x, y, q, fields)
+        assert {detect_regime(ModelParams(dim, a, b)) for a, b in KILLED_ARR_PARAMS} == set(Regime)
+
+    def test_no_warning_at_extreme_times(self, cells):
         ts = np.array([5e-324, 1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300, np.finfo(float).max])
         for dim, (alpha, beta), q in itertools.product(
             (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
@@ -246,10 +270,10 @@ class TestKilledHkeArray:
             for x, y in _killed_arr_pairs(dim):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    arr = _killed_hke_arr(ModelParams(dim, alpha, beta), ts, x, y, q)
-                assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
+                    fields = cells(ModelParams(dim, alpha, beta), ts, x, y, q)
+                assert all(np.all(np.isfinite(f)) and np.all(f >= 0.0) for f in fields)
 
-    def test_scalar_takes_the_limits_at_extreme_times(self):
+    def test_scalar_takes_the_limits_at_extreme_times(self, cells):
         # u = t^(1/alpha) underflows to 0 or overflows to inf at these times
         ts = [5e-324, 1e-300, 1e300, float(np.finfo(float).max)]
         for dim, (alpha, beta), q in itertools.product(
@@ -257,10 +281,7 @@ class TestKilledHkeArray:
         ):
             p = ModelParams(dim, alpha, beta)
             for x, y in _killed_arr_pairs(dim, boundary=True):
-                arr = _killed_hke_arr(p, np.array(ts), x, y, q)
-                for t, a in zip(ts, arr):
-                    s = hke_closed(p, t, x, y, q=q).killed_value
-                    assert ulp_close(float(a), s, KILLED_ARR_ULPS), (alpha, beta, q, t, a, s)
+                self._assert_fields_match(p, ts, x, y, q, cells(p, ts, x, y, q))
         # a boundary point at u = 0: the two-jump term is 0 although its b3
         # log factor is infinite there
         bd = hke_closed(ModelParams(1, 0.3, (0.5, 2.5, 0.6, 0.3)), 1e-200,
@@ -279,6 +300,16 @@ class TestHkeUnified:
         )
         assert hke_unified(p, w, t, x, y, SPEC) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("t", [1e8, 2e8, 1e100, 1e300])
+    def test_late_times_take_the_cap(self, t):
+        # u = t^2 swamps the heights, which a lift by u would round together
+        # (from 2e8 on to one point); at 1e300 u overflows and the cap is 0
+        p = ModelParams(1, 0.5, (0.0, 1.5, 0.0, 0.0))
+        x, y = pt(0.5), pt(2.0)
+        got = hke_unified(p, standard_weight(p), t, x, y, SPEC)
+        cap = _time_scale(t, 0.5) ** -1.0
+        assert got == cap == hke_closed(p, t, x, y).free_value
+        assert (cap == 0.0) == (t == 1e300)
 
     def test_comparable_to_closed_all_regimes(self, rng):
         for beta in [(1.0, 1.0, 0.0, 0.0), (0.5, 2.0, 0.5, 0.5), (0.5, 1.0, 0.5, 0.5)]:
@@ -392,6 +423,34 @@ class TestDominanceMap:
         x = pt(0.0, 1e-4)
         cells = dominance_map(p, 1e-3, x, [pt(4.0, 1e-4)])
         assert cells[0].tag == "TwoJumpDominant"
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-3, 0.7, 1e300])
+    def test_cells_match_the_scalar_terms(self, t):
+        # targets on the boundary, at x itself and on both sides of it, at
+        # times where u underflows, is moderate and overflows
+        for dim, alpha, beta in [
+            (1, 0.5, (1.0, 1.5, 0.5, 0.5)),  # critical
+            (2, 0.5, (0.0, 1.5, 0.0, 0.0)),
+            (2, 0.7, (0.5, 2.5, 0.6, 0.3)),
+            (3, 1.9, (0.5, 2.4, 0.7, 0.4)),
+        ]:
+            p = ModelParams(dim, alpha, beta)
+            x = HalfSpacePoint(dim, (0.0,) * (dim - 1), 0.3)
+            ys = [
+                HalfSpacePoint(dim, (s,) + (0.5,) * (dim - 2) if dim > 1 else (), h)
+                for s in np.linspace(-3.0, 3.0, 7)
+                for h in (0.0, 1e-4, 0.3, 1.0, 3.0)
+            ] + [x]
+            u = _time_scale(t, alpha)
+            for c, y in zip(dominance_map(p, t, x, ys), ys):
+                bd = hke_closed(p, t, x, y)
+                assert ulp_close(c.one_jump, bd.one_jump, KILLED_ARR_ULPS), (p, y, c, bd)
+                assert ulp_close(c.two_jump, bd.two_jump, KILLED_ARR_ULPS), (p, y, c, bd)
+                if not ulp_close(bd.one_jump, bd.two_jump, KILLED_ARR_ULPS):
+                    one_wins = bd.one_jump >= bd.two_jump
+                    assert c.tag == ("OneJumpDominant" if one_wins else "TwoJumpDominant")
+                assert c.both_zero == (bd.one_jump == 0.0 and bd.two_jump == 0.0)
+                assert c.valid == (x.distance_to(y) > 6.0 * u)
 
     def test_symmetric_under_height_swap(self):
         p = ModelParams(2, 0.5, (0.5, 2.0, 0.0, 0.0))

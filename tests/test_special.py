@@ -164,6 +164,18 @@ class TestStableDensity:
         assert stable_one_density(0.5, 1e-5) >= 0.0
         assert stable_one_density(0.7, 1e-12) == 0.0
 
+    def test_far_right_tail_underflows_to_zero(self):
+        # every series term underflows, and so does the closed form
+        for x in (1e250, 1e300, math.inf):
+            ref = x**-1.5 * math.exp(-1.0 / (4.0 * x)) / (2.0 * math.sqrt(math.pi))
+            assert stable_one_density(0.5, x) == ref == 0.0
+        for a in (0.15, 0.7, 0.95):
+            assert stable_one_density(a, math.inf) == 0.0
+        # short of the underflow the series still gives the closed form
+        x = 1e200
+        ref = x**-1.5 * math.exp(-1.0 / (4.0 * x)) / (2.0 * math.sqrt(math.pi))
+        assert stable_one_density(0.5, x) == pytest.approx(ref, rel=1e-12)
+
     def test_representation_sweep(self):
         # series/integral switchover and cross-validation stay consistent
         for a in np.linspace(0.15, 0.95, 9):
