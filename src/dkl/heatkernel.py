@@ -434,7 +434,7 @@ def dominance_map(
     one, two, _, _ = _hke_cells(params, u, x.height, heights, np.array(dists))
     # a diagonal cell has one = 1, two = 0 and is never valid
     return [
-        DominanceCell(y, "OneJumpDominant" if o >= w else "TwoJumpDominant", o, w,
-                      o == 0.0 and w == 0.0, dist > 6.0 * u)
-        for y, dist, o, w in zip(ys, dists, one.tolist(), two.tolist())
+        DominanceCell(y, "OneJumpDominant" if a >= b else "TwoJumpDominant", a, b,
+                      a == 0.0 and b == 0.0, dist > 6.0 * u)
+        for y, dist, a, b in zip(ys, dists, one.tolist(), two.tolist())
     ]

@@ -239,7 +239,10 @@ def _cells_by_cell(p, ts, x, y, q):
     return _hke_cells(p, u, *cols, q)
 
 
-@pytest.mark.parametrize("cells", [_cells_by_time, _cells_by_cell])
+# the two ways callers lay out their cells; every test runs both
+LAYOUTS = (_cells_by_time, _cells_by_cell)
+
+
 class TestKilledHkeArray:
     TS = np.geomspace(1e-200, 1e3, 301)
 
@@ -252,20 +255,22 @@ class TestKilledHkeArray:
                 assert ulp_close(a, s, KILLED_ARR_ULPS), (p, q, t, name, a, s)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_scalar_per_node(self, cells, dim):
-        x = HalfSpacePoint(dim, (0.5,) * (dim - 1), 0.25)
-        pairs = _killed_arr_pairs(dim) + [(x, x)]
-        for (alpha, beta), q, (x, y) in itertools.product(KILLED_ARR_PARAMS, (0.0, 0.8, 2.3), pairs):
+    def test_matches_scalar_per_node(self, dim):
+        z = HalfSpacePoint(dim, (0.5,) * (dim - 1), 0.25)
+        pairs = _killed_arr_pairs(dim) + [(z, z)]
+        for cells, (alpha, beta), q, (x, y) in itertools.product(
+            LAYOUTS, KILLED_ARR_PARAMS, (0.0, 0.8, 2.3), pairs
+        ):
             p = ModelParams(dim, alpha, beta)
             fields = cells(p, self.TS, x, y, q)
             assert all(np.all(f >= 0.0) for f in fields)
             self._assert_fields_match(p, self.TS, x, y, q, fields)
         assert {detect_regime(ModelParams(dim, a, b)) for a, b in KILLED_ARR_PARAMS} == set(Regime)
 
-    def test_no_warning_at_extreme_times(self, cells):
+    def test_no_warning_at_extreme_times(self):
         ts = np.array([5e-324, 1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300, np.finfo(float).max])
-        for dim, (alpha, beta), q in itertools.product(
-            (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
+        for cells, dim, (alpha, beta), q in itertools.product(
+            LAYOUTS, (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
         ):
             for x, y in _killed_arr_pairs(dim):
                 with warnings.catch_warnings():
@@ -273,11 +278,11 @@ class TestKilledHkeArray:
                     fields = cells(ModelParams(dim, alpha, beta), ts, x, y, q)
                 assert all(np.all(np.isfinite(f)) and np.all(f >= 0.0) for f in fields)
 
-    def test_scalar_takes_the_limits_at_extreme_times(self, cells):
+    def test_scalar_takes_the_limits_at_extreme_times(self):
         # u = t^(1/alpha) underflows to 0 or overflows to inf at these times
         ts = [5e-324, 1e-300, 1e300, float(np.finfo(float).max)]
-        for dim, (alpha, beta), q in itertools.product(
-            (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
+        for cells, dim, (alpha, beta), q in itertools.product(
+            LAYOUTS, (1, 3), KILLED_ARR_PARAMS + [(0.05, (1.0, 1.2, 0.3, 0.4))], (0.0, 2.3)
         ):
             p = ModelParams(dim, alpha, beta)
             for x, y in _killed_arr_pairs(dim, boundary=True):
