@@ -269,7 +269,15 @@ def stable_factor(d: int, alpha: float, t: float, r: float) -> float:
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    return stable_profile(d, alpha, t ** (1.0 / alpha), r)
+    return stable_profile(d, alpha, _time_scale(t, alpha), r)
+
+
+def _time_scale(t: float, alpha: float) -> float:
+    """t^(1/alpha), infinite where it overflows."""
+    try:
+        return t ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
 def stable_profile(d: int, alpha: float, u: float, r: float) -> float:

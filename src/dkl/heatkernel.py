@@ -21,6 +21,7 @@ from .geometry import (
     BoundaryWeight,
     HalfSpacePoint,
     ModelParams,
+    _time_scale,
     lift_ed,
     stable_profile,
     weight_from_heights,
@@ -113,14 +114,6 @@ def _bracket_terms(
     if b3 > 0.0 and two > 0.0:
         two *= math.log(_E + dist / min(hmin, dist)) ** b3
     return one, two
-
-
-def _time_scale(t: float, alpha: float) -> float:
-    """t^(1/alpha), infinite where it overflows."""
-    try:
-        return t ** (1.0 / alpha)
-    except OverflowError:
-        return math.inf
 
 
 def _survival(h: float, u: float, q: float) -> float:
@@ -264,11 +257,18 @@ def _radial_two_jump(
 
     b = w.params.beta
     ends = np.array([[xh + u], [yh + u]])
+    # |xh + r - yh| peaks at an end of [lo, hi]; where its square would
+    # overflow, d2 goes through hypot
+    far = max(abs(xh + lo - yh), abs(xh + hi - yh))
+    tang = math.sqrt(tang2) if math.isinf(far * far + tang2) else None
 
     def f(r: np.ndarray) -> np.ndarray:
         # one weight call on both legs: x -> mid at distance r, mid -> y at d2
         mid_h = xh + r + u
-        d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
+        if tang is None:
+            d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
+        else:
+            d2 = np.hypot(tang, xh + r - yh)
         w1, w2 = weight_from_heights_arr(
             b, np.minimum(ends, mid_h), np.maximum(ends, mid_h), np.stack([r, d2])
         )
@@ -280,9 +280,14 @@ def _radial_two_jump(
     if yh + u > 0.0:
         m = 0.5 * (tang2 / (yh + u) - u + yh)
         inner.append(m - xh)
-    root = (yh + u) ** 2 - tang2
-    if root > 0.0:
-        s = math.sqrt(root)
+    try:
+        root = (yh + u) ** 2 - tang2
+        s = math.sqrt(root) if root > 0.0 else None
+    except OverflowError:
+        # the square is past the float range, so above tang2: scale it out
+        c = math.sqrt(tang2) / (yh + u)
+        s = (yh + u) * math.sqrt(1.0 - c * c)
+    if s is not None:
         inner.extend([yh + s - xh, yh - s - xh])
     breaks = merge_breaks([lo, math.sqrt(lo * hi), hi], inner, lo, hi)
     return integrate_panels(f, breaks, spec)

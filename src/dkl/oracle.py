@@ -9,12 +9,12 @@ accuracy and serve as ground truth for the closed-form estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import HalfSpacePoint, ModelParams
 from .heatkernel import _hke_cells, _time_scale
@@ -108,45 +108,129 @@ def killed_bm_density(
 
 
 # ---------------------------------------------------------------------------
+# piecewise Chebyshev interpolants
+
+# polynomial degree per panel, and the largest error allowed at a panel end
+_DEGREE = 9
+_INTERP_TOL = 1e-9
+_HALVINGS = 4  # panel-width halvings before an interpolant gives up
+
+
+@dataclass(frozen=True)
+class _Interpolant:
+    """Piecewise polynomial on ``[lo, hi]``, equal panels of width 1/inv_h.
+
+    ``coef[j, k]`` is the coefficient of t^j on panel k, with t in [-1, 1]
+    the panel's local variable.
+    """
+
+    lo: float
+    hi: float
+    inv_h: float
+    coef: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _cheb_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points of degree n on [-1, 1], and the matrix
+    taking values there to the interpolant's monomial coefficients."""
+    theta = math.pi * (np.arange(n + 1) + 0.5) / (n + 1)
+    to_cheb = 2.0 / (n + 1) * np.cos(np.outer(np.arange(n + 1), theta))
+    to_cheb[0] *= 0.5
+    to_mono = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        to_mono[: k + 1, k] = np.polynomial.chebyshev.cheb2poly(np.eye(n + 1)[k])
+    return np.cos(theta), to_mono @ to_cheb
+
+
+def _interpolate(f, lo: float, hi: float, width: float, what: str):
+    """Piecewise Chebyshev interpolant of ``f`` on ``[lo, hi]``, and ``f`` at
+    its panel ends.
+
+    The panels have equal widths of at most ``width``; each is fitted at
+    its :data:`_DEGREE` + 1 first-kind Chebyshev points (Trefethen,
+    *Approximation Theory and Approximation Practice*, 2013).  ``f`` takes
+    an array and is also called at the panel ends, where the interpolation
+    error peaks; the width halves until every end is within
+    :data:`_INTERP_TOL`, or :class:`NonConvergenceError` is raised.
+    """
+    x, to_mono = _cheb_rule(_DEGREE)
+    for _ in range(_HALVINGS + 1):
+        panels = math.ceil((hi - lo) / width)
+        h = (hi - lo) / panels
+        ends = lo + h * np.arange(panels + 1)
+        ends[-1] = hi
+        nodes = 0.5 * (ends[:-1] + ends[1:]) + 0.5 * h * x[:, None]
+        vals = f(np.append(nodes, ends))
+        coef = to_mono @ vals[: nodes.size].reshape(nodes.shape)
+        at_ends = vals[nodes.size:]
+        right = np.abs(coef.sum(axis=0) - at_ends[1:])
+        left = np.abs(coef[::2].sum(axis=0) - coef[1::2].sum(axis=0) - at_ends[:-1])
+        err = max(right.max(), left.max())
+        if err <= _INTERP_TOL:
+            return _Interpolant(lo, hi, 1.0 / h, coef), at_ends
+        width = h / 2.0
+    raise NonConvergenceError(
+        f"{what} interpolant is off by {err:.3g} at panel width {h:.3g}"
+    )
+
+
+def _interp_eval(p: _Interpolant, x: np.ndarray) -> np.ndarray:
+    """The interpolant at x, with x clamped into ``[p.lo, p.hi]``: one gather
+    per coefficient, summed by Horner's rule."""
+    s = x - p.lo
+    s *= p.inv_h
+    np.clip(s, 0.0, p.coef.shape[1], out=s)
+    k = s.astype(np.intp)
+    np.minimum(k, p.coef.shape[1] - 1, out=k)
+    t = s - k
+    t *= 2.0
+    t -= 1.0
+    out = p.coef[-1].take(k)
+    for c in p.coef[-2::-1]:
+        out *= t
+        out += c.take(k)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cached evaluators for the subordinator density and the killed-BM mass
 
-_G_SPLINES: dict[float, tuple] = {}
+_G_INTERPS: dict[float, tuple] = {}
 
 
-def _g_grid(a: float) -> np.ndarray:
-    """Knots of :func:`_g_spline`: 60 per decade from where the density is
-    about e^-600 of its scale up to 1e14."""
+def _g_interp(a: float):
+    """Interpolant of log g against log w, g the unit-time subordinator
+    density, from where g is about e^-600 of its scale up to w = 1e14.
+
+    Returns ``(w_left, w_hi, interpolant)``.  The panels are 0.4 wide in
+    log w, narrower where the left tail log g ~ -w^(-a/(1-a)) is steep.
+    """
+    key = round(a, 12)
+    if key in _G_INTERPS:
+        return _G_INTERPS[key]
     frac = a / (1.0 - a)
     k_left = (1.0 - a) * a**frac
     w_left = (k_left / 600.0) ** (1.0 / frac)
     w_hi = 1e14
-    n = max(int(60 * math.log10(w_hi / w_left)), 200)
-    return np.geomspace(w_left, w_hi, n)
 
+    def log_g(v: np.ndarray) -> np.ndarray:
+        return np.log(stable_one_density_arr(a, np.exp(v)))
 
-def _g_spline(a: float):
-    """log-log spline of the unit-time subordinator density plus tail pieces."""
-    key = round(a, 12)
-    if key in _G_SPLINES:
-        return _G_SPLINES[key]
-    grid = _g_grid(a)
-    vals = stable_one_density_arr(a, grid)
-    good = vals > 0.0
-    grid, vals = grid[good], vals[good]
-    spline = CubicSpline(np.log(grid), np.log(vals))
-    entry = (float(grid[0]), float(grid[-1]), spline)
-    _G_SPLINES[key] = entry
+    interp, _ = _interpolate(log_g, math.log(w_left), math.log(w_hi),
+                             min(0.4, 0.8 / frac), "subordinator density")
+    entry = (w_left, w_hi, interp)
+    _G_INTERPS[key] = entry
     return entry
 
 
 def _g_eval(a: float, w: np.ndarray) -> np.ndarray:
-    """Unit-time subordinator density on an array, via the cached spline."""
-    lo, hi, spline = _g_spline(a)
+    """Unit-time subordinator density on an array of w > 0, via the cached
+    interpolant; 0 left of it, a tail series right of it."""
+    lo, hi, interp = _g_interp(a)
     w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    inside = (w >= lo) & (w <= hi)
-    if np.any(inside):
-        out[inside] = np.exp(spline(np.log(w[inside])))
+    out = np.exp(_interp_eval(interp, np.log(w)))
+    out[w < lo] = 0.0
     big = w > hi
     if np.any(big):
         # three-term tail series; relative error below w^(-3a) here
@@ -163,17 +247,19 @@ def _g_eval(a: float, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int = 24) -> np.ndarray:
-    """1 - (killed-BM mass) from height xd at times t, cancellation-free.
+def _defect_rows(gamma: float, xd: float, t: np.ndarray) -> tuple:
+    """The mass defect 1 - (killed-BM mass) from height xd at times t, as
+    rows of the row rule: ``(breaks, f, tail)``, the defect of row i being
+    the integral of f over ``breaks[i]`` plus ``tail[i]``.
 
     Uses the identity mass defect = integral of the free Gaussian times
-    (1 - scaled Bessel ratio) plus the Gaussian tail past the boundary.
-    All times go through one row rule, a row of breakpoints per time.
+    (1 - scaled Bessel ratio) plus the Gaussian tail past the boundary,
+    which does not cancel.  Each time has breakpoints 0, hi 1e-6, hi 1e-3,
+    hi, and xd/2, xd, xd - 10 sig where inside (0, hi).
     """
     t = np.asarray(t, dtype=float)
     sig = np.sqrt(t)
     hi = xd + 42.0 * sig
-    # per time: 0, hi 1e-6, hi 1e-3, hi, and xd/2, xd, xd - 10 sig inside (0, hi)
     kinks = np.column_stack([np.full_like(t, xd / 2.0), np.full_like(t, xd), xd - 10.0 * sig])
     kinks[~((kinks > 0.0) & (kinks < hi[:, None]))] = np.nan
     breaks = np.column_stack([np.zeros_like(t), hi * 1e-6, hi * 1e-3, hi, kinks])
@@ -188,38 +274,105 @@ def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int = 24) -> np.ndarray:
         return phi * one_minus_scaled_I(gamma, xd * x / (2.0 * ti))
 
     tail = np.array([0.5 * math.erfc(v) for v in xd / (2.0 * sig)])
+    return breaks, f, tail
+
+
+def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int = 24) -> np.ndarray:
+    """1 - (killed-BM mass) from height xd at times t, cancellation-free,
+    at the fixed order n: all times go through one row rule."""
+    breaks, f, tail = _defect_rows(gamma, xd, t)
     return integrate_rows(f, breaks, n) + tail
 
 
-_M_SPLINES: dict[float, tuple] = {}
+# tolerance of every knot of the mass interpolant
+_MASS_TOL = 1e-11
 
 
-def _mass_spline(gamma: float):
-    """Interpolant of the killed-BM mass from height 1 as a function of time."""
+def _mass_knots(gamma: float, u: np.ndarray) -> np.ndarray:
+    """Killed-BM mass from height 1 at times u, each converged to
+    :data:`_MASS_TOL` relative or :class:`NonConvergenceError` raised.
+
+    Where the mass is below 1/2 it is the integral of the killed density
+    q(u, 1, y) over y > 0, and 1 - (defect) above, so neither cancels.  Times
+    from 1 on start with the density integral, the earlier ones with the
+    defect; a time whose mass lands on the other side of 1/2 goes again.
+    """
+    direct = u >= 1.0
+    mass = _mass_by(gamma, u, direct)
+    wrong = (mass < 0.5) != direct
+    if np.any(wrong):
+        mass[wrong] = _mass_by(gamma, u[wrong], ~direct[wrong])
+    return mass
+
+
+def _mass_by(gamma: float, u: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """:func:`_mass_knots` at times u, by the density integral where
+    ``direct`` and by the defect elsewhere."""
+    out = np.empty_like(u)
+    if np.any(direct):
+        ud = u[direct]
+        rows = []
+        for ui in ud:
+            hi = 1.0 + 42.0 * math.sqrt(ui)
+            rows.append([0.0] + merge_breaks(geometric_breaks(hi * 1e-9, hi), [1.0], hi * 1e-9, hi))
+
+        def q(y: np.ndarray, row: np.ndarray) -> np.ndarray:
+            return _q_kernel_arr(gamma, 1, ud[row], 1.0, y, (1.0 - y) ** 2)
+
+        spec = QuadratureSpec(rel_tol=_MASS_TOL, abs_tol=1e-300)
+        out[direct] = _converged(converge_rows(q, rows, spec))
+    if not np.all(direct):
+        breaks, f, tail = _defect_rows(gamma, 1.0, u[~direct])
+        # the mass is at least 1/2: a defect error of tol/2 is tol of the mass
+        spec = QuadratureSpec(rel_tol=_MASS_TOL, abs_tol=_MASS_TOL / 2.0)
+        out[~direct] = 1.0 - (_converged(converge_rows(f, breaks, spec)) + tail)
+    return out
+
+
+def _converged(values: list) -> np.ndarray:
+    """The rows of :func:`converge_rows` as an array; raises the first
+    row's :class:`NonConvergenceError`."""
+    for v in values:
+        if isinstance(v, NonConvergenceError):
+            raise v
+    return np.array(values)
+
+
+_M_INTERPS: dict[float, tuple] = {}
+
+
+def _mass_interp(gamma: float):
+    """Interpolant of the log of the killed-BM mass from height 1 against
+    log time, on u in [1e-9, 1e12] with panels 0.75 wide, and its tail.
+
+    Returns ``(interpolant, eta, tail_coef)``: past 1e12 the mass is
+    ``tail_coef * u^-eta``, its coefficient from the converged mass at 1e12.
+    """
     key = round(gamma, 12)
-    if key in _M_SPLINES:
-        return _M_SPLINES[key]
-    u = np.geomspace(1e-9, 1e12, 280)
-    mass = 1.0 - _mass_F(gamma, 1.0, u, n=32)
-    spline = CubicSpline(np.log(u), mass)
+    if key in _M_INTERPS:
+        return _M_INTERPS[key]
+
+    def log_mass(v: np.ndarray) -> np.ndarray:
+        return np.log(_mass_knots(gamma, np.exp(v)))
+
+    u_hi = 1e12
+    interp, at_ends = _interpolate(log_mass, math.log(1e-9), math.log(u_hi), 0.75, "mass")
     eta = (gamma + 0.5) / 2.0  # large-time mass decay exponent
-    tail_coef = float(mass[-1]) * (1e12) ** eta
-    entry = (float(u[0]), float(u[-1]), spline, eta, tail_coef)
-    _M_SPLINES[key] = entry
+    tail_coef = math.exp(at_ends[-1]) * u_hi**eta
+    entry = (interp, eta, tail_coef)
+    _M_INTERPS[key] = entry
     return entry
 
 
 def _mass_eval(gamma: float, u: np.ndarray) -> np.ndarray:
-    lo, hi, spline, eta, tail_coef = _mass_spline(gamma)
+    interp, eta, tail_coef = _mass_interp(gamma)
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < lo
-    big = u > hi
-    mid = ~(small | big)
-    if np.any(mid):
-        out[mid] = spline(np.log(u[mid]))
+    v = np.log(u)
+    out = np.exp(_interp_eval(interp, v))
+    small = v < interp.lo
     if np.any(small):
         out[small] = 1.0 - (4.0 * gamma * gamma - 1.0) / 4.0 * u[small]
+    big = v > interp.hi
     if np.any(big):
         out[big] = tail_coef * u[big] ** (-eta)
     return out
@@ -262,7 +415,7 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
     :class:`NonConvergenceError` of a cell whose orders ran out.
     """
     a = op.alpha / 2.0
-    w_left, _, _ = _g_spline(a)
+    w_left, _, _ = _g_interp(a)
     tsc, rows = [], []
     for t, xd, yd, dist2 in cells:
         ts = t ** (1.0 / a)
@@ -368,7 +521,7 @@ def oracle_survival(op: OracleParams, xi: float, spec: QuadratureSpec | None = N
         raise ValueError("xi must be > 0")
     a = op.alpha / 2.0
     gamma = op.gamma
-    w_left, w_hi, _ = _g_spline(a)
+    w_left, _, _ = _g_interp(a)
     lo = w_left * 0.9
     hi = 1e12
     xi2 = xi * xi

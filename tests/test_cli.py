@@ -356,6 +356,26 @@ class TestConsoleEntryPoint:
         assert proc.stdout.splitlines()[1].split(",")[6] == "0.5"
 
 
+class TestRuntimeDependencies:
+    # numpy is the only run-time dependency; scipy serves the tests
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, dkl, dkl.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self):
+        # a None entry in sys.modules makes every scipy import raise
+        code = (
+            "import sys; sys.modules['scipy'] = None; import dkl.cli; sys.exit(max("
+            "dkl.cli.main(['oracle', '--grid-n', '2', '--t-list', '1.0']), "
+            "dkl.cli.main(['solve-q', '--alpha', '1.5', '--beta', '2,3,1,1', '--kappa', '0'])))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestCShape:
     def test_grid_csv_and_verdict(self, capsys):
         code, out = run_cli(

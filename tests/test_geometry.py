@@ -13,6 +13,7 @@ from dkl.geometry import (
     eval_J,
     lift_ed,
     stable_factor,
+    stable_profile,
     standard_weight,
     survival_factor,
     weight_from_heights,
@@ -232,6 +233,11 @@ class TestKernels:
         assert stable_factor(1, 1.0, 2.0, 4.0) == 0.125
         # overflow guard at tiny separations
         assert stable_factor(2, 1.9, 1e-3, 1e-200) == (1e-3) ** (-2 / 1.9)
+
+    @pytest.mark.parametrize("r", [0.0, 2.0, 1e300])
+    def test_stable_factor_past_the_time_scale_overflow(self, r):
+        # t^(1/alpha) overflows: the profile takes its limit, as stable_profile does
+        assert stable_factor(1, 0.5, 1e300, r) == stable_profile(1, 0.5, math.inf, r) == 0.0
 
     def test_stable_factor_monotone(self, rng):
         rs = np.sort(rng.uniform(0.0, 10.0, 50))

@@ -316,6 +316,15 @@ class TestHkeUnified:
         assert got == cap == hke_closed(p, t, x, y).free_value
         assert (cap == 0.0) == (t == 1e300)
 
+    def test_far_pair_past_the_square_overflow(self):
+        # u = 1e200 against a distance of 1e202: the two-jump range is not
+        # empty and its squares pass the float range
+        p = ModelParams(1, 0.5, (0.0, 1.5, 0.0, 0.0))
+        t = 1e100
+        got = hke_unified(p, standard_weight(p), t, pt(0.5), pt(1e202), SPEC)
+        cap = _time_scale(t, 0.5) ** -1.0
+        assert math.isfinite(got) and 0.0 < got <= cap
+
     def test_comparable_to_closed_all_regimes(self, rng):
         for beta in [(1.0, 1.0, 0.0, 0.0), (0.5, 2.0, 0.5, 0.5), (0.5, 1.0, 0.5, 0.5)]:
             p = ModelParams(1, 0.5, beta)

@@ -8,7 +8,6 @@ import scipy.special as sp
 from scipy.integrate import quad
 
 import dkl.special
-from dkl.oracle import _g_grid
 from dkl.quadrature import NonConvergenceError
 from dkl.special import (
     _SERIES_CUT,
@@ -176,6 +175,13 @@ class TestStableDensity:
         ref = x**-1.5 * math.exp(-1.0 / (4.0 * x)) / (2.0 * math.sqrt(math.pi))
         assert stable_one_density(0.5, x) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("x", [1e300, math.inf])
+    def test_far_tail_is_zero_at_every_index(self, a, x):
+        # the density underflows there, for the scalar and the array path
+        assert stable_one_density(a, x) == 0.0
+        assert stable_one_density_arr(a, np.array([x, 1.0]))[0] == 0.0
+
     def test_representation_sweep(self):
         # series/integral switchover and cross-validation stay consistent
         for a in np.linspace(0.15, 0.95, 9):
@@ -204,9 +210,21 @@ def _branches(a, x):
     return out
 
 
+def _g_grid(a):
+    """The knots of the former log-log spline of the subordinator density:
+    60 per decade from where the density is about e^-600 of its scale up
+    to 1e14."""
+    frac = a / (1.0 - a)
+    k_left = (1.0 - a) * a**frac
+    w_left = (k_left / 600.0) ** (1.0 / frac)
+    w_hi = 1e14
+    n = max(int(60 * math.log10(w_hi / w_left)), 200)
+    return np.geomspace(w_left, w_hi, n)
+
+
 class TestStableDensityArray:
-    # SHA-256 of the float64 bytes of the spline grid values of oracle._g_spline,
-    # as the scalar density gave them one point at a time
+    # SHA-256 of the float64 bytes of the density on the knots of the former
+    # oracle spline, as the scalar density gave them one point at a time
     GRID_SHA256 = {
         0.6: "31ff27fee26e1daaaa86ffc354f7f08a354ee68b543625fdc84a667cda01e5e7",
         1.0: "d633f394074562284ec41170a34ce9c3bd04ce1447f4b5b7d77a5bc37a81d30a",
