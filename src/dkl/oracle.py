@@ -365,6 +365,8 @@ def _mass_interp(gamma: float):
 
 
 def _mass_eval(gamma: float, u: np.ndarray) -> np.ndarray:
+    """Killed-BM mass from height 1 on an array of times u > 0, via the
+    cached interpolant; its linear term before it, its power tail after."""
     interp, eta, tail_coef = _mass_interp(gamma)
     u = np.asarray(u, dtype=float)
     v = np.log(u)

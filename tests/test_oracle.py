@@ -305,8 +305,9 @@ class TestMassDefect:
     @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
     def test_mass_defect_batched_matches_one_at_a_time(self, block, monkeypatch):
         # bit for bit: the times of oracle_kappa's order-16 rule and its t1,
-        # and 280 times over the mass interpolant's range; at t = xd^2/400 the kink xd - 10 sqrt(t) repeats
-        # xd/2, and a zero-width panel there moves the order-48 value
+        # and 280 times over the mass interpolant's range; at t = xd^2/400
+        # the kink xd - 10 sqrt(t) repeats xd/2, and a zero-width panel there
+        # moves the order-48 value
         monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
         for gamma, xd, n in [(0.5, 0.1, 24), (1.5, 1.0, 32), (0.0, 0.01, 48)]:
             kappa_t, _ = panel_nodes(geometric_breaks(1e-6 * xd * xd, 1e7 * xd * xd), 16)
