@@ -239,11 +239,18 @@ def _radial_two_jump(
     dist: float,
     spec: QuadratureSpec,
 ) -> float:
-    """Radial integral of the two-jump kernel product over the middle range.
+    """The two-jump term: t^2 times the radial integral of the two-jump
+    kernel product over the middle range.
 
     The midpoint travels up the vertical line through x; both jump-kernel
     factors are evaluated between lifted points, so the first factor's
     distance is exactly the integration variable.  Empty range gives 0.
+
+    The integrand is of order L^-(d+2 alpha+1) at the range's scale L.
+    Where that leaves the float range, every length is scaled by a power
+    of two that brings L near 1 (the weight only sees ratios of lengths),
+    and the scale goes back in log space: the integral scales as
+    L^-(d+2 alpha).
     """
     lo = min(max(x.height, y.height, u), dist / 4.0)
     hi = dist / 2.0
@@ -251,24 +258,22 @@ def _radial_two_jump(
         return 0.0
     d = params.dim
     alpha = params.alpha
-    xh = x.height
-    yh = y.height
-    tang2 = sum((a - b) ** 2 for a, b in zip(x.tangential, y.tangential))
+    _, k = math.frexp(hi)
+    if abs(k) * (d + 2.0 * alpha + 1.0) <= 960.0:
+        k = 0
+    scale = math.ldexp(1.0, -k)
+    lo, hi, u = lo * scale, hi * scale, u * scale
+    xh = x.height * scale
+    yh = y.height * scale
+    tang2 = sum(((a - b) * scale) ** 2 for a, b in zip(x.tangential, y.tangential))
 
     b = w.params.beta
     ends = np.array([[xh + u], [yh + u]])
-    # |xh + r - yh| peaks at an end of [lo, hi]; where its square would
-    # overflow, d2 goes through hypot
-    far = max(abs(xh + lo - yh), abs(xh + hi - yh))
-    tang = math.sqrt(tang2) if math.isinf(far * far + tang2) else None
 
     def f(r: np.ndarray) -> np.ndarray:
         # one weight call on both legs: x -> mid at distance r, mid -> y at d2
         mid_h = xh + r + u
-        if tang is None:
-            d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
-        else:
-            d2 = np.hypot(tang, xh + r - yh)
+        d2 = np.sqrt(tang2 + (xh + r - yh) ** 2)
         w1, w2 = weight_from_heights_arr(
             b, np.minimum(ends, mid_h), np.maximum(ends, mid_h), np.stack([r, d2])
         )
@@ -280,17 +285,17 @@ def _radial_two_jump(
     if yh + u > 0.0:
         m = 0.5 * (tang2 / (yh + u) - u + yh)
         inner.append(m - xh)
-    try:
-        root = (yh + u) ** 2 - tang2
-        s = math.sqrt(root) if root > 0.0 else None
-    except OverflowError:
-        # the square is past the float range, so above tang2: scale it out
-        c = math.sqrt(tang2) / (yh + u)
-        s = (yh + u) * math.sqrt(1.0 - c * c)
-    if s is not None:
+    root = (yh + u) ** 2 - tang2
+    if root > 0.0:
+        s = math.sqrt(root)
         inner.extend([yh + s - xh, yh - s - xh])
     breaks = merge_breaks([lo, math.sqrt(lo * hi), hi], inner, lo, hi)
-    return integrate_panels(f, breaks, spec)
+    value = integrate_panels(f, breaks, spec)
+    if k == 0:
+        return t * t * value
+    if value == 0.0:
+        return 0.0
+    return math.exp(2.0 * math.log(t) - k * (d + 2.0 * alpha) * math.log(2.0) + math.log(value))
 
 
 def hke_unified(
@@ -324,7 +329,7 @@ def hke_unified(
     # the two-jump term is >= 0: once the one-jump term reaches the cap it
     # cannot move the value
     if bracket < cap and detect_regime(params) is not Regime.ONE_JUMP:
-        bracket += t * t * _radial_two_jump(params, w, t, u, x, y, dist, spec)
+        bracket += _radial_two_jump(params, w, t, u, x, y, dist, spec)
     return min(cap, bracket)
 
 

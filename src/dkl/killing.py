@@ -5,8 +5,8 @@ For admissible q the map is a weighted integral over the unit interval of
     (s^q - 1)(1 - s^(alpha-q-1)) / (1-s)^(1+alpha)
 
 against the boundary weight evaluated at an interior point pair whose
-heights are 1 and s; for dim >= 2 an outer integral over the tangential
-offset is taken as well.  The integrand is singular at both endpoints:
+heights are 1 and s; for dim >= 2 the weight is averaged over the
+tangential offset first.  The integrand is singular at both endpoints:
 near s = 1 it behaves like (1-s)^(1-alpha), handled by a power-graded
 substitution (with explicit subtraction of the leading term for alpha >=
 1.5); near s = 0 it behaves like s^(delta-1) with delta = alpha+beta1-q
@@ -14,23 +14,24 @@ possibly arbitrarily close to 0, handled on a logarithmic axis whose reach
 is chosen from delta and beta3, with the power factors assembled in log
 space so no intermediate quantity overflows.
 
-In d = 1 the map is evaluated for many q at once, each q a row
-(``_c_rows``); ``compute_C`` is its one-row case and ``scan_shape`` passes
-its grid, its midpoint and its zero checks in one call.  A row's left half
-has its own log-axis breakpoints, since delta sets the reach, and the rows
-are laid out one after another; the right half's nodes, Jacobian and
-weight do not depend on q, so each order computes them once for all rows.
-Orders 16 and 32 share one call, and each row stops at its own order by
-the rule of ``quadrature.refine_rows``, so a q's value is the same bits
-whatever else is in the batch.  Nothing is kept from one call to the next.
+The map is evaluated for many q at once, each q a row (``_c_rows``);
+``compute_C`` is its one-row case and ``scan_shape`` passes its grid, its
+midpoint and its zero checks in one call.  A row's left half has its own
+log-axis breakpoints, since delta sets the reach, and the rows are laid out
+one after another; the right half's nodes, Jacobian and weight do not
+depend on q, so each order computes them once for all rows.  Orders 16 and
+32 share one call, and each row stops at its own order by the rule of
+``quadrature.refine_rows``, so a q's value is the same bits whatever else
+is in the batch.
 
-For dim >= 2 the outer integrand over theta = arctan(rho) carries
-cos^alpha theta, singular at pi/2: its panels shrink fourfold toward pi/2
-and its order is the inner order, so the convergence test refines both.
-The s-integral takes a whole array of offsets, one row of breakpoints and
-nodes per offset, through the row rule of :mod:`dkl.quadrature`: kinks are
-padded into zero-width panels so that rows share a length, and rows go in
-blocks of at most about ``quadrature.BLOCK_ELEMENTS`` elements.
+For dim >= 2 the order of integration is swapped: the map is the d = 1 map
+with the weight replaced by its tangential average W(s), an integral over
+theta = arctan(rho) carrying cos^alpha theta (:class:`_MapWeight`).  W does
+not depend on q, so each call of ``compute_C``, ``solve_q`` or
+``scan_shape`` builds it once and every q, Brent step and grid point then
+costs a d = 1 evaluation.  On the left half W comes from a checked
+piecewise Chebyshev interpolant; on the right half it is integrated at the
+nodes, once per order.  Nothing is kept from one call to the next.
 ``solve_q`` and the zero refinement of ``scan_shape`` find roots with
 Brent's method on a bracket.
 """
@@ -47,14 +48,15 @@ from .geometry import BoundaryWeight, ModelParams, weight_from_heights_arr
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
-    converge,
+    converge_rows,
+    converged_values,
     decaying_log_breaks,
+    interp_eval,
+    interpolate,
     panel_nodes,
     refine_rows,
     row_blocks,
-    row_breaks,
     row_dot,
-    row_nodes,
     rows_at,
 )
 
@@ -175,15 +177,16 @@ def _bracket_minus_limit(u: np.ndarray, alpha: float, q, pvals: np.ndarray) -> n
     return np.where(u >= 1e-6, pvals - limit, limit * (c1 * u + c2 * u * u))
 
 
-def _right_values(u: np.ndarray, wvals: np.ndarray, jac: np.ndarray, alpha: float, q,
-                  diagonal_limit: float) -> np.ndarray:
+def _right_values(u: np.ndarray, wvals: np.ndarray, wdiff: np.ndarray, jac: np.ndarray,
+                  alpha: float, q, diagonal_limit: float) -> np.ndarray:
     """Right-half integrand times du/dv at s = 1 - u, u <= 1/2, cancellation-free.
 
     Both numerator factors vanish linearly in u, so dividing them by u first
     keeps every intermediate finite: the remaining power is u^(1-alpha),
     which cannot overflow for alpha < 2.  For alpha >= 1.5 the leading term
     L diag u^(1-alpha) is left out here; :func:`_leading_term` is its
-    integral.  ``q`` broadcasts against ``u``.
+    integral.  ``wvals`` is the weight W and ``wdiff`` is W - diag, formed
+    without cancellation by the caller.  ``q`` broadcasts against ``u``.
 
     Near alpha = 2 the grading sends the smallest u to 0 or below the
     normal range, where u^(1-alpha) overflows.  The remainder is
@@ -198,7 +201,7 @@ def _right_values(u: np.ndarray, wvals: np.ndarray, jac: np.ndarray, alpha: floa
         # remainder split so each bracket is individually cancellation-free:
         # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
         rem = u ** (1.0 - alpha) * (
-            pvals * (wvals - diagonal_limit)
+            pvals * wdiff
             + diagonal_limit * _bracket_minus_limit(u, alpha, q, pvals)
         )
     return np.where(u > math.exp(-700.0 / (alpha - 1.0)), rem * jac, 0.0)
@@ -213,54 +216,168 @@ def _leading_term(alpha: float, q, diagonal_limit: float):
 _RIGHT_BREAKS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def _s_value(
-    alpha: float,
-    q: float,
-    beta: Sequence[float],
-    c: np.ndarray,
-    diagonal_limit: float,
-    n: int,
-) -> np.ndarray:
-    """The s-integral at fixed panel order n, one value per entry of ``c``.
+def _sphere_area(k: int) -> float:
+    """Surface area of the unit sphere in R^(k+1)."""
+    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
-    The weight is taken along the pair with heights (1, s) at distance
-    (1-s)*c, where c = sqrt(rho^2+1) for the tangential offset rho.  The
-    offsets are evaluated together as (offset x node) arrays, in row blocks
-    of at most about ``quadrature.BLOCK_ELEMENTS`` elements.
+
+# the tangential average's left half is interpolated on [_W_CUT, log(1/2)] in
+# the variable log(-w), on panels at most _A_WIDTH wide; below _W_CUT it is
+# constant, which each build checks at _W_DEEP.  Its right half is
+# interpolated in sqrt(1/2 - u) for u in [_U_MIN, 1/2], on panels at most
+# _R_WIDTH wide.  Below _U_MIN the interpolated ratio, analytic at u = 0,
+# takes its value at _U_MIN; the term it scales is below _U_MIN W(1) there.
+_W_CUT = -40.0
+_W_DEEP = -1e4
+_A_WIDTH = 0.5
+_U_MIN = 1e-12
+_R_WIDTH = 0.2
+
+
+def _phi_rows(top: np.ndarray, kink: np.ndarray, alpha: float, tol: float) -> np.ndarray:
+    """One row of breakpoints in phi = pi/2 - theta per entry of ``top``:
+    [0, top] and the row's kink in it.  Toward phi = 0, where the integrand
+    carries sin^alpha phi, the panels shrink fourfold down to a first panel
+    of relative width (100 tol)^(1/(1+alpha)), which holds about 100 tol of
+    the integral."""
+    k = math.ceil(math.log(0.01 / tol) / ((1.0 + alpha) * math.log(4.0)))
+    grading = np.append(0.0, 4.0 ** -np.arange(float(k), -1.0, -1.0))
+    return np.sort(np.column_stack([top[:, None] * grading, kink]), axis=1)
+
+
+class _MapWeight:
+    """The weight of the map's s-integral, for one call of :func:`compute_C`,
+    :func:`solve_q` or :func:`scan_shape`; nothing outlives the call.
+
+    In d = 1 it is B at heights (s, 1) and distance 1 - s.  In d >= 2 it is
+    the tangential average, in phi = pi/2 - theta,
+
+        W(s) = |S^(d-2)| int_0^(pi/2) cos^(d-2) phi sin^alpha phi
+               B(s, 1, (1-s)/sin phi) dphi,
+
+    and the map is the d = 1 map with W in place of B.  W is built here from
+    two checked piecewise Chebyshev interpolants
+    (:func:`quadrature.interpolate`), one per half of the s-range, each to
+    a tenth of the call's rel_tol.  Each of their values is an integral in
+    phi, converged by :func:`quadrature.converge_rows` to the same
+    tolerance with at least the default order budget.  Either raises
+    :class:`NonConvergenceError` where it falls short.
+
+    ``log_left(x)`` is log W(e^x) on the left half, x <= log(1/2).  In d >= 2
+    it interpolates A(w) = log W(e^w) - beta1 w - beta3 log log(e + e^-w) in
+    the variable log(-w).  A is analytic on the left half but singular at
+    w = 0, where the distance vanishes; equal panels in log(-w) are narrow
+    next to it and wide where A flattens out.  Below ``_W_CUT`` A is
+    constant to double precision; the build checks that at ``_W_DEEP``.
+
+    ``right(n)`` gives, at the right half's order-n nodes, u = 1 - s, the
+    Jacobian of u, W, W - W(1) and the weights.  W(1) is ``diag``; in
+    d >= 2 it is B's diagonal limit times
+    |S^(d-2)| G((d-1)/2) G((alpha+1)/2) / (2 G((d+alpha)/2)), and W - W(1)
+    is the integral of B - diag, which vanishes where the distance is below
+    1 - u, so nothing cancels.  W - W(1) is interpolated as
+    (W - W(1)) / (u^(1+alpha) W(1)), which is analytic in u at u = 0 and
+    has a (1/2 - u)^(3/2) term at u = 1/2, where the kink distance = s
+    enters the phi-range; the variable sqrt(1/2 - u) makes that term
+    smooth.  For the same term the nodes are graded quadratically toward
+    u = 1/2 as well: u = (1/2) v^g with v = 1 - (1 - t)^2.
     """
-    base_l = _left_breaks(alpha, q, beta[0], beta[2])
-    w_lo, w_hi = base_l[0], base_l[-1]
-    g = _grade(alpha)
 
-    def block(cb: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            # distance crosses 1 at s* = 1 - 1/c: the log-factor form switches
-            kinks_l = np.log(1.0 - 1.0 / cb)
-        nodes_l, wts_l = row_nodes(row_breaks(base_l, kinks_l, w_lo, w_hi), n)
-        ln_w = _log_weight_left(beta, nodes_l, np.log(cb))
-        left = row_dot(_left_values(-nodes_l, alpha, q, ln_w), wts_l)
+    def __init__(self, params: ModelParams, w: BoundaryWeight, spec: QuadratureSpec):
+        self.alpha, self.beta, self.dim = params.alpha, params.beta, params.dim
+        if self.dim == 1:
+            self.diag = w.diagonal_limit
+            return
+        d, alpha = self.dim, self.alpha
+        self._surface = _sphere_area(d - 2) if d > 2 else 2.0
+        self.diag = w.diagonal_limit * self._surface * math.gamma((d - 1) / 2.0) * math.gamma(
+            (alpha + 1.0) / 2.0) / (2.0 * math.gamma((d + alpha) / 2.0))
+        self._diag1 = w.diagonal_limit
+        self._tol = tol = spec.rel_tol / 10.0
+        self._budget = max(spec.max_subdivisions, QuadratureSpec().max_subdivisions)
+        lo, hi = math.log(-math.log(0.5)), math.log(-_W_CUT)
+        self._a, at_ends = interpolate(lambda v: self._a_values(-np.exp(v)), lo, hi, _A_WIDTH,
+                                       tol, "tangential weight")
+        deep = self._a_values(np.array([_W_DEEP]))[0]
+        if not abs(deep - at_ends[-1]) <= tol:
+            raise NonConvergenceError(
+                f"tangential weight is not constant below w = {_W_CUT:g}: "
+                f"off by {abs(deep - at_ends[-1]):.3g} at w = {_W_DEEP:g}")
+        self._r, _ = interpolate(lambda v: self._r_values(0.5 - v * v), 0.0,
+                                 math.sqrt(0.5 - _U_MIN), _R_WIDTH, tol, "tangential weight")
 
-        # clamp and log-form switches at u* = 1/(1+c) and 1/c, kinks for u* < 1/2
-        u_star = np.concatenate([1.0 / (1.0 + cb), 1.0 / cb], axis=1)
-        kinks_r = (2.0 * u_star) ** (1.0 / g)
-        v, wts_r = row_nodes(row_breaks(_RIGHT_BREAKS, kinks_r, 0.0, 1.0), n)
+    def _norm(self, w: np.ndarray) -> np.ndarray:
+        """beta1 w + beta3 log log(e + e^-w), overflow-free for w <= log(1/2)."""
+        b1, b3 = self.beta[0], self.beta[2]
+        return b1 * w + b3 * np.log(-w + np.log1p(np.exp(1.0 + w)))
+
+    def _integrals(self, f, rows: np.ndarray, abs_tol: float) -> np.ndarray:
+        """The integral of ``f`` over each row of ``rows`` in phi."""
+        spec = QuadratureSpec(rel_tol=self._tol, abs_tol=abs_tol, max_subdivisions=self._budget)
+        return np.array(converged_values(converge_rows(f, rows, spec, 8)))
+
+    def _cos_power(self, phi: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """``vals`` times cos^(d-2) phi."""
+        if self.dim > 2:
+            vals *= np.cos(phi) ** (self.dim - 2)
+        return vals
+
+    def _a_values(self, wv: np.ndarray) -> np.ndarray:
+        """A at each w of ``wv``."""
+        alpha, beta = self.alpha, self.beta
+        norm = self._norm(wv)
+        # the distance crosses 1 at sin phi = 1 - s
+        kink = math.pi / 2.0 - 2.0 * np.arcsin(np.sqrt(0.5 * np.exp(wv)))
+
+        def f(phi: np.ndarray, row: np.ndarray) -> np.ndarray:
+            ln_sp = np.log(np.sin(phi))
+            ln_b = _log_weight_left(beta, wv[row], -ln_sp) - norm[row]
+            return self._cos_power(phi, np.exp(ln_b + alpha * ln_sp))
+
+        rows = _phi_rows(np.full(len(wv), math.pi / 2.0), kink, alpha, self._tol)
+        # A is a log, so its tolerance is relative to W
+        return np.log(self._surface * self._integrals(f, rows, 1e-300))
+
+    def _r_values(self, u: np.ndarray) -> np.ndarray:
+        """(W - W(1)) / (u^(1+alpha) W(1)) at each u of ``u``, 0 < u <= 1/2."""
+        alpha, beta, diag1 = self.alpha, self.beta, self._diag1
+        scale = self._surface / (u ** (1.0 + alpha) * self.diag)
+
+        def f(phi: np.ndarray, row: np.ndarray) -> np.ndarray:
+            sp = np.sin(phi)
+            ur = u[row]
+            b = weight_from_heights_arr(beta, 1.0 - ur, 1.0, ur / sp)
+            return self._cos_power(phi, (b - diag1) * sp**alpha * scale[row])
+
+        # B = diag where the distance u/sin phi is at most 1 - u; the other
+        # kink is at distance 1.  The values are of order 1 and may pass
+        # through 0, so the tolerance is absolute.
+        rows = _phi_rows(np.arcsin(u / (1.0 - u)), np.arcsin(u), alpha, self._tol)
+        return self._integrals(f, rows, self._tol)
+
+    def log_left(self, x: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            return _log_weight_left(self.beta, x, 0.0)
+        return interp_eval(self._a, np.log(-x)) + self._norm(x)
+
+    def right(self, n: int) -> tuple:
+        alpha, beta = self.alpha, self.beta
+        t, wts = panel_nodes(_RIGHT_BREAKS, n)
+        if self.dim == 1:
+            u, jac = _graded(t, alpha)
+            # from u, not s: forming 1-s from s near 1 would lose all precision
+            wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u)
+            return u, jac, wvals, wvals - self.diag, wts
+        v = t * (2.0 - t)
         u, jac = _graded(v, alpha)
-        # from u, not s: forming 1-s from s near 1 would lose all precision
-        wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u * cb)
-        right = row_dot(_right_values(u, wvals, jac, alpha, q, diagonal_limit), wts_r)
-        if alpha >= 1.5:
-            right += _leading_term(alpha, q, diagonal_limit)
-        return left + right
-
-    c = np.asarray(c, dtype=float)[:, None]
-    # panels per row: the left base, the right base and at most three kinks
-    sizes = np.full(len(c), n * (len(base_l) + len(_RIGHT_BREAKS) + 1))
-    return np.concatenate([block(c[i:j]) for i, j in row_blocks(sizes)])
+        jac *= 2.0 * (1.0 - t)
+        wdiff = self.diag * u ** (1.0 + alpha) * interp_eval(self._r, np.sqrt(0.5 - u))
+        return u, jac, self.diag + wdiff, wdiff, wts
 
 
-def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
-            spec: QuadratureSpec) -> list:
-    """The d = 1 map at every q of ``qs`` at once, each q a row.
+def _c_rows(mw: _MapWeight, qs: Sequence[float], spec: QuadratureSpec) -> list:
+    """The map at every q of ``qs`` at once, each q a row, with the weight
+    ``mw``: in d >= 2 the d = 1 map with the tangential average.
 
     Each row is refined on its own by :func:`quadrature.refine_rows`, the
     rule of :func:`compute_C`, so its value is the same bits whatever else
@@ -271,28 +388,25 @@ def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
     (-1, alpha + beta1).  Returns one entry per q: C(q), or the
     :class:`NonConvergenceError` that :func:`compute_C` would raise.
     """
-    alpha, beta = params.alpha, params.beta
-    diag = w.diagonal_limit
+    alpha, beta, diag = mw.alpha, mw.beta, mw.diag
     qs = np.asarray(qs, dtype=float)
     bases = [_left_breaks(alpha, q, beta[0], beta[2]) for q in qs.tolist()]
     panels = np.array([len(b) - 1 for b in bases])
     edges = np.array([(lo, hi) for b in bases for lo, hi in zip(b[:-1], b[1:])])
 
     def left(x: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return _left_values(-x, alpha, qs[row], _log_weight_left(beta, x, 0.0))
+        return _left_values(-x, alpha, qs[row], mw.log_left(x))
 
     def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
         out = rows_at(left, edges, panels, live, orders)
         # right half: one set of nodes, Jacobian and weight for every row
-        right_rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
-        u, jac = _graded(np.concatenate([v for v, _ in right_rules]), alpha)
-        # from u, not s: forming 1-s from s near 1 would lose all precision
-        wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u)
+        right_rules = [mw.right(n) for n in orders]
+        u, jac, wvals, wdiff = (np.concatenate(part) for part in list(zip(*right_rules))[:4])
         for start, stop in row_blocks(np.full(len(live), len(u))):
             q = qs[live[start:stop]]
-            rv = _right_values(u, wvals, jac, alpha, q[:, None], diag)
+            rv = _right_values(u, wvals, wdiff, jac, alpha, q[:, None], diag)
             at_r = 0
-            for k, (_, wr) in enumerate(right_rules):
+            for k, (*_, wr) in enumerate(right_rules):
                 right = row_dot(rv[:, at_r:at_r + len(wr)], wr)
                 if alpha >= 1.5:
                     right += _leading_term(alpha, q, diag)
@@ -301,20 +415,6 @@ def _c_rows(params: ModelParams, qs: Sequence[float], w: BoundaryWeight,
         return out.tolist()
 
     return refine_rows(at, len(qs), 16, spec.max_subdivisions, spec.tol, _MSG)
-
-
-def _sphere_area(k: int) -> float:
-    """Surface area of the unit sphere in R^(k+1)."""
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
-
-
-# the outer integrand carries cos^alpha theta, singular at theta = pi/2: panels
-# shrink fourfold toward it, the last one 2.3e-8 wide
-_OUTER_BREAKS = (
-    [0.0, math.pi / 8, math.pi / 4]
-    + [math.pi / 2 - (math.pi / 8) * 4.0**-k for k in range(13)]
-    + [math.pi / 2]
-)
 
 
 def compute_C(
@@ -326,10 +426,8 @@ def compute_C(
     """Evaluate the killing-constant map at q.
 
     Requires q strictly inside (-1, alpha + beta1), where the integral is
-    finite.  For dim >= 2 the outer rule over theta = arctan(rho) has panels
-    shrinking fourfold toward pi/2 and the inner rule's order, so the
-    convergence test refines both; all outer nodes of one order go through
-    one batched s-integral.
+    finite.  For dim >= 2 the tangential average of the weight is built
+    first (see :class:`_MapWeight`); the s-integral is then the d = 1 one.
     """
     spec = spec or QuadratureSpec()
     alpha = params.alpha
@@ -338,34 +436,13 @@ def compute_C(
         raise ValueError(
             f"q must lie in (-1, alpha+beta1) = (-1, {alpha + beta[0]}), got {q}"
         )
-    d = params.dim
-    if d == 1:
-        return _map_values(params, [q], w, spec)[0]
-
-    diag = w.diagonal_limit
-    surface = _sphere_area(d - 2) if d > 2 else 2.0
-
-    def total_at(n: int) -> float:
-        th, wts = panel_nodes(_OUTER_BREAKS, n)
-        inner = _s_value(alpha, q, beta, np.hypot(np.tan(th), 1.0), diag, n)
-        # rho^(d-2) (rho^2+1)^(-(d+alpha)/2) sec^2 == sin^(d-2) cos^alpha
-        return surface * float(np.dot(wts * np.sin(th) ** (d - 2) * np.cos(th) ** alpha, inner))
-
-    return converge(total_at, 16, spec.max_subdivisions, spec.tol, _MSG)
+    return _map_values(_MapWeight(params, w, spec), [q], spec)[0]
 
 
-def _map_values(params: ModelParams, qs: list[float], w: BoundaryWeight,
-                spec: QuadratureSpec) -> list[float]:
-    """C at every q of ``qs``: one :func:`_c_rows` call in d = 1 (the
-    d = 1 path of :func:`compute_C`), :func:`compute_C` per q otherwise.
-    Raises the first row's error, as a loop would."""
-    if params.dim != 1:
-        return [compute_C(params, q, w, spec) for q in qs]
-    values = _c_rows(params, qs, w, spec)
-    for v in values:
-        if isinstance(v, NonConvergenceError):
-            raise v
-    return values
+def _map_values(mw: _MapWeight, qs: list[float], spec: QuadratureSpec) -> list[float]:
+    """C at every q of ``qs`` through one :func:`_c_rows` call; raises the
+    first row's error, as a loop would."""
+    return converged_values(_c_rows(mw, qs, spec))
 
 
 def _bracketed_root(g, a: float, ga: float, b: float, gb: float, res_tol: float, width):
@@ -426,9 +503,14 @@ def _solve_q(params, w, spec, kappa) -> tuple[float, float]:
     if kappa == 0.0:
         return lo, 0.0
     g_lo = -kappa  # C vanishes at the branch start
+    mw = _MapWeight(params, w, spec)
+
+    def g(q: float) -> float:
+        return _map_values(mw, [q], spec)[0] - kappa
+
     gap = (top - lo) / 2.0
     hi = top - gap
-    while (g_hi := compute_C(params, hi, w, spec) - kappa) < 0.0:
+    while (g_hi := g(hi)) < 0.0:
         lo, g_lo = hi, g_hi
         gap /= 8.0
         if gap < 1e-12:
@@ -437,10 +519,7 @@ def _solve_q(params, w, spec, kappa) -> tuple[float, float]:
             )
         hi = top - gap
     res_tol = max(spec.abs_tol, spec.rel_tol * (1.0 + kappa))
-    return _bracketed_root(
-        lambda q: compute_C(params, q, w, spec) - kappa,
-        lo, g_lo, hi, g_hi, res_tol, lambda q: 1e-14 * max(1.0, abs(q)),
-    )
+    return _bracketed_root(g, lo, g_lo, hi, g_hi, res_tol, lambda q: 1e-14 * max(1.0, abs(q)))
 
 
 def solve_q(
@@ -480,11 +559,11 @@ class CShapeTable:
         return self.decreasing_ok and self.increasing_ok and self.zeros_ok and self.min_ok
 
 
-def _refine_zero(params, w, spec, qa, qb, va, vb) -> float:
+def _refine_zero(mw, spec, qa, qb, va, vb) -> float:
     # a sign change of C between grid points qa and qb (C(qa) = va, C(qb) = vb);
     # C == 0 or a bracket narrower than 1e-12 ends the search
     return _bracketed_root(
-        lambda q: compute_C(params, q, w, spec), qa, va, qb, vb, 0.0, lambda q: 1e-12
+        lambda q: _map_values(mw, [q], spec)[0], qa, va, qb, vb, 0.0, lambda q: 1e-12
     )[0]
 
 
@@ -514,7 +593,8 @@ def scan_shape(
     zs = [z for z in {min(alpha - 1.0, 0.0), max(alpha - 1.0, 0.0)}
           if -1.0 + edge_margin < z < top - edge_margin]
     # grid, midpoint and zero checks in one evaluation of the map
-    every = _map_values(params, [*qs.tolist(), q_mid, *zs], w, spec)
+    mw = _MapWeight(params, w, spec)
+    every = _map_values(mw, [*qs.tolist(), q_mid, *zs], spec)
     vals = np.array(every[:grid_size])
     c_mid = every[grid_size]
     scale = float(np.max(np.abs(vals)))
@@ -541,8 +621,7 @@ def scan_shape(
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             detected.append(
                 _refine_zero(
-                    params, w, spec, float(qs[i]), float(qs[i + 1]),
-                    float(vals[i]), float(vals[i + 1]),
+                    mw, spec, float(qs[i]), float(qs[i + 1]), float(vals[i]), float(vals[i + 1])
                 )
             )
     if len(detected) >= 2:

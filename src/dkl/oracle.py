@@ -9,7 +9,6 @@ accuracy and serve as ground truth for the closed-form estimates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,9 +22,12 @@ from .quadrature import (
     QuadratureSpec,
     converge,
     converge_rows,
+    converged_values,
     geometric_breaks,
     integrate_panels,
     integrate_rows,
+    interp_eval,
+    interpolate,
     merge_breaks,
     panel_nodes,
 )
@@ -108,93 +110,10 @@ def killed_bm_density(
 
 
 # ---------------------------------------------------------------------------
-# piecewise Chebyshev interpolants
-
-# polynomial degree per panel, and the largest error allowed at a panel end
-_DEGREE = 9
-_INTERP_TOL = 1e-9
-_HALVINGS = 4  # panel-width halvings before an interpolant gives up
-
-
-@dataclass(frozen=True)
-class _Interpolant:
-    """Piecewise polynomial on ``[lo, hi]``, equal panels of width 1/inv_h.
-
-    ``coef[j, k]`` is the coefficient of t^j on panel k, with t in [-1, 1]
-    the panel's local variable.
-    """
-
-    lo: float
-    hi: float
-    inv_h: float
-    coef: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _cheb_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev points of degree n on [-1, 1], and the matrix
-    taking values there to the interpolant's monomial coefficients."""
-    theta = math.pi * (np.arange(n + 1) + 0.5) / (n + 1)
-    to_cheb = 2.0 / (n + 1) * np.cos(np.outer(np.arange(n + 1), theta))
-    to_cheb[0] *= 0.5
-    to_mono = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        to_mono[: k + 1, k] = np.polynomial.chebyshev.cheb2poly(np.eye(n + 1)[k])
-    return np.cos(theta), to_mono @ to_cheb
-
-
-def _interpolate(f, lo: float, hi: float, width: float, what: str):
-    """Piecewise Chebyshev interpolant of ``f`` on ``[lo, hi]``, and ``f`` at
-    its panel ends.
-
-    The panels have equal widths of at most ``width``; each is fitted at
-    its :data:`_DEGREE` + 1 first-kind Chebyshev points (Trefethen,
-    *Approximation Theory and Approximation Practice*, 2013).  ``f`` takes
-    an array and is also called at the panel ends, where the interpolation
-    error peaks; the width halves until every end is within
-    :data:`_INTERP_TOL`, or :class:`NonConvergenceError` is raised.
-    """
-    x, to_mono = _cheb_rule(_DEGREE)
-    for _ in range(_HALVINGS + 1):
-        panels = math.ceil((hi - lo) / width)
-        h = (hi - lo) / panels
-        ends = lo + h * np.arange(panels + 1)
-        ends[-1] = hi
-        nodes = 0.5 * (ends[:-1] + ends[1:]) + 0.5 * h * x[:, None]
-        vals = f(np.append(nodes, ends))
-        coef = to_mono @ vals[: nodes.size].reshape(nodes.shape)
-        at_ends = vals[nodes.size:]
-        right = np.abs(coef.sum(axis=0) - at_ends[1:])
-        left = np.abs(coef[::2].sum(axis=0) - coef[1::2].sum(axis=0) - at_ends[:-1])
-        err = max(right.max(), left.max())
-        if err <= _INTERP_TOL:
-            return _Interpolant(lo, hi, 1.0 / h, coef), at_ends
-        width = h / 2.0
-    raise NonConvergenceError(
-        f"{what} interpolant is off by {err:.3g} at panel width {h:.3g}"
-    )
-
-
-def _interp_eval(p: _Interpolant, x: np.ndarray) -> np.ndarray:
-    """The interpolant at x, with x clamped into ``[p.lo, p.hi]``: one gather
-    per coefficient, summed by Horner's rule."""
-    s = x - p.lo
-    s *= p.inv_h
-    np.clip(s, 0.0, p.coef.shape[1], out=s)
-    k = s.astype(np.intp)
-    np.minimum(k, p.coef.shape[1] - 1, out=k)
-    t = s - k
-    t *= 2.0
-    t -= 1.0
-    out = p.coef[-1].take(k)
-    for c in p.coef[-2::-1]:
-        out *= t
-        out += c.take(k)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # cached evaluators for the subordinator density and the killed-BM mass
+
+# largest error an interpolant allows at a panel end
+_INTERP_TOL = 1e-9
 
 _G_INTERPS: dict[float, tuple] = {}
 
@@ -217,8 +136,8 @@ def _g_interp(a: float):
     def log_g(v: np.ndarray) -> np.ndarray:
         return np.log(stable_one_density_arr(a, np.exp(v)))
 
-    interp, _ = _interpolate(log_g, math.log(w_left), math.log(w_hi),
-                             min(0.4, 0.8 / frac), "subordinator density")
+    interp, _ = interpolate(log_g, math.log(w_left), math.log(w_hi),
+                            min(0.4, 0.8 / frac), _INTERP_TOL, "subordinator density")
     entry = (w_left, w_hi, interp)
     _G_INTERPS[key] = entry
     return entry
@@ -229,7 +148,7 @@ def _g_eval(a: float, w: np.ndarray) -> np.ndarray:
     interpolant; 0 left of it, a tail series right of it."""
     lo, hi, interp = _g_interp(a)
     w = np.asarray(w, dtype=float)
-    out = np.exp(_interp_eval(interp, np.log(w)))
+    out = np.exp(interp_eval(interp, np.log(w)))
     out[w < lo] = 0.0
     big = w > hi
     if np.any(big):
@@ -320,22 +239,13 @@ def _mass_by(gamma: float, u: np.ndarray, direct: np.ndarray) -> np.ndarray:
             return _q_kernel_arr(gamma, 1, ud[row], 1.0, y, (1.0 - y) ** 2)
 
         spec = QuadratureSpec(rel_tol=_MASS_TOL, abs_tol=1e-300)
-        out[direct] = _converged(converge_rows(q, rows, spec))
+        out[direct] = converged_values(converge_rows(q, rows, spec))
     if not np.all(direct):
         breaks, f, tail = _defect_rows(gamma, 1.0, u[~direct])
         # the mass is at least 1/2: a defect error of tol/2 is tol of the mass
         spec = QuadratureSpec(rel_tol=_MASS_TOL, abs_tol=_MASS_TOL / 2.0)
-        out[~direct] = 1.0 - (_converged(converge_rows(f, breaks, spec)) + tail)
+        out[~direct] = 1.0 - (converged_values(converge_rows(f, breaks, spec)) + tail)
     return out
-
-
-def _converged(values: list) -> np.ndarray:
-    """The rows of :func:`converge_rows` as an array; raises the first
-    row's :class:`NonConvergenceError`."""
-    for v in values:
-        if isinstance(v, NonConvergenceError):
-            raise v
-    return np.array(values)
 
 
 _M_INTERPS: dict[float, tuple] = {}
@@ -356,7 +266,8 @@ def _mass_interp(gamma: float):
         return np.log(_mass_knots(gamma, np.exp(v)))
 
     u_hi = 1e12
-    interp, at_ends = _interpolate(log_mass, math.log(1e-9), math.log(u_hi), 0.75, "mass")
+    interp, at_ends = interpolate(log_mass, math.log(1e-9), math.log(u_hi), 0.75,
+                                 _INTERP_TOL, "mass")
     eta = (gamma + 0.5) / 2.0  # large-time mass decay exponent
     tail_coef = math.exp(at_ends[-1]) * u_hi**eta
     entry = (interp, eta, tail_coef)
@@ -370,7 +281,7 @@ def _mass_eval(gamma: float, u: np.ndarray) -> np.ndarray:
     interp, eta, tail_coef = _mass_interp(gamma)
     u = np.asarray(u, dtype=float)
     v = np.log(u)
-    out = np.exp(_interp_eval(interp, v))
+    out = np.exp(interp_eval(interp, v))
     small = v < interp.lo
     if np.any(small):
         out[small] = 1.0 - (4.0 * gamma * gamma - 1.0) / 4.0 * u[small]

@@ -24,14 +24,17 @@ each row's value is bit-identical to integrating that row alone with
 memory of every array call.  The lower-level pieces serve callers that
 need their own blocks: :func:`row_breaks` adds per-row kinks to shared
 breakpoints, padding a missing kink into a zero-width panel so that rows
-have equal length, :func:`row_nodes` lays out nodes as (rows, nodes per
-row), :func:`row_dot` takes the per-row dot products and :func:`rows_at`
-integrates a subset of NaN-padded rows at several orders, one call of the
-integrand per block.
+have equal length, :func:`row_dot` takes the per-row dot products and
+:func:`rows_at` integrates a subset of NaN-padded rows at several orders,
+one call of the integrand per block.
 
 :func:`converge_rows` is :func:`integrate_panels` for every row of
 NaN-padded breakpoints at once, refined by the same driver: every row's
 value is the bits of :func:`integrate_panels` on that row alone.
+
+:func:`interpolate` builds a checked piecewise Chebyshev interpolant on
+equal panels of the caller's variable; grading comes from the choice of
+that variable (log w, log(-w), ...).  :func:`interp_eval` evaluates it.
 """
 
 from __future__ import annotations
@@ -54,12 +57,15 @@ __all__ = [
     "BLOCK_ELEMENTS",
     "row_blocks",
     "row_breaks",
-    "row_nodes",
     "row_dot",
     "rows_at",
     "integrate_rows",
     "converge_rows",
+    "converged_values",
     "refine_rows",
+    "Interpolant",
+    "interpolate",
+    "interp_eval",
 ]
 
 
@@ -105,10 +111,18 @@ def converge(estimate: Callable[[int], float], n0: int, n_max: int,
 
 def _one_row(values: list) -> float:
     """The value of a one-row :func:`refine_rows`, or its error raised."""
-    (value,) = values
-    if isinstance(value, NonConvergenceError):
-        raise value
+    (value,) = converged_values(values)
     return value
+
+
+def converged_values(values: list) -> list:
+    """The rows of :func:`refine_rows` or :func:`converge_rows`, each a
+    value; raises the first row's :class:`NonConvergenceError`, as a loop
+    over the rows would."""
+    for v in values:
+        if isinstance(v, NonConvergenceError):
+            raise v
+    return values
 
 
 def panel_nodes(breaks: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +219,6 @@ def row_breaks(base: Sequence[float], kinks: np.ndarray, lo: float, hi: float) -
     return out
 
 
-def row_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`panel_nodes` for 2-D ``breaks``, shaped (rows, nodes per row)."""
-    nodes, wts = panel_nodes(breaks, n)
-    return nodes.reshape(len(breaks), -1), wts.reshape(len(breaks), -1)
-
-
 def row_dot(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """Per-row dot products, each bit-identical to ``np.dot`` of its row.
 
@@ -305,14 +313,16 @@ def converge_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     breaks: np.ndarray,
     spec: QuadratureSpec,
+    n0: int = 16,
 ) -> list:
     """:func:`integrate_panels` for each row of ``breaks``, all rows at once.
 
     ``f`` and ``breaks`` are as in :func:`integrate_rows`; the rows are
-    refined by :func:`refine_rows`.  Each row's value is bit-identical to
-    :func:`integrate_panels` on that row alone, and a row whose orders ran
-    out holds the :class:`NonConvergenceError` that :func:`integrate_panels`
-    would have raised.  A single row takes the ``at`` of
+    refined by :func:`refine_rows` from order ``n0``.  Each row's value is
+    bit-identical to :func:`integrate_panels` with the same ``n0`` on that
+    row alone, and a row whose orders ran out holds the
+    :class:`NonConvergenceError` that :func:`integrate_panels` would have
+    raised.  A single row takes the ``at`` of
     :func:`integrate_panels`, which has less bookkeeping per order.
     """
     edges, panels = _row_panels(breaks)
@@ -322,7 +332,7 @@ def converge_rows(
     else:
         def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
             return rows_at(f, edges, panels, live, orders).tolist()
-    return refine_rows(at, len(panels), 16, spec.max_subdivisions, spec.tol)
+    return refine_rows(at, len(panels), n0, spec.max_subdivisions, spec.tol)
 
 
 def refine_rows(
@@ -367,6 +377,91 @@ def refine_rows(
             cur = at(live, (n,))[0]
     for i in live:
         out[i] = NonConvergenceError(f"{msg} (order {n} exceeds budget)")
+    return out
+
+
+# polynomial degree per panel of an interpolant, and the panel-width halvings
+# before a build gives up
+_DEGREE = 9
+_HALVINGS = 4
+
+
+@dataclass(frozen=True)
+class Interpolant:
+    """Piecewise polynomial on ``[lo, hi]``, equal panels of width 1/inv_h.
+
+    ``coef[j, k]`` is the coefficient of t^j on panel k, with t in [-1, 1]
+    the panel's local variable.
+    """
+
+    lo: float
+    hi: float
+    inv_h: float
+    coef: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _cheb_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points of degree n on [-1, 1], and the matrix
+    taking values there to the interpolant's monomial coefficients."""
+    theta = math.pi * (np.arange(n + 1) + 0.5) / (n + 1)
+    to_cheb = 2.0 / (n + 1) * np.cos(np.outer(np.arange(n + 1), theta))
+    to_cheb[0] *= 0.5
+    to_mono = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        to_mono[: k + 1, k] = np.polynomial.chebyshev.cheb2poly(np.eye(n + 1)[k])
+    return np.cos(theta), to_mono @ to_cheb
+
+
+def interpolate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, width: float,
+                tol: float, what: str) -> tuple[Interpolant, np.ndarray]:
+    """Piecewise Chebyshev interpolant of ``f`` on ``[lo, hi]``, and ``f`` at
+    its panel ends.
+
+    The panels have equal widths of at most ``width`` in the variable ``f``
+    takes, so a caller grades them by its choice of that variable.  Each
+    panel is fitted at its :data:`_DEGREE` + 1 first-kind Chebyshev points
+    (Trefethen, *Approximation Theory and Approximation Practice*, 2013).
+    ``f`` takes an array and is also called at the panel ends, where the
+    interpolation error peaks; the width halves until every end is within
+    ``tol``, or :class:`NonConvergenceError` is raised.
+    """
+    x, to_mono = _cheb_rule(_DEGREE)
+    for _ in range(_HALVINGS + 1):
+        panels = math.ceil((hi - lo) / width)
+        h = (hi - lo) / panels
+        ends = lo + h * np.arange(panels + 1)
+        ends[-1] = hi
+        nodes = 0.5 * (ends[:-1] + ends[1:]) + 0.5 * h * x[:, None]
+        vals = f(np.append(nodes, ends))
+        coef = to_mono @ vals[: nodes.size].reshape(nodes.shape)
+        at_ends = vals[nodes.size:]
+        right = np.abs(coef.sum(axis=0) - at_ends[1:])
+        left = np.abs(coef[::2].sum(axis=0) - coef[1::2].sum(axis=0) - at_ends[:-1])
+        err = max(right.max(), left.max())
+        if err <= tol:
+            return Interpolant(lo, hi, 1.0 / h, coef), at_ends
+        width = h / 2.0
+    raise NonConvergenceError(
+        f"{what} interpolant is off by {err:.3g} at panel width {h:.3g}"
+    )
+
+
+def interp_eval(p: Interpolant, x: np.ndarray) -> np.ndarray:
+    """The interpolant at x, with x clamped into ``[p.lo, p.hi]``: one gather
+    per coefficient, summed by Horner's rule."""
+    s = x - p.lo
+    s *= p.inv_h
+    np.clip(s, 0.0, p.coef.shape[1], out=s)
+    k = s.astype(np.intp)
+    np.minimum(k, p.coef.shape[1] - 1, out=k)
+    t = s - k
+    t *= 2.0
+    t -= 1.0
+    out = p.coef[-1].take(k)
+    for c in p.coef[-2::-1]:
+        out *= t
+        out += c.take(k)
     return out
 
 

@@ -52,12 +52,13 @@ class TestSolveQ:
 
     def test_residual_comes_from_the_solve(self, capsys, monkeypatch):
         calls = []
+        rows = dkl.killing._c_rows
 
-        def counted(params, q, *rest):
-            calls.append(q)
-            return compute_C(params, q, *rest)
+        def counted(mw, qs, spec):
+            calls.extend(qs)
+            return rows(mw, qs, spec)
 
-        monkeypatch.setattr(dkl.killing, "compute_C", counted)
+        monkeypatch.setattr(dkl.killing, "_c_rows", counted)
         code, out = run_cli(
             ["solve-q", "--alpha", "0.8", "--beta", "0.5,1,0,0", "--kappa", "0.7"], capsys
         )

@@ -325,6 +325,19 @@ class TestHkeUnified:
         cap = _time_scale(t, 0.5) ** -1.0
         assert math.isfinite(got) and 0.0 < got <= cap
 
+    def test_far_pair_keeps_its_two_jump_term(self):
+        # there the two-jump integrand is about 1e-605; with every length
+        # scaled by 2^-400 (t by 2^-200, so u scales too) it is in range, and
+        # the estimate scales as length^-d
+        p = ModelParams(1, 0.5, (0.0, 1.5, 0.0, 0.0))
+        w = standard_weight(p)
+        got = hke_unified(p, w, 1e100, pt(0.5), pt(1e202), SPEC)
+        s = 2.0**-400
+        want = hke_unified(p, w, 1e100 * 2.0**-200, pt(0.5 * s), pt(1e202 * s), SPEC) * s
+        assert got == pytest.approx(want, rel=1e-12)
+        # the one-jump term alone is 1.0000e-203
+        assert got == pytest.approx(1.2309e-203, rel=1e-4)
+
     def test_comparable_to_closed_all_regimes(self, rng):
         for beta in [(1.0, 1.0, 0.0, 0.0), (0.5, 2.0, 0.5, 0.5), (0.5, 1.0, 0.5, 0.5)]:
             p = ModelParams(1, 0.5, beta)

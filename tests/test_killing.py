@@ -10,8 +10,8 @@ from dkl.geometry import ModelParams, standard_weight
 from dkl.killing import (
     _bracketed_root,
     _c_rows,
+    _MapWeight,
     _refine_zero,
-    _s_value,
     compute_C,
     scan_shape,
     solve_q,
@@ -137,15 +137,18 @@ class TestComputeC:
             assert abs(compute_C(p, q, standard_weight(p), SPEC) - want) <= 10.0 * SPEC.tol(want)
 
     @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
-    def test_batched_offsets_match_one_at_a_time(self, block, monkeypatch):
-        # rows sharing a block get zero-width padding panels, so sums regroup
-        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
-        cs = np.array([1.0, 1.0 + 1e-7, 1.2, 1.9, 2.0, 2.5, 40.0, 3e7])
-        for alpha, b, q in [(0.7, (1.0, 1.5, 0.5, 0.3), 0.4), (1.7, (0.5, 2.0, 0.0, 1.0), 0.9)]:
-            diag = standard_weight(ModelParams(2, alpha, b)).diagonal_limit
-            batched = _s_value(alpha, q, b, cs, diag, 32)
-            single = np.array([_s_value(alpha, q, b, np.array([c]), diag, 32)[0] for c in cs])
-            assert np.all(np.abs(batched - single) <= 1e-14 * np.abs(single))
+    def test_tangential_weight_does_not_depend_on_blocks(self, block, monkeypatch):
+        # every node's phi-integral is a row of its own, whatever shares its block
+        x = -np.geomspace(0.7, 1e4, 9)
+        for d, alpha, b in [(2, 0.7, (1.0, 1.5, 0.5, 0.3)), (3, 1.7, (0.5, 2.0, 0.0, 1.0))]:
+            p = ModelParams(d, alpha, b)
+            want = _MapWeight(p, standard_weight(p), SPEC)
+            monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
+            got = _MapWeight(p, standard_weight(p), SPEC)
+            monkeypatch.undo()
+            assert np.array_equal(got.log_left(x), want.log_left(x))
+            for n in (16, 32):
+                assert all(np.array_equal(g, h) for g, h in zip(got.right(n), want.right(n)))
 
     @pytest.mark.parametrize("alpha", [1.98, 1.985, 1.99, 1.995, 1.999])
     @pytest.mark.parametrize("q, b", [(0.5, (0.5, 1.0, 0.0, 0.0)), (1.2, (1.0, 1.5, 0.5, 0.3))],
@@ -181,15 +184,95 @@ class TestComputeC:
             compute_C(p, 1.5, w, SPEC)
 
 
-# (alpha, beta, qs) for the d = 1 rows: q < 0, q in (0, alpha - 1), q within
-# 1e-3 of alpha + beta1, alpha >= 1.5 (the subtracted leading term), beta3
-# and beta4 > 0
+def direct_log_W(d: int, alpha: float, b, w: float) -> float:
+    """Independent reference for log W(e^w), the tangential average of the
+    weight at heights (s, 1), s = e^w, and distance (1-s) sec(theta):
+    SciPy's ``quad`` over theta, split at the kinks distance = 1 and
+    distance = s, with the weight in log space so that deep w do not
+    underflow."""
+    b1, b2, b3, b4 = b
+    s = math.exp(w)
+    norm = b1 * w + b3 * math.log(-w + math.log1p(math.exp(1.0 + w)))
+
+    def f(th):
+        ln_dist = math.log1p(-s) - math.log(math.cos(th))
+        ln_b = b1 * min(w - ln_dist, 0.0) + b2 * min(-ln_dist, 0.0)
+        if b3 > 0:
+            ln_k = min(0.0, ln_dist)  # log min(1, dist); min(s, dist) = s below
+            ln_k_s = ln_k - w if w < ln_dist else 0.0
+            ln_b += b3 * math.log(ln_k_s + math.log1p(math.exp(1.0 - ln_k_s)))
+        if b4 > 0:
+            ln_b += b4 * math.log(math.log(math.e + math.exp(max(ln_dist, 0.0))))
+        return math.exp(ln_b - norm) * math.sin(th) ** (d - 2) * math.cos(th) ** alpha
+
+    cuts = [0.0, math.pi / 2.0]
+    cuts.append(2.0 * math.asin(math.sqrt(s / 2.0)))  # distance 1
+    if s > 0.5:
+        cuts.append(math.acos((1.0 - s) / s))  # distance s
+    cuts = sorted(c for c in set(cuts) if 0.0 <= c <= math.pi / 2.0)
+    total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    surface = {2: 2.0, 3: 2.0 * math.pi}[d]
+    return math.log(surface * total) + norm
+
+
+def identity_factor(d: int, alpha: float) -> float:
+    """|S^(d-2)| G((d-1)/2) G((alpha+1)/2) / (2 G((d+alpha)/2)): W for beta = 0."""
+    sphere = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+    return sphere * math.gamma((d - 1) / 2.0) * math.gamma((alpha + 1.0) / 2.0) / (
+        2.0 * math.gamma((d + alpha) / 2.0))
+
+
+class TestTangentialWeight:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.3, 1.3, 1.8])
+    def test_unit_weight_is_the_identity_factor(self, d, alpha):
+        p = ModelParams(d, alpha, (0.0, 0.0, 0.0, 0.0))
+        mw = _MapWeight(p, standard_weight(p), SPEC)
+        want = identity_factor(d, alpha)
+        assert mw.diag == pytest.approx(want, rel=1e-15)
+        # the left half down to s = e^-1e4, the right half at every node
+        left = np.exp(mw.log_left(-np.geomspace(math.log(2.0), 1e4, 200)))
+        assert np.abs(left / want - 1.0).max() <= 1e-13
+        for n in (16, 32, 64):
+            _, _, wvals, wdiff, _ = mw.right(n)
+            assert np.all(wdiff == 0.0) and np.all(wvals == mw.diag)
+
+    @pytest.mark.parametrize("d, alpha, b", [
+        (2, 0.9, (1.0, 1.5, 0.5, 0.0)),
+        (3, 1.7, (0.5, 1.5, 0.3, 0.2)),
+        (2, 0.3, (2.0, 3.0, 1.0, 1.5)),
+    ], ids=["d2-b123", "d3-b1234", "d2-large-b"])
+    def test_against_direct_theta_quadrature(self, d, alpha, b):
+        p = ModelParams(d, alpha, b)
+        mw = _MapWeight(p, standard_weight(p), SPEC)
+        bound = 3.0 * SPEC.rel_tol / 10.0
+        # the left half: near s = 1/2, across the interpolant, and below its cut
+        ws = [math.log(0.5 - 1e-6), math.log(0.49), -2.0, -7.5, -39.0, -45.0, -300.0, -1e4]
+        got = mw.log_left(np.array(ws))
+        for w, g in zip(ws, got):
+            assert abs(g - direct_log_W(d, alpha, b, w)) <= bound, w
+        # the right half at nodes next to u = 1/2 (s just above 1/2) and further in
+        u, _, wvals, wdiff, _ = mw.right(32)
+        for i in [len(u) - 1, len(u) - 5, len(u) // 2, 10]:
+            want = math.exp(direct_log_W(d, alpha, b, math.log1p(-u[i])))
+            assert abs(wvals[i] - want) <= bound * want, u[i]
+            assert wdiff[i] == wvals[i] - mw.diag or abs(wdiff[i] - (want - mw.diag)) <= bound * want
+
+
+# (dim, alpha, beta, qs) for the rows: in d = 1 q < 0, q in (0, alpha - 1), q
+# within 1e-3 of alpha + beta1, alpha >= 1.5 (the subtracted leading term),
+# beta3 and beta4 > 0; in d = 2 and 3 the tangential average, with and
+# without the subtracted term
 MAP_ROWS = [
-    (0.7, (1.0, 1.5, 0.5, 0.3), [-0.9, -0.4, -1e-3, 0.2, 1.0, 1.7 - 5e-4, 1.7 - 1e-6]),
-    (1.4, (0.5, 1.0, 0.0, 0.0), [-0.5, 0.1, 0.25, 0.39, 1.2, 1.9 - 2e-4, 1.9 - 1e-3]),
-    (1.8, (0.8, 2.0, 1.0, 0.5), [-0.7, 0.2, 0.5, 0.79, 2.0, 2.6 - 1e-3, 2.6 - 3e-5]),
-    (1.5, (0.0, 0.0, 0.0, 0.0), [-0.99, -0.2, 0.0, 0.25, 0.5, 1.2, 1.5 - 1e-3]),
+    (1, 0.7, (1.0, 1.5, 0.5, 0.3), [-0.9, -0.4, -1e-3, 0.2, 1.0, 1.7 - 5e-4, 1.7 - 1e-6]),
+    (1, 1.4, (0.5, 1.0, 0.0, 0.0), [-0.5, 0.1, 0.25, 0.39, 1.2, 1.9 - 2e-4, 1.9 - 1e-3]),
+    (1, 1.8, (0.8, 2.0, 1.0, 0.5), [-0.7, 0.2, 0.5, 0.79, 2.0, 2.6 - 1e-3, 2.6 - 3e-5]),
+    (1, 1.5, (0.0, 0.0, 0.0, 0.0), [-0.99, -0.2, 0.0, 0.25, 0.5, 1.2, 1.5 - 1e-3]),
+    (2, 0.7, (1.0, 1.5, 0.5, 0.3), [-0.9, -0.2, 0.2, 1.0, 1.7 - 1e-3]),
+    (3, 1.7, (0.5, 2.0, 0.0, 1.0), [-0.6, 0.3, 0.7, 1.5, 2.2 - 1e-3]),
 ]
+MAP_IDS = ["q-neg-b3b4", "q-mid", "subtract", "plain", "d2", "d3-subtract"]
 
 
 def _alone(p, w, q, spec):
@@ -201,25 +284,26 @@ def _alone(p, w, q, spec):
 
 
 class TestMapRows:
-    @pytest.mark.parametrize("alpha, b, qs", MAP_ROWS, ids=["q-neg-b3b4", "q-mid", "subtract", "plain"])
+    @pytest.mark.parametrize("d, alpha, b, qs", MAP_ROWS, ids=MAP_IDS)
     @pytest.mark.parametrize("block", [64, 16384], ids=["small-blocks", "default"])
     @pytest.mark.parametrize("spec", [SPEC, QuadratureSpec()], ids=["tight", "default-spec"])
-    def test_rows_are_bit_identical_to_each_q_alone(self, alpha, b, qs, block, spec, monkeypatch):
-        p = ModelParams(1, alpha, b)
+    def test_rows_are_bit_identical_to_each_q_alone(self, d, alpha, b, qs, block, spec, monkeypatch):
+        p = ModelParams(d, alpha, b)
         w = standard_weight(p)
         alone = [compute_C(p, q, w, spec) for q in qs]
         monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
-        assert _c_rows(p, qs, w, spec) == alone
+        mw = _MapWeight(p, w, spec)
+        assert _c_rows(mw, qs, spec) == alone
         # reversed and repeated rows: a value does not depend on its neighbours
-        assert _c_rows(p, qs[::-1] + qs[:2], w, spec) == alone[::-1] + alone[:2]
+        assert _c_rows(mw, qs[::-1] + qs[:2], spec) == alone[::-1] + alone[:2]
 
-    @pytest.mark.parametrize("alpha, b, qs", MAP_ROWS, ids=["q-neg-b3b4", "q-mid", "subtract", "plain"])
+    @pytest.mark.parametrize("d, alpha, b, qs", MAP_ROWS, ids=MAP_IDS)
     @pytest.mark.parametrize("n_max", [16, 32, 64], ids=["one-round", "n32", "n64"])
-    def test_rows_out_of_budget_hold_the_error(self, alpha, b, qs, n_max):
+    def test_rows_out_of_budget_hold_the_error(self, d, alpha, b, qs, n_max):
         spec = QuadratureSpec(max_subdivisions=n_max)
-        p = ModelParams(1, alpha, b)
+        p = ModelParams(d, alpha, b)
         w = standard_weight(p)
-        got = [v if isinstance(v, float) else str(v) for v in _c_rows(p, qs, w, spec)]
+        got = [v if isinstance(v, float) else str(v) for v in _c_rows(_MapWeight(p, w, spec), qs, spec)]
         assert got == [_alone(p, w, q, spec) for q in qs]
         if n_max == 16:
             assert got == ["killing-constant integral did not converge (order 32 exceeds budget)"] * len(qs)
@@ -246,6 +330,30 @@ class TestMapRows:
         monkeypatch.setattr(killing, "_refine_zero", lambda *args: 0.0)
         scan_shape(p, w, 24, SPEC, strict=False)
         assert seen == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_higher_dimension_scan_builds_one_weight_and_one_batch(self, d, monkeypatch):
+        # outside the zero search, the scan builds the tangential average once
+        # and passes every q through one batch of rows
+        built, batches = [], []
+        make, rows = killing._MapWeight, killing._c_rows
+
+        def counted_weight(*args):
+            built.append(args)
+            return make(*args)
+
+        def counted_rows(mw, qs, spec):
+            batches.append(len(qs))
+            return rows(mw, qs, spec)
+
+        p = ModelParams(d, 1.4, (0.0, 1.5, 0.0, 0.5))
+        w = standard_weight(p)
+        monkeypatch.setattr(killing, "_MapWeight", counted_weight)
+        monkeypatch.setattr(killing, "_c_rows", counted_rows)
+        monkeypatch.setattr(killing, "compute_C", None)
+        monkeypatch.setattr(killing, "_refine_zero", lambda *args: 0.0)
+        scan_shape(p, w, 8, SPEC, strict=False)
+        assert len(built) == 1 and batches == [8 + 1 + 2]
 
 
 class TestSolveQ:
@@ -317,17 +425,18 @@ class TestBracketedRoot:
     def test_solve_q_call_count(self, alpha, b, kappa, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return compute_C(*args, **kwargs)
+        def counted(mw, qs, spec):
+            calls.append(qs)
+            return rows(mw, qs, spec)
 
+        rows = killing._c_rows
         p = ModelParams(1, alpha, b, kappa=kappa)
         w = standard_weight(p)
-        monkeypatch.setattr(killing, "compute_C", counted)
+        monkeypatch.setattr(killing, "_c_rows", counted)
         q = solve_q(p, w, SPEC)
         monkeypatch.undo()
-        # bisection took about 31 calls on these
-        assert len(calls) <= 14
+        # bisection took about 31 calls on these; each evaluates one q
+        assert len(calls) <= 14 and all(len(qs) == 1 for qs in calls)
         res_tol = max(SPEC.abs_tol, SPEC.rel_tol * (1.0 + kappa))
         assert abs(compute_C(p, q, w, SPEC) - kappa) <= res_tol
 
@@ -336,7 +445,7 @@ class TestBracketedRoot:
         w = standard_weight(p)
         for qa, qb, zero in [(-0.13, 0.07, 0.0), (0.41, 0.62, 0.5)]:
             va, vb = compute_C(p, qa, w, SPEC), compute_C(p, qb, w, SPEC)
-            assert abs(_refine_zero(p, w, SPEC, qa, qb, va, vb) - zero) <= 1e-12
+            assert abs(_refine_zero(_MapWeight(p, w, SPEC), SPEC, qa, qb, va, vb) - zero) <= 1e-12
 
 
 class TestScanShape:

@@ -12,8 +12,6 @@ from dkl.oracle import (
     _comparison,
     _g_eval,
     _g_interp,
-    _interp_eval,
-    _interpolate,
     _mass_eval,
     _mass_F,
     _mass_knots,
@@ -30,6 +28,8 @@ from dkl.quadrature import (
     QuadratureSpec,
     geometric_breaks,
     integrate_panels,
+    interp_eval,
+    interpolate,
     merge_breaks,
     panel_nodes,
 )
@@ -288,17 +288,17 @@ class TestSubordinatorInterpolant:
         assert got == pytest.approx(ref, rel=1e-11)
 
     def test_smooth_function_is_reproduced(self):
-        interp, at_ends = _interpolate(np.exp, 0.0, 3.0, 0.4, "exp")
+        interp, at_ends = interpolate(np.exp, 0.0, 3.0, 0.4, 1e-9, "exp")
         # f at the panel ends, the first and last at the interval's ends
         assert at_ends[0] == 1.0 and at_ends[-1] == pytest.approx(math.exp(3.0), rel=1e-15)
         x = np.linspace(0.0, 3.0, 1001)
         # the monomial form costs a few hundred ulps of rounding at degree 9
-        assert np.abs(_interp_eval(interp, x) / np.exp(x) - 1.0).max() < 1e-13
+        assert np.abs(interp_eval(interp, x) / np.exp(x) - 1.0).max() < 1e-13
 
     def test_kink_raises(self):
         # |x| has a kink inside a panel at every width tried
         with pytest.raises(NonConvergenceError, match="kink interpolant"):
-            _interpolate(np.abs, -1.0, 1.3, 0.5, "kink")
+            interpolate(np.abs, -1.0, 1.3, 0.5, 1e-9, "kink")
 
 
 class TestMassDefect:
