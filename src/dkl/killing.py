@@ -270,9 +270,9 @@ class _MapWeight:
     next to it and wide where A flattens out.  Below ``_W_CUT`` A is
     constant to double precision; the build checks that at ``_W_DEEP``.
 
-    ``right(n)`` gives, at the right half's order-n nodes, u = 1 - s, the
-    Jacobian of u, W, W - W(1) and the weights.  W(1) is ``diag``; in
-    d >= 2 it is B's diagonal limit times
+    ``right(orders)`` gives u = 1 - s, the Jacobian of u, W and W - W(1) at
+    the right half's nodes of those orders.  W(1) is ``diag``; in d >= 2
+    it is B's diagonal limit times
     |S^(d-2)| G((d-1)/2) G((alpha+1)/2) / (2 G((d+alpha)/2)), and W - W(1)
     is the integral of B - diag, which vanishes where the distance is below
     1 - u, so nothing cancels.  W - W(1) is interpolated as
@@ -360,9 +360,13 @@ class _MapWeight:
             return _log_weight_left(self.beta, x, 0.0)
         return interp_eval(self._a, np.log(-x)) + self._norm(x)
 
-    def right(self, n: int) -> tuple:
+    def right(self, orders: tuple[int, ...]) -> tuple:
+        """u, the Jacobian of u, W and W - W(1) at the right half's nodes of
+        every order of ``orders``, joined, and each order's weights."""
         alpha, beta = self.alpha, self.beta
-        t, wts = panel_nodes(_RIGHT_BREAKS, n)
+        rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
+        t = np.concatenate([x for x, _ in rules])
+        wts = [w for _, w in rules]
         if self.dim == 1:
             u, jac = _graded(t, alpha)
             # from u, not s: forming 1-s from s near 1 would lose all precision
@@ -400,13 +404,12 @@ def _c_rows(mw: _MapWeight, qs: Sequence[float], spec: QuadratureSpec) -> list:
     def at(live: Sequence[int], orders: tuple[int, ...]) -> list:
         out = rows_at(left, edges, panels, live, orders)
         # right half: one set of nodes, Jacobian and weight for every row
-        right_rules = [mw.right(n) for n in orders]
-        u, jac, wvals, wdiff = (np.concatenate(part) for part in list(zip(*right_rules))[:4])
+        u, jac, wvals, wdiff, right_wts = mw.right(orders)
         for start, stop in row_blocks(np.full(len(live), len(u))):
             q = qs[live[start:stop]]
             rv = _right_values(u, wvals, wdiff, jac, alpha, q[:, None], diag)
             at_r = 0
-            for k, (*_, wr) in enumerate(right_rules):
+            for k, wr in enumerate(right_wts):
                 right = row_dot(rv[:, at_r:at_r + len(wr)], wr)
                 if alpha >= 1.5:
                     right += _leading_term(alpha, q, diag)

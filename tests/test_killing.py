@@ -147,8 +147,8 @@ class TestComputeC:
             got = _MapWeight(p, standard_weight(p), SPEC)
             monkeypatch.undo()
             assert np.array_equal(got.log_left(x), want.log_left(x))
-            for n in (16, 32):
-                assert all(np.array_equal(g, h) for g, h in zip(got.right(n), want.right(n)))
+            got_r, want_r = got.right((16, 32)), want.right((16, 32))
+            assert all(np.array_equal(g, h) for g, h in zip(got_r[:4], want_r[:4]))
 
     @pytest.mark.parametrize("alpha", [1.98, 1.985, 1.99, 1.995, 1.999])
     @pytest.mark.parametrize("q, b", [(0.5, (0.5, 1.0, 0.0, 0.0)), (1.2, (1.0, 1.5, 0.5, 0.3))],
@@ -234,9 +234,8 @@ class TestTangentialWeight:
         # the left half down to s = e^-1e4, the right half at every node
         left = np.exp(mw.log_left(-np.geomspace(math.log(2.0), 1e4, 200)))
         assert np.abs(left / want - 1.0).max() <= 1e-13
-        for n in (16, 32, 64):
-            _, _, wvals, wdiff, _ = mw.right(n)
-            assert np.all(wdiff == 0.0) and np.all(wvals == mw.diag)
+        _, _, wvals, wdiff, _ = mw.right((16, 32, 64))
+        assert np.all(wdiff == 0.0) and np.all(wvals == mw.diag)
 
     @pytest.mark.parametrize("d, alpha, b", [
         (2, 0.9, (1.0, 1.5, 0.5, 0.0)),
@@ -253,7 +252,7 @@ class TestTangentialWeight:
         for w, g in zip(ws, got):
             assert abs(g - direct_log_W(d, alpha, b, w)) <= bound, w
         # the right half at nodes next to u = 1/2 (s just above 1/2) and further in
-        u, _, wvals, wdiff, _ = mw.right(32)
+        u, _, wvals, wdiff, _ = mw.right((32,))
         for i in [len(u) - 1, len(u) - 5, len(u) // 2, 10]:
             want = math.exp(direct_log_W(d, alpha, b, math.log1p(-u[i])))
             assert abs(wvals[i] - want) <= bound * want, u[i]
