@@ -309,7 +309,10 @@ class _MapWeight:
     def _norm(self, w: np.ndarray) -> np.ndarray:
         """beta1 w + beta3 log log(e + e^-w), overflow-free for w <= log(1/2)."""
         b1, b3 = self.beta[0], self.beta[2]
-        return b1 * w + b3 * np.log(-w + np.log1p(np.exp(1.0 + w)))
+        out = b1 * w
+        if b3 > 0.0:
+            out += b3 * np.log(-w + np.log1p(np.exp(1.0 + w)))
+        return out
 
     def _integrals(self, f, rows: np.ndarray, abs_tol: float) -> np.ndarray:
         """The integral of ``f`` over each row of ``rows`` in phi."""
@@ -330,9 +333,15 @@ class _MapWeight:
         kink = math.pi / 2.0 - 2.0 * np.arcsin(np.sqrt(0.5 * np.exp(wv)))
 
         def f(phi: np.ndarray, row: np.ndarray) -> np.ndarray:
-            ln_sp = np.log(np.sin(phi))
-            ln_b = _log_weight_left(beta, wv[row], -ln_sp) - norm[row]
-            return self._cos_power(phi, np.exp(ln_b + alpha * ln_sp))
+            # log sec theta = -log sin phi, formed in place to keep the
+            # block's arrays few
+            ln_c = np.log(np.sin(phi))
+            np.negative(ln_c, out=ln_c)
+            ln_b = _log_weight_left(beta, wv[row], ln_c)
+            ln_b -= norm[row]
+            ln_c *= alpha
+            ln_b -= ln_c
+            return self._cos_power(phi, np.exp(ln_b, out=ln_b))
 
         rows = _phi_rows(np.full(len(wv), math.pi / 2.0), kink, alpha, self._tol)
         # A is a log, so its tolerance is relative to W

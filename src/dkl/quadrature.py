@@ -283,10 +283,12 @@ def rows_at(f, edges: np.ndarray, panels: np.ndarray, rows: Sequence[int],
         p = panels[start:stop]
         rules = [panel_nodes(edges[ends[start] - p[0]:ends[stop - 1]], n) for n in orders]
         x = rules[0][0] if len(orders) == 1 else np.concatenate([nodes for nodes, _ in rules])
+        weights = [wts for _, wts in rules]
+        del rules  # the nodes live on in x alone while f runs
         row = np.concatenate([np.repeat(rows[start:stop], p * n) for n in orders])
         vals = np.asarray(f(x, row), dtype=float)
         at = 0
-        for k, (n, (_, wts)) in enumerate(zip(orders, rules)):
+        for k, (n, wts) in enumerate(zip(orders, weights)):
             out[k, start:stop] = _chunk_dots(vals[at:at + len(wts)], wts, p * n)
             at += len(wts)
     return out
@@ -455,12 +457,12 @@ def interp_eval(p: Interpolant, x: np.ndarray) -> np.ndarray:
     np.clip(s, 0.0, p.coef.shape[1], out=s)
     k = s.astype(np.intp)
     np.minimum(k, p.coef.shape[1] - 1, out=k)
-    t = s - k
-    t *= 2.0
-    t -= 1.0
+    s -= k  # now the local variable t in [-1, 1], formed in place
+    s *= 2.0
+    s -= 1.0
     out = p.coef[-1].take(k)
     for c in p.coef[-2::-1]:
-        out *= t
+        out *= s
         out += c.take(k)
     return out
 
