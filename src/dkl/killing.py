@@ -124,14 +124,24 @@ def _left_values(m: np.ndarray, alpha: float, q, ln_w: np.ndarray) -> np.ndarray
 def _log_weight_left(b, wv: np.ndarray, ln_c) -> np.ndarray:
     """log of the four-parameter weight at heights (e^w, 1), distance (1-e^w)c.
 
-    ``ln_c`` is log c, broadcast against ``wv``.  Valid for w <= log(1/2);
-    stays accurate arbitrarily deep (w ~ -1e5) where e^w itself would
-    underflow.
+    ``ln_c`` is log c, a number or an array shaped like ``wv``.  Valid for
+    w <= log(1/2); stays accurate arbitrarily deep (w ~ -1e5) where e^w
+    itself would underflow.  The power factors are formed in place, which
+    keeps the arrays of a block few.
     """
     b1, b2, b3, b4 = b
-    s = np.exp(wv)  # underflows harmlessly; only used via log1p
-    ln_dist = ln_c + np.log1p(-s)
-    out = b1 * np.minimum(wv - ln_dist, 0.0) + b2 * np.minimum(-ln_dist, 0.0)
+    ln_dist = np.exp(wv)  # underflows harmlessly; only used via log1p
+    np.negative(ln_dist, out=ln_dist)
+    np.log1p(ln_dist, out=ln_dist)
+    ln_dist += ln_c
+    out = wv - ln_dist
+    np.minimum(out, 0.0, out=out)
+    out *= b1
+    term = np.negative(ln_dist)
+    np.minimum(term, 0.0, out=term)
+    term *= b2
+    out += term
+    del term
     if b3 > 0.0:
         k3 = np.minimum(np.exp(ln_dist), 1.0)
         small = wv < -30.0
