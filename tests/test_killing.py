@@ -224,7 +224,7 @@ def identity_factor(d: int, alpha: float) -> float:
 
 
 class TestTangentialWeight:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.3, 1.3, 1.8])
     def test_unit_weight_is_the_identity_factor(self, d, alpha):
         p = ModelParams(d, alpha, (0.0, 0.0, 0.0, 0.0))
