@@ -237,6 +237,13 @@ class TestTangentialWeight:
         _, _, wvals, wdiff, _ = mw.right((16, 32, 64))
         assert np.all(wdiff == 0.0) and np.all(wvals == mw.diag)
 
+    def test_build_checks_the_constant_tail(self, monkeypatch):
+        # cut at w = -3, where A is still e^-3-ish away from its deep value
+        monkeypatch.setattr(killing, "_W_CUT", -3.0)
+        p = ModelParams(2, 0.9, (1.0, 1.5, 0.5, 0.0))
+        with pytest.raises(NonConvergenceError, match="not constant below w = -3"):
+            _MapWeight(p, standard_weight(p), SPEC)
+
     @pytest.mark.parametrize("d, alpha, b", [
         (2, 0.9, (1.0, 1.5, 0.5, 0.0)),
         (3, 1.7, (0.5, 1.5, 0.3, 0.2)),
