@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -25,7 +25,7 @@ from .inequalities import check, lemma_ids
 from .killing import ShapeViolationError, _solve_q, scan_shape, solve_q
 from .oracle import OracleParams, _cell_ratio, _comparison
 from .quadrature import NonConvergenceError, QuadratureSpec
-from .util import fmt, parse_config_file, write_csv
+from .util import csv_text, fmt, parse_config_file
 
 _COMMON = {
     "alpha": (float, 1.0),
@@ -85,15 +85,19 @@ def _point(text: str, dim: int) -> HalfSpacePoint:
     return HalfSpacePoint.from_coords(coords)
 
 
-def _emit(cfg: dict, header, rows) -> None:
-    buf = io.StringIO()
-    write_csv(header, rows, buf)
-    text = buf.getvalue()
+def _emit(cfg: dict, text: str) -> None:
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _grid_n(cfg: dict) -> int:
+    n = int(cfg["grid_n"])
+    if n < 1:
+        raise ValueError(f"grid-n must be >= 1, got {n}")
+    return n
 
 
 def _q_for(cfg: dict, params: ModelParams, spec: QuadratureSpec) -> float:
@@ -108,7 +112,7 @@ def cmd_solve_q(cfg: dict) -> int:
     # the solve returns C(q) - kappa at its answer: no second evaluation
     q, residual = _solve_q(params, standard_weight(params), spec, params.kappa)
     header = ["alpha", "beta1", "beta2", "beta3", "beta4", "kappa", "q", "residual"]
-    _emit(cfg, header, [[params.alpha, *params.beta, params.kappa, q, abs(residual)]])
+    _emit(cfg, csv_text(header, [[params.alpha, *params.beta, params.kappa, q, abs(residual)]]))
     return 0
 
 
@@ -119,7 +123,7 @@ def cmd_c_shape(cfg: dict) -> int:
         params, standard_weight(params), int(cfg["grid_size"]), spec, strict=False
     )
     rows = [[q, v] for q, v in zip(table.qs, table.values)]
-    _emit(cfg, ["q", "c_value"], rows)
+    _emit(cfg, csv_text(["q", "c_value"], rows))
     sys.stderr.write(
         f"zeros={fmt(table.zeros[0])},{fmt(table.zeros[1])} "
         f"minimizer={fmt(table.minimizer)} min_value={fmt(table.min_value)} "
@@ -147,8 +151,7 @@ def cmd_hke(cfg: dict) -> int:
     ]
     _emit(
         cfg,
-        header,
-        [[
+        csv_text(header, [[
             bd.regime.value,
             bd.stable,
             bd.one_jump,
@@ -157,7 +160,7 @@ def cmd_hke(cfg: dict) -> int:
             bd.survival_y,
             bd.free_value,
             bd.killed_value,
-        ]],
+        ]]),
     )
     return 0
 
@@ -168,16 +171,18 @@ def cmd_map(cfg: dict) -> int:
         sys.stderr.write("dominance map requires beta2 >= alpha + beta1\n")
         return 2
     x = _point(cfg["x"], params.dim)
-    n = int(cfg["grid_n"])
+    n = _grid_n(cfg)
     extent = float(cfg["extent"])
-    tangential = np.linspace(-extent, extent, n)
-    heights = np.linspace(extent / n, extent, n)
-    ys = []
-    for h in heights:
-        for tg in tangential:
-            coords = (tg,) + (0.0,) * (params.dim - 2) + (float(h),)
-            ys.append(HalfSpacePoint.from_coords(coords if params.dim > 1 else (float(h),)))
-    cells = dominance_map(params, float(cfg["t"]), x, ys)
+    if not 0.0 <= extent < math.inf:
+        raise ValueError(f"extent must be finite and >= 0, got {extent}")
+    # heights outer, the first coordinate inner, the middle ones 0
+    ys = np.zeros((n * n, params.dim))
+    ys[:, -1] = np.repeat(np.linspace(extent / n, extent, n), n)
+    if params.dim > 1:
+        ys[:, 0] = np.tile(np.linspace(-extent, extent, n), n)
+    one, two, valid = dominance_map(params, float(cfg["t"]), x, ys)
+    tags = np.where(one >= two, "OneJumpDominant", "TwoJumpDominant")
+    both_zero = (one == 0.0) & (two == 0.0)
     header = [f"y{i+1}" for i in range(params.dim)] + [
         "tag",
         "one_jump",
@@ -185,11 +190,11 @@ def cmd_map(cfg: dict) -> int:
         "both_zero",
         "valid",
     ]
-    rows = [
-        list(c.y.coords()) + [c.tag, c.one_jump, c.two_jump, int(c.both_zero), int(c.valid)]
-        for c in cells
-    ]
-    _emit(cfg, header, rows)
+    # one template per row spells every float as fmt does
+    line = ",".join(["%.17g"] * params.dim + ["%s", "%.17g", "%.17g", "%d", "%d"]) + "\n"
+    columns = (*ys.T.tolist(), tags.tolist(), one.tolist(), two.tolist(), both_zero.tolist(),
+               valid.tolist())
+    _emit(cfg, csv_text(header, []) + "".join(map(line.__mod__, zip(*columns))))
     return 0
 
 
@@ -206,8 +211,7 @@ def _green_common(cfg: dict, integrate: bool) -> int:
     header = ["q", "value", "q_hat", "case_tag", "h_factor", "small_time", "large_time"]
     _emit(
         cfg,
-        header,
-        [[
+        csv_text(header, [[
             q,
             gb.value,
             gb.q_hat,
@@ -215,7 +219,7 @@ def _green_common(cfg: dict, integrate: bool) -> int:
             gb.H_factor if gb.H_factor is not None else "",
             gb.small_time if gb.small_time is not None else "",
             gb.large_time if gb.large_time is not None else "",
-        ]],
+        ]]),
     )
     return 0
 
@@ -231,12 +235,12 @@ def cmd_green_integrate(cfg: dict) -> int:
 def cmd_oracle(cfg: dict) -> int:
     op = OracleParams(float(cfg["gamma"]), int(cfg["dim"]), float(cfg["alpha"]))
     spec = QuadratureSpec(rel_tol=max(float(cfg["tol"]), 1e-8), abs_tol=1e-300)
-    n = int(cfg["grid_n"])
+    n = _grid_n(cfg)
     ts = [float(v) for v in str(cfg["t_list"]).split(",")]
     heights = np.geomspace(float(cfg["x_lo"]), float(cfg["x_hi"]), n)
     report, q_fit, r2, cells = _comparison(op, spec, ts, heights, heights)
     rows = [list(cell) + [_cell_ratio(cell)] for cell in cells]
-    _emit(cfg, ["t", "x", "y", "oracle", "estimate", "ratio"], rows)
+    _emit(cfg, csv_text(["t", "x", "y", "oracle", "estimate", "ratio"], rows))
     sys.stderr.write(
         f"q_fit={fmt(q_fit)} r2={fmt(r2)} "
         f"ratio=[{fmt(report.min_ratio)},{fmt(report.max_ratio)}]\n"
@@ -272,8 +276,8 @@ def cmd_check(cfg: dict) -> int:
         all_pass = all_pass and rep.passed
     _emit(
         cfg,
-        ["lemma_id", "samples", "excluded", "min_ratio", "max_ratio", "ceiling", "pass"],
-        rows,
+        csv_text(["lemma_id", "samples", "excluded", "min_ratio", "max_ratio", "ceiling", "pass"],
+                 rows),
     )
     return 0 if all_pass else 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "twojump_ball_integral",
     "killed_hke",
     "dominance_map",
-    "DominanceCell",
 ]
 
 _E = math.e
@@ -414,37 +413,31 @@ def twojump_ball_integral(
                             "mid-ball integral did not converge")
 
 
-@dataclass(frozen=True)
-class DominanceCell:
-    """Per-target classification of the dominant contribution."""
-
-    y: HalfSpacePoint
-    tag: str  # "OneJumpDominant" or "TwoJumpDominant"
-    one_jump: float
-    two_jump: float
-    both_zero: bool
-    valid: bool  # whether |x-y| > 6 t^(1/alpha), where the picture is meaningful
-
-
 def dominance_map(
     params: ModelParams,
     t: float,
     x: HalfSpacePoint,
-    ys: Sequence[HalfSpacePoint],
-) -> list[DominanceCell]:
-    """Compare the one-jump and two-jump bracket terms over a target grid."""
-    regime = detect_regime(params)
-    if regime is Regime.ONE_JUMP:
+    ys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compare the one-jump and two-jump bracket terms over target rows.
+
+    ``ys`` holds coordinate rows of shape (n, dim), height last.  Returns the
+    one-jump and two-jump terms at each target and whether it lies beyond
+    6 t^(1/alpha) of x, where the picture is meaningful.  A target at x has
+    one = 1, two = 0 and is never valid.
+    """
+    if detect_regime(params) is Regime.ONE_JUMP:
         raise ValueError("dominance map requires the two-jump regime")
     if t <= 0.0:
         raise ValueError("t must be > 0")
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != x.dim:
+        raise ValueError(f"targets must be rows of {x.dim} coordinates")
+    if not (np.isfinite(ys).all() and (ys[:, -1] >= 0.0).all()):
+        raise ValueError("targets must be finite with heights >= 0")
     u = _time_scale(t, params.alpha)
-    dists = [x.distance_to(y) for y in ys]
-    heights = np.array([y.height for y in ys])
-    one, two, _, _ = _hke_cells(params, u, x.height, heights, np.array(dists))
-    # a diagonal cell has one = 1, two = 0 and is never valid
-    return [
-        DominanceCell(y, "OneJumpDominant" if a >= b else "TwoJumpDominant", a, b,
-                      a == 0.0 and b == 0.0, dist > 6.0 * u)
-        for y, dist, a, b in zip(ys, dists, one.tolist(), two.tolist())
-    ]
+    # math.hypot as in HalfSpacePoint.distance_to: np.hypot and np.linalg.norm
+    # may differ from it by an ulp
+    dist = np.array(list(map(math.hypot, *(np.array(x.coords()) - ys).T.tolist())))
+    one, two, _, _ = _hke_cells(params, u, x.height, ys[:, -1], dist)
+    return one, two, dist > 6.0 * u

@@ -29,9 +29,9 @@ with the weight replaced by its tangential average W(s), an integral over
 theta = arctan(rho) carrying cos^alpha theta (:class:`_MapWeight`).  W does
 not depend on q, so each call of ``compute_C``, ``solve_q`` or
 ``scan_shape`` builds it once and every q, Brent step and grid point then
-costs a d = 1 evaluation.  On the left half W comes from a checked
-piecewise Chebyshev interpolant; on the right half it is integrated at the
-nodes, once per order.  Nothing is kept from one call to the next.
+costs a d = 1 evaluation.  On each half W comes from a checked piecewise
+Chebyshev interpolant of converged theta integrals, built once per call.
+Nothing is kept from one call to the next.
 ``solve_q`` and the zero refinement of ``scan_shape`` find roots with
 Brent's method on a bracket.
 """

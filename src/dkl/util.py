@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 
 def fmt(value) -> str:
@@ -13,10 +13,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence], out: TextIO) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(fmt(v) for v in row) + "\n")
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line and one line per row, every field through :func:`fmt`."""
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
 
 
 def parse_config_file(path: str) -> dict[str, str]:

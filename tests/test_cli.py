@@ -1,6 +1,8 @@
 import hashlib
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import dkl.cli
 import dkl.killing
 import dkl.oracle
 from dkl.cli import main
-from dkl.geometry import ModelParams, standard_weight
+from dkl.geometry import HalfSpacePoint, ModelParams, _time_scale, standard_weight
+from dkl.heatkernel import _hke_cells
 from dkl.killing import compute_C
 from dkl.oracle import _p_rows
 from dkl.quadrature import NonConvergenceError
@@ -102,6 +105,12 @@ class TestOracle:
         assert (code, out.out) == (1, "")
         assert out.err == "numerical failure: cell did not converge\n"
 
+    def test_empty_grid_is_a_usage_error(self, capsys):
+        code = main(["oracle", "--grid-n", "0", "--t-list", "1.0"])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == "error: grid-n must be >= 1, got 0\n"
+
 
 class TestHke:
     def test_breakdown_row(self, capsys):
@@ -144,6 +153,67 @@ class TestMap:
         assert len(lines) == 17
         tags = {line.split(",")[2] for line in lines[1:]}
         assert tags <= {"OneJumpDominant", "TwoJumpDominant"}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-n", "0"], "grid-n must be >= 1, got 0"),
+            (["--grid-n", "-3"], "grid-n must be >= 1, got -3"),
+            (["--extent", "-1"], "extent must be finite and >= 0, got -1.0"),
+            (["--extent", "inf"], "extent must be finite and >= 0, got inf"),
+            (["--extent", "nan"], "extent must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_grid_usage_errors(self, flags, message, capsys):
+        # rejected before any grid is built: one error line, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["map", "--alpha", "0.5", "--beta", "0,1.5,0,0", *flags])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("t", ["1e-300", "0.001", "1e300"])
+    @pytest.mark.parametrize("grid_n", [4, 5])
+    @pytest.mark.parametrize(
+        "dim, alpha, beta, x, extent",
+        [
+            (1, 0.5, (1.0, 1.5, 0.5, 0.5), "0", 3.0),  # critical, x on the boundary
+            (2, 0.5, (0.0, 1.5, 0.0, 0.0), "0.25,0", 3.0),  # x on the boundary
+            (2, 0.7, (0.5, 2.5, 0.6, 0.3), "0,0.8", 2.0),  # a target at x when n = 5
+            (3, 1.9, (0.5, 2.4, 0.7, 0.4), "0.2,-0.4,0.7", 2.5),
+        ],
+    )
+    def test_rows_match_the_per_point_build(self, dim, alpha, beta, x, extent, grid_n, t,
+                                            capsys):
+        # the map as built point by point: a HalfSpacePoint per target, its
+        # math.hypot distance to x, one kernel call and fmt per field
+        p = ModelParams(dim, alpha, beta)
+        xp = HalfSpacePoint.from_coords([float(v) for v in x.split(",")])
+        ys = [
+            HalfSpacePoint.from_coords((tg,) + (0.0,) * (dim - 2) + (h,) if dim > 1 else (h,))
+            for h in np.linspace(extent / grid_n, extent, grid_n).tolist()
+            for tg in np.linspace(-extent, extent, grid_n).tolist()
+        ]
+        u = _time_scale(float(t), alpha)
+        dists = [math.hypot(*(a - b for a, b in zip(xp.coords(), y.coords()))) for y in ys]
+        one, two, _, _ = _hke_cells(p, u, xp.height, np.array([y.height for y in ys]),
+                                    np.array(dists))
+        header = [f"y{i + 1}" for i in range(dim)] + [
+            "tag", "one_jump", "two_jump", "both_zero", "valid"
+        ]
+        lines = [",".join(header)]
+        for y, dist, a, b in zip(ys, dists, one.tolist(), two.tolist()):
+            tag = "OneJumpDominant" if a >= b else "TwoJumpDominant"
+            fields = [*y.coords(), tag, a, b, int(a == 0.0 and b == 0.0), int(dist > 6.0 * u)]
+            lines.append(",".join(fmt(v) for v in fields))
+        code, out = run_cli(
+            ["map", "--dim", str(dim), "--alpha", str(alpha), "--beta", ",".join(map(str, beta)),
+             "--t", t, "--x", x, "--grid-n", str(grid_n), "--extent", str(extent)],
+            capsys,
+        )
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestGreenCommands:
@@ -256,6 +326,15 @@ class TestFmt:
     )
     def test_spellings(self, value, text):
         assert fmt(value) == text
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308,
+         np.float64(0.1), np.float64(-0.0)],
+    )
+    def test_line_template_spells_floats_as_fmt(self, value):
+        # the map's rows are written through one %-template
+        assert "%.17g" % value == fmt(value)
 
 
 class TestDeterminism:

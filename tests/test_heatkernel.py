@@ -435,21 +435,21 @@ class TestDominanceMap:
     def test_requires_two_jump_regime(self):
         p = ModelParams(1, 1.0, (1, 1, 0, 0))
         with pytest.raises(ValueError):
-            dominance_map(p, 0.01, pt(1.0), [pt(3.0)])
+            dominance_map(p, 0.01, pt(1.0), [[3.0]])
 
     def test_deep_cells_one_jump(self):
         p = ModelParams(2, 0.5, (0.0, 1.5, 0.0, 0.0))
-        cells = dominance_map(p, 1e-3, pt(0.0, 50.0), [pt(4.0, 50.0)])
-        assert cells[0].tag == "OneJumpDominant"
-        assert cells[0].valid
+        one, two, valid = dominance_map(p, 1e-3, pt(0.0, 50.0), [[4.0, 50.0]])
+        assert one[0] >= two[0]
+        assert valid[0]
 
     def test_boundary_hugging_cells_two_jump(self):
         # zero first exponent with beta2 = alpha + 1: the one-jump term
         # carries the full vanishing power, two jumps pay only the time factor
         p = ModelParams(2, 0.5, (0.0, 1.5, 0.0, 0.0))
         x = pt(0.0, 1e-4)
-        cells = dominance_map(p, 1e-3, x, [pt(4.0, 1e-4)])
-        assert cells[0].tag == "TwoJumpDominant"
+        one, two, _ = dominance_map(p, 1e-3, x, [[4.0, 1e-4]])
+        assert one[0] < two[0]
 
     @pytest.mark.parametrize("t", [1e-300, 1e-3, 0.7, 1e300])
     def test_cells_match_the_scalar_terms(self, t):
@@ -469,23 +469,43 @@ class TestDominanceMap:
                 for h in (0.0, 1e-4, 0.3, 1.0, 3.0)
             ] + [x]
             u = _time_scale(t, alpha)
-            for c, y in zip(dominance_map(p, t, x, ys), ys):
+            one, two, valid = dominance_map(p, t, x, np.array([y.coords() for y in ys]))
+            assert one.shape == two.shape == valid.shape == (len(ys),)
+            # the tag and both_zero as the map derives them from the arrays
+            one_tag = one >= two
+            both_zero = (one == 0.0) & (two == 0.0)
+            for i, y in enumerate(ys):
                 bd = hke_closed(p, t, x, y)
-                assert ulp_close(c.one_jump, bd.one_jump, KILLED_ARR_ULPS), (p, y, c, bd)
-                assert ulp_close(c.two_jump, bd.two_jump, KILLED_ARR_ULPS), (p, y, c, bd)
+                case = (p, y, one[i], two[i], bd)
+                assert ulp_close(one[i], bd.one_jump, KILLED_ARR_ULPS), case
+                assert ulp_close(two[i], bd.two_jump, KILLED_ARR_ULPS), case
                 if not ulp_close(bd.one_jump, bd.two_jump, KILLED_ARR_ULPS):
-                    one_wins = bd.one_jump >= bd.two_jump
-                    assert c.tag == ("OneJumpDominant" if one_wins else "TwoJumpDominant")
-                assert c.both_zero == (bd.one_jump == 0.0 and bd.two_jump == 0.0)
-                assert c.valid == (x.distance_to(y) > 6.0 * u)
+                    assert one_tag[i] == (bd.one_jump >= bd.two_jump), case
+                assert both_zero[i] == (bd.one_jump == 0.0 and bd.two_jump == 0.0), case
+                assert valid[i] == (x.distance_to(y) > 6.0 * u), case
 
     def test_symmetric_under_height_swap(self):
         p = ModelParams(2, 0.5, (0.5, 2.0, 0.0, 0.0))
         t = 1e-3
-        a = dominance_map(p, t, pt(0.0, 0.2), [pt(4.0, 0.9)])[0]
-        b = dominance_map(p, t, pt(0.0, 0.9), [pt(4.0, 0.2)])[0]
-        assert a.one_jump == pytest.approx(b.one_jump, rel=1e-14)
-        assert a.two_jump == pytest.approx(b.two_jump, rel=1e-14)
+        a_one, a_two, _ = dominance_map(p, t, pt(0.0, 0.2), [[4.0, 0.9]])
+        b_one, b_two, _ = dominance_map(p, t, pt(0.0, 0.9), [[4.0, 0.2]])
+        assert a_one[0] == pytest.approx(b_one[0], rel=1e-14)
+        assert a_two[0] == pytest.approx(b_two[0], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "x, ys",
+        [
+            ((0.0, 1.0, 1.0), [[1.0, 2.0]]),  # rows of the wrong dimension
+            ((0.0, 1.0), [1.0, 2.0]),  # not rows
+            ((0.0, 1.0), [[1.0, -0.5]]),
+            ((0.0, 1.0), [[math.inf, 1.0]]),
+            ((0.0, 1.0), [[0.0, math.nan]]),
+        ],
+    )
+    def test_rejects_malformed_targets(self, x, ys):
+        p = ModelParams(len(x), 0.5, (0.5, 2.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="targets"):
+            dominance_map(p, 1e-3, pt(*x), ys)
 
 
 class TestRegimeConsistency:
