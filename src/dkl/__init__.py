@@ -34,7 +34,7 @@ from .heatkernel import (
     twojump_ball_integral,
 )
 from .inequalities import check, lemma_ids
-from .killing import CShapeTable, ShapeViolationError, compute_C, scan_shape, solve_q
+from .killing import CShapeTable, compute_C, scan_shape, solve_q
 from .oracle import (
     OracleParams,
     compare_oracle_vs_estimate,

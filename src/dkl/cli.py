@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, standard_weight
+from .geometry import HalfSpacePoint, ModelParams
 from .green import GreenDivergenceError, green_by_time_integration, green_estimate
 from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
-from .killing import ShapeViolationError, _solve_q, scan_shape, solve_q
+from .killing import _solve_q, scan_shape, solve_q
 from .oracle import OracleParams, _cell_ratio, _comparison
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .util import csv_text, fmt, parse_config_file
@@ -103,14 +103,14 @@ def _grid_n(cfg: dict) -> int:
 def _q_for(cfg: dict, params: ModelParams, spec: QuadratureSpec) -> float:
     if cfg.get("q") is not None:
         return float(cfg["q"])
-    return solve_q(params, standard_weight(params), spec)
+    return solve_q(params, spec)
 
 
 def cmd_solve_q(cfg: dict) -> int:
     params = _params(cfg)
     spec = _spec(cfg)
     # the solve returns C(q) - kappa at its answer: no second evaluation
-    q, residual = _solve_q(params, standard_weight(params), spec, params.kappa)
+    q, residual = _solve_q(params, spec)
     header = ["alpha", "beta1", "beta2", "beta3", "beta4", "kappa", "q", "residual"]
     _emit(cfg, csv_text(header, [[params.alpha, *params.beta, params.kappa, q, abs(residual)]]))
     return 0
@@ -119,9 +119,7 @@ def cmd_solve_q(cfg: dict) -> int:
 def cmd_c_shape(cfg: dict) -> int:
     params = _params(cfg)
     spec = _spec(cfg)
-    table = scan_shape(
-        params, standard_weight(params), int(cfg["grid_size"]), spec, strict=False
-    )
+    table = scan_shape(params, int(cfg["grid_size"]), spec)
     rows = [[q, v] for q, v in zip(table.qs, table.values)]
     _emit(cfg, csv_text(["q", "c_value"], rows))
     sys.stderr.write(
@@ -175,6 +173,8 @@ def cmd_map(cfg: dict) -> int:
     extent = float(cfg["extent"])
     if not 0.0 <= extent < math.inf:
         raise ValueError(f"extent must be finite and >= 0, got {extent}")
+    if params.dim > 1 and not 2.0 * extent < math.inf:
+        raise ValueError(f"extent must be below half the largest float in dim >= 2, got {extent}")
     # heights outer, the first coordinate inner, the middle ones 0
     ys = np.zeros((n * n, params.dim))
     ys[:, -1] = np.repeat(np.linspace(extent / n, extent, n), n)
@@ -327,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(args, dict(extra))
         return fn(cfg)
-    except (NonConvergenceError, GreenDivergenceError, ShapeViolationError) as exc:
+    except (NonConvergenceError, GreenDivergenceError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError) as exc:

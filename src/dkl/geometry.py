@@ -24,6 +24,7 @@ __all__ = [
     "ModelParams",
     "BoundaryWeight",
     "standard_weight",
+    "diagonal_limit",
     "eval_B",
     "eval_A",
     "eval_J",
@@ -133,8 +134,8 @@ class ModelParams:
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie strictly in (0, 2), got {self.alpha}")
         object.__setattr__(self, "beta", _check_quadruple(self.beta))
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
 
 def weight_from_heights(
@@ -226,23 +227,27 @@ def eval_A(
     return weight_from_heights(b, hmin, hmax, dist)
 
 
+def diagonal_limit(beta: Sequence[float]) -> float:
+    """Limit of the weight as two points at equal positive heights merge.
+
+    Factored exactly as :func:`weight_from_heights_arr` computes it, so
+    differences against this value cancel bitwise where the weight is flat.
+    """
+    b3, b4 = beta[2], beta[3]
+    return (math.log(_E + 1.0) ** b3 if b3 > 0.0 else 1.0) * (
+        math.log(_E + 1.0) ** b4 if b4 > 0.0 else 1.0
+    )
+
+
 @dataclass(frozen=True)
 class BoundaryWeight:
-    """The four-parameter boundary weight of a model: ``eval_B(params.beta, x, y)``."""
+    """The four-parameter boundary weight of a model: ``eval_B(params.beta, x, y)``.
+
+    Only ``hke_unified`` and ``twojump_ball_integral`` take one; it must be
+    built from the model they are given.
+    """
 
     params: ModelParams
-
-    @property
-    def diagonal_limit(self) -> float:
-        """Limit of the weight as two points at equal positive heights merge.
-
-        Factored exactly as :func:`weight_from_heights_arr` computes it, so
-        differences against this value cancel bitwise where the weight is flat.
-        """
-        b3, b4 = self.params.beta[2], self.params.beta[3]
-        return (math.log(_E + 1.0) ** b3 if b3 > 0.0 else 1.0) * (
-            math.log(_E + 1.0) ** b4 if b4 > 0.0 else 1.0
-        )
 
 
 def standard_weight(params: ModelParams) -> BoundaryWeight:
@@ -250,14 +255,12 @@ def standard_weight(params: ModelParams) -> BoundaryWeight:
     return BoundaryWeight(params)
 
 
-def eval_J(w: BoundaryWeight, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+def eval_J(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """Jump kernel: boundary weight divided by distance**(dim + alpha)."""
     dist = x.distance_to(y)
     if dist == 0.0:
         raise ValueError("jump kernel is undefined for coincident points")
-    d = w.params.dim
-    alpha = w.params.alpha
-    return eval_B(w.params.beta, x, y) * dist ** (-(d + alpha))
+    return eval_B(params.beta, x, y) * dist ** (-(params.dim + params.alpha))
 
 
 def stable_factor(d: int, alpha: float, t: float, r: float) -> float:
@@ -267,8 +270,8 @@ def stable_factor(d: int, alpha: float, t: float, r: float) -> float:
     branches agree bitwise at the crossover and a joint power-of-two
     rescaling of (t^(1/alpha), r) is exact.
     """
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
     return stable_profile(d, alpha, _time_scale(t, alpha), r)
 
 
@@ -300,9 +303,9 @@ def stable_profile(d: int, alpha: float, u: float, r: float) -> float:
 
 def survival_factor(q: float, alpha: float, t: float, h: float) -> float:
     """Boundary survival profile (1 and h/t^(1/alpha), whichever is smaller)**q."""
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
-    if q < 0.0:
-        raise ValueError("q must be >= 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
     u = t ** (1.0 / alpha)
     return min(h / u, 1.0) ** q

@@ -100,6 +100,8 @@ def green_estimate(
     For dim 1 the three stability branches are used; alpha <= 1 requires a
     strictly positive survival exponent.
     """
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
     if x.height <= 0.0 or y.height <= 0.0:
         raise ValueError("interior points required")
     if params.alpha <= 1.0 and q <= 0.0 and params.dim == 1:
@@ -184,6 +186,8 @@ def green_by_time_integration(
     # comparability verification only needs moderate accuracy; the integrand
     # has clamp kinks that make very tight tolerances needlessly expensive
     spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-300, max_subdivisions=4096)
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
     if x.height <= 0.0 or y.height <= 0.0:
         raise ValueError("interior points required")
     dist = x.distance_to(y)

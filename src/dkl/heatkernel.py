@@ -134,8 +134,10 @@ def hke_closed(
     killed value equal to the free one).  On the diagonal the on-diagonal
     profile is returned with a unit one-jump factor.
     """
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 0, got {q}")
     regime = detect_regime(params)
     d = params.dim
     u = tscale if tscale is not None else _time_scale(t, params.alpha)
@@ -230,7 +232,6 @@ def killed_hke(
 
 def _radial_two_jump(
     params: ModelParams,
-    w: BoundaryWeight,
     t: float,
     u: float,
     x: HalfSpacePoint,
@@ -266,7 +267,7 @@ def _radial_two_jump(
     yh = y.height * scale
     tang2 = sum(((a - b) * scale) ** 2 for a, b in zip(x.tangential, y.tangential))
 
-    b = w.params.beta
+    b = params.beta
     ends = np.array([[xh + u], [yh + u]])
 
     def f(r: np.ndarray) -> np.ndarray:
@@ -297,6 +298,12 @@ def _radial_two_jump(
     return math.exp(2.0 * math.log(t) - k * (d + 2.0 * alpha) * math.log(2.0) + math.log(value))
 
 
+def _check_weight(params: ModelParams, w: BoundaryWeight) -> None:
+    """Raise unless ``w`` is the weight of ``params``, from which the estimates compute."""
+    if w.params is not params and w.params != params:
+        raise ValueError("the weight must be built from the same model parameters")
+
+
 def hke_unified(
     params: ModelParams,
     w: BoundaryWeight,
@@ -309,10 +316,12 @@ def hke_unified(
 
     The two-jump term enters only when the second exponent reaches alpha
     plus the first; the whole bracket is capped by the on-diagonal profile.
+    ``w`` must be the weight of ``params``.
     """
+    _check_weight(params, w)
     spec = spec or QuadratureSpec()
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
     dist = x.distance_to(y)
     if dist == 0.0:
         raise ValueError("distinct points required")
@@ -322,13 +331,13 @@ def hke_unified(
     hmin = min(x.height, y.height) + u
     hmax = max(x.height, y.height) + u
     bracket = t * (
-        weight_from_heights(w.params.beta, hmin, hmax, dist) * dist ** -(params.dim + params.alpha)
+        weight_from_heights(params.beta, hmin, hmax, dist) * dist ** -(params.dim + params.alpha)
     )
     cap = stable_profile(params.dim, params.alpha, u, 0.0)
     # the two-jump term is >= 0: once the one-jump term reaches the cap it
     # cannot move the value
     if bracket < cap and detect_regime(params) is not Regime.ONE_JUMP:
-        bracket += _radial_two_jump(params, w, t, u, x, y, dist, spec)
+        bracket += _radial_two_jump(params, t, u, x, y, dist, spec)
     return min(cap, bracket)
 
 
@@ -356,11 +365,12 @@ def twojump_ball_integral(
     a quarter of the distance; requires |x-y| > 6 t^(1/alpha).  Full
     quadrature, for dim <= 2 only; in d = 2 a nested Gauss rule with panel
     breaks on the weight's kinks, which raises NonConvergenceError past the
-    order budget of ``spec``.
+    order budget of ``spec``.  ``w`` must be the weight of ``params``.
     """
+    _check_weight(params, w)
     spec = spec or QuadratureSpec()
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
     dist = x.distance_to(y)
     alpha = params.alpha
     u = t ** (1.0 / alpha)
@@ -376,7 +386,7 @@ def twojump_ball_integral(
     scale = t * dist ** (d + alpha)
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        return _jump_arr(w.params, X, z) * _jump_arr(w.params, z, Y)
+        return _jump_arr(params, X, z) * _jump_arr(params, z, Y)
 
     if d == 1:
         lo, hi = center[0] - radius, center[0] + radius
@@ -428,8 +438,8 @@ def dominance_map(
     """
     if detect_regime(params) is Regime.ONE_JUMP:
         raise ValueError("dominance map requires the two-jump regime")
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0, got {t}")
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != x.dim:
         raise ValueError(f"targets must be rows of {x.dim} coordinates")

@@ -34,17 +34,22 @@ Chebyshev interpolant of converged theta integrals, built once per call.
 Nothing is kept from one call to the next.
 ``solve_q`` and the zero refinement of ``scan_shape`` find roots with
 Brent's method on a bracket.
+
+Each public function takes the whole model from its ``ModelParams``: beta
+fixes the weight and ``kappa`` the level that ``solve_q`` inverts at.
+``scan_shape`` always returns its table, and ``CShapeTable.passed`` says
+whether the shape held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundaryWeight, ModelParams, weight_from_heights_arr
+from .geometry import ModelParams, diagonal_limit, weight_from_heights_arr
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -62,19 +67,10 @@ from .quadrature import (
 
 __all__ = [
     "CShapeTable",
-    "ShapeViolationError",
     "compute_C",
     "solve_q",
     "scan_shape",
 ]
-
-
-class ShapeViolationError(RuntimeError):
-    """The sampled killing-constant map violated its expected shape."""
-
-    def __init__(self, message: str, offending: list):
-        super().__init__(message)
-        self.offending = offending
 
 
 _MSG = "killing-constant integral did not converge"
@@ -188,7 +184,7 @@ def _bracket_minus_limit(u: np.ndarray, alpha: float, q, pvals: np.ndarray) -> n
 
 
 def _right_values(u: np.ndarray, wvals: np.ndarray, wdiff: np.ndarray, jac: np.ndarray,
-                  alpha: float, q, diagonal_limit: float) -> np.ndarray:
+                  alpha: float, q, diag: float) -> np.ndarray:
     """Right-half integrand times du/dv at s = 1 - u, u <= 1/2, cancellation-free.
 
     Both numerator factors vanish linearly in u, so dividing them by u first
@@ -212,14 +208,14 @@ def _right_values(u: np.ndarray, wvals: np.ndarray, wdiff: np.ndarray, jac: np.n
         # K W - L diag u^(1-a) = u^(1-a) [P (W - diag) + diag (P - L)]
         rem = u ** (1.0 - alpha) * (
             pvals * wdiff
-            + diagonal_limit * _bracket_minus_limit(u, alpha, q, pvals)
+            + diag * _bracket_minus_limit(u, alpha, q, pvals)
         )
     return np.where(u > math.exp(-700.0 / (alpha - 1.0)), rem * jac, 0.0)
 
 
-def _leading_term(alpha: float, q, diagonal_limit: float):
+def _leading_term(alpha: float, q, diag: float):
     """Integral over u in (0, 1/2] of the term that alpha >= 1.5 subtracts."""
-    coef = -q * (alpha - q - 1.0) * diagonal_limit
+    coef = -q * (alpha - q - 1.0) * diag
     return coef * 0.5 ** (2.0 - alpha) / (2.0 - alpha)
 
 
@@ -293,16 +289,16 @@ class _MapWeight:
     u = 1/2 as well: u = (1/2) v^g with v = 1 - (1 - t)^2.
     """
 
-    def __init__(self, params: ModelParams, w: BoundaryWeight, spec: QuadratureSpec):
+    def __init__(self, params: ModelParams, spec: QuadratureSpec):
         self.alpha, self.beta, self.dim = params.alpha, params.beta, params.dim
+        self._diag1 = diagonal_limit(self.beta)
         if self.dim == 1:
-            self.diag = w.diagonal_limit
+            self.diag = self._diag1
             return
         d, alpha = self.dim, self.alpha
         self._surface = _sphere_area(d - 2) if d > 2 else 2.0
-        self.diag = w.diagonal_limit * self._surface * math.gamma((d - 1) / 2.0) * math.gamma(
+        self.diag = self._diag1 * self._surface * math.gamma((d - 1) / 2.0) * math.gamma(
             (alpha + 1.0) / 2.0) / (2.0 * math.gamma((d + alpha) / 2.0))
-        self._diag1 = w.diagonal_limit
         self._tol = tol = spec.rel_tol / 10.0
         self._budget = max(spec.max_subdivisions, QuadratureSpec().max_subdivisions)
         lo, hi = math.log(-math.log(0.5)), math.log(-_W_CUT)
@@ -439,12 +435,7 @@ def _c_rows(mw: _MapWeight, qs: Sequence[float], spec: QuadratureSpec) -> list:
     return refine_rows(at, len(qs), 16, spec.max_subdivisions, spec.tol, _MSG)
 
 
-def compute_C(
-    params: ModelParams,
-    q: float,
-    w: BoundaryWeight,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def compute_C(params: ModelParams, q: float, spec: QuadratureSpec | None = None) -> float:
     """Evaluate the killing-constant map at q.
 
     Requires q strictly inside (-1, alpha + beta1), where the integral is
@@ -458,7 +449,7 @@ def compute_C(
         raise ValueError(
             f"q must lie in (-1, alpha+beta1) = (-1, {alpha + beta[0]}), got {q}"
         )
-    return _map_values(_MapWeight(params, w, spec), [q], spec)[0]
+    return _map_values(_MapWeight(params, spec), [q], spec)[0]
 
 
 def _map_values(mw: _MapWeight, qs: list[float], spec: QuadratureSpec) -> list[float]:
@@ -513,19 +504,17 @@ def _bracketed_root(g, a: float, ga: float, b: float, gb: float, res_tol: float,
         gb = g(b)
 
 
-def _solve_q(params, w, spec, kappa) -> tuple[float, float]:
+def _solve_q(params: ModelParams, spec: QuadratureSpec | None) -> tuple[float, float]:
     """:func:`solve_q` together with the residual C(q) - kappa at its answer."""
     spec = spec or QuadratureSpec()
-    kappa = params.kappa if kappa is None else float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
+    kappa = params.kappa
     alpha = params.alpha
     top = alpha + params.beta[0]
     lo = max(alpha - 1.0, 0.0)
     if kappa == 0.0:
         return lo, 0.0
     g_lo = -kappa  # C vanishes at the branch start
-    mw = _MapWeight(params, w, spec)
+    mw = _MapWeight(params, spec)
 
     def g(q: float) -> float:
         return _map_values(mw, [q], spec)[0] - kappa
@@ -544,21 +533,16 @@ def _solve_q(params, w, spec, kappa) -> tuple[float, float]:
     return _bracketed_root(g, lo, g_lo, hi, g_hi, res_tol, lambda q: 1e-14 * max(1.0, abs(q)))
 
 
-def solve_q(
-    params: ModelParams,
-    w: BoundaryWeight,
-    spec: QuadratureSpec | None = None,
-    kappa: Optional[float] = None,
-) -> float:
+def solve_q(params: ModelParams, spec: QuadratureSpec | None = None) -> float:
     """Invert the killing-constant map on its increasing branch.
 
     Returns the unique q in [(alpha-1)_+, alpha+beta1) whose killing constant
-    equals ``kappa`` (defaulting to the model's).  The upper bracket expands
-    geometrically toward alpha+beta1, where the map diverges; Brent's method
-    then narrows the bracket until |C(q) - kappa| <= max(abs_tol, rel_tol
-    (1 + kappa)) or the bracket is narrower than 1e-14 max(1, |q|).
+    equals the model's kappa.  The upper bracket expands geometrically toward
+    alpha+beta1, where the map diverges; Brent's method then narrows the
+    bracket until |C(q) - kappa| <= max(abs_tol, rel_tol (1 + kappa)) or the
+    bracket is narrower than 1e-14 max(1, |q|).
     """
-    return _solve_q(params, w, spec, kappa)[0]
+    return _solve_q(params, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -589,33 +573,32 @@ def _refine_zero(mw, spec, qa, qb, va, vb) -> float:
     )[0]
 
 
+# the scan's grid stops this far inside (-1, alpha + beta1), where C diverges
+_EDGE_MARGIN = 1e-3
+
+
 def scan_shape(
-    params: ModelParams,
-    w: BoundaryWeight,
-    grid_size: int,
-    spec: QuadratureSpec | None = None,
-    strict: bool = True,
-    edge_margin: float = 1e-3,
+    params: ModelParams, grid_size: int, spec: QuadratureSpec | None = None
 ) -> CShapeTable:
-    """Sample the killing-constant map and verify its qualitative shape.
+    """Sample the killing-constant map and check its qualitative shape.
 
     Checks monotone decrease up to (alpha-1)/2 and increase beyond, zeros at
     0 and alpha-1, and a nonpositive minimum at (alpha-1)/2, all up to
-    quadrature noise.  With ``strict`` a violation raises
-    :class:`ShapeViolationError` listing the offending grid pairs.
+    quadrature noise.  The table records each check; a violation raises
+    nothing, and :attr:`CShapeTable.passed` is false.
     """
     spec = spec or QuadratureSpec()
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
     alpha = params.alpha
     top = alpha + params.beta[0]
-    qs = np.linspace(-1.0 + edge_margin, top - edge_margin, grid_size)
+    qs = np.linspace(-1.0 + _EDGE_MARGIN, top - _EDGE_MARGIN, grid_size)
     q_mid = (alpha - 1.0) / 2.0
     # the zeros of C, where they lie inside the grid's span
     zs = [z for z in {min(alpha - 1.0, 0.0), max(alpha - 1.0, 0.0)}
-          if -1.0 + edge_margin < z < top - edge_margin]
+          if -1.0 + _EDGE_MARGIN < z < top - _EDGE_MARGIN]
     # grid, midpoint and zero checks in one evaluation of the map
-    mw = _MapWeight(params, w, spec)
+    mw = _MapWeight(params, spec)
     every = _map_values(mw, [*qs.tolist(), q_mid, *zs], spec)
     vals = np.array(every[:grid_size])
     c_mid = every[grid_size]
@@ -623,29 +606,14 @@ def scan_shape(
     noise = 10.0 * (spec.rel_tol * scale + spec.abs_tol)
     z_tol = 10.0 * spec.rel_tol * max(abs(c_mid), scale * 1e-3) + 10.0 * spec.abs_tol
 
-    offending: list[tuple[float, float, float, float]] = []
-    dec_ok = True
-    inc_ok = True
-    for i in range(len(qs) - 1):
-        q0, q1 = float(qs[i]), float(qs[i + 1])
-        v0, v1 = float(vals[i]), float(vals[i + 1])
-        if q1 <= q_mid and not (v1 < v0 + noise):
-            dec_ok = False
-            offending.append((q0, v0, q1, v1))
-        if q0 >= q_mid and not (v1 > v0 - noise):
-            inc_ok = False
-            offending.append((q0, v0, q1, v1))
+    steps = list(zip(qs[:-1].tolist(), qs[1:].tolist(), vals[:-1].tolist(), vals[1:].tolist()))
+    dec_ok = all(v1 < v0 + noise for _, q1, v0, v1 in steps if q1 <= q_mid)
+    inc_ok = all(v1 > v0 - noise for q0, _, v0, v1 in steps if q0 >= q_mid)
 
     zeros_ok = not any(abs(v) > z_tol for v in every[grid_size + 1:])
 
-    detected = []
-    for i in range(len(qs) - 1):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            detected.append(
-                _refine_zero(
-                    mw, spec, float(qs[i]), float(qs[i + 1]), float(vals[i]), float(vals[i + 1])
-                )
-            )
+    detected = [_refine_zero(mw, spec, q0, q1, v0, v1)
+                for q0, q1, v0, v1 in steps if (v0 < 0.0) != (v1 < 0.0)]
     if len(detected) >= 2:
         zeros = (detected[0], detected[-1])
     elif c_mid >= -z_tol:
@@ -663,7 +631,7 @@ def scan_shape(
     step = float(qs[1] - qs[0])
     min_ok = c_mid <= z_tol and abs(minimizer - q_mid) <= step + 1e-9
 
-    table = CShapeTable(
+    return CShapeTable(
         alpha=alpha,
         qs=tuple(float(q) for q in qs),
         values=tuple(float(v) for v in vals),
@@ -675,10 +643,3 @@ def scan_shape(
         zeros_ok=zeros_ok,
         min_ok=min_ok,
     )
-    if strict and not table.passed:
-        raise ShapeViolationError(
-            f"shape verification failed (decrease={dec_ok}, increase={inc_ok}, "
-            f"zeros={zeros_ok}, minimum={min_ok})",
-            offending,
-        )
-    return table

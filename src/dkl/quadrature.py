@@ -82,8 +82,8 @@ class QuadratureSpec:
     max_subdivisions: int = 2048
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and > 0, got {self.rel_tol}, {self.abs_tol}")
         if self.max_subdivisions < 16:
             raise ValueError("max_subdivisions must be >= 16")
 

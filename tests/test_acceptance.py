@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dkl.constants import load_constants
-from dkl.geometry import ModelParams, eval_A, eval_B, standard_weight
+from dkl.geometry import ModelParams, eval_A, eval_B
 from dkl.green import green_by_time_integration, green_estimate, green_free
 from dkl.grids import (
     GREEN_COMBOS,
@@ -94,10 +94,9 @@ def test_criterion_01_killing_constant_zeros():
     abs_tol = 1e-8
     worst = 0.0
     for params in killing_samples():
-        w = standard_weight(params)
-        scale = max(abs(compute_C(params, (params.alpha - 1.0) / 2.0, w, SPEC)), 1.0)
+        scale = max(abs(compute_C(params, (params.alpha - 1.0) / 2.0, SPEC)), 1.0)
         for z in {0.0, params.alpha - 1.0}:
-            worst = max(worst, abs(compute_C(params, z, w, SPEC)) / scale)
+            worst = max(worst, abs(compute_C(params, z, SPEC)) / scale)
     elapsed = time.time() - t0
     ok = worst <= 10.0 * abs_tol and elapsed < 30.0
     report(1, ok, f"max |C(zero)|/scale = {worst:.3g} (tol {10 * abs_tol:g}), {elapsed:.1f}s")
@@ -107,7 +106,7 @@ DIVERGENCE_EPS = (1e-3, 1e-4, 1e-5)
 SLOPE_TOL = 1e-2
 
 
-def endpoint_divergence(params, w, side: str, c_edge: float):
+def endpoint_divergence(params, side: str, c_edge: float):
     """Check that C diverges at one end of (-1, alpha+beta1) at the predicted rate.
 
     ``c_edge`` is C at offset ``DIVERGENCE_EPS[0]`` from the endpoint; C is
@@ -119,7 +118,7 @@ def endpoint_divergence(params, w, side: str, c_edge: float):
     end = -1.0 if side == "left" else params.alpha + params.beta[0]
     sign = 1.0 if side == "left" else -1.0
     vals = [c_edge] + [
-        compute_C(params, end + sign * eps, w, SPEC) for eps in DIVERGENCE_EPS[1:]
+        compute_C(params, end + sign * eps, SPEC) for eps in DIVERGENCE_EPS[1:]
     ]
     growing = all(v > 0.0 for v in vals) and all(
         b > a for a, b in zip(vals, vals[1:])
@@ -136,14 +135,13 @@ def test_criterion_02_shape_table():
     failures = []
     worst = {"left": 0.0, "right": 0.0}
     for params in killing_samples():
-        w = standard_weight(params)
-        table = scan_shape(params, w, 24, SPEC, strict=False)
+        table = scan_shape(params, 24, SPEC)
         if not table.passed:
             failures.append((params.alpha, "shape verdicts"))
             continue
         edges = {"left": table.values[0], "right": table.values[-1]}
         for side, c_edge in edges.items():
-            ok, deviation, vals = endpoint_divergence(params, w, side, c_edge)
+            ok, deviation, vals = endpoint_divergence(params, side, c_edge)
             worst[side] = max(worst[side], deviation)
             if not ok:
                 failures.append((params.alpha, f"{side} divergence {vals}"))
@@ -161,9 +159,8 @@ def test_criterion_02_shape_table():
 def test_criterion_02_rejects_finite_endpoint():
     """The divergence check fails where the map stays finite (q -> -1, beta1 > 0)."""
     params = ModelParams(1, 1.0, (1.0, 1.0, 0.0, 0.0))
-    w = standard_weight(params)
-    c_edge = compute_C(params, -1.0 + DIVERGENCE_EPS[0], w, SPEC)
-    ok, _, _ = endpoint_divergence(params, w, "left", c_edge)
+    c_edge = compute_C(params, -1.0 + DIVERGENCE_EPS[0], SPEC)
+    ok, _, _ = endpoint_divergence(params, "left", c_edge)
     assert not ok
 
 
@@ -175,13 +172,12 @@ def test_criterion_03_q_round_trip():
         alpha = float(rng.uniform(0.3, 1.9))
         b1 = float(rng.uniform(0.0, 2.0))
         params = ModelParams(1, alpha, (b1, float(rng.uniform(0.0, 2.0)), 0.0, 0.0))
-        w = standard_weight(params)
         lo = max(alpha - 1.0, 0.0)
         q_star = lo + (alpha + b1 - lo) * float(rng.uniform(0.05, 0.9))
-        kappa = compute_C(params, q_star, w, SPEC)
+        kappa = compute_C(params, q_star, SPEC)
         if kappa <= 0.0:
             continue
-        q_back = solve_q(params, w, SPEC, kappa=kappa)
+        q_back = solve_q(replace(params, kappa=kappa), SPEC)
         worst = max(worst, abs(q_back - q_star))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 120.0

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import subprocess
 import sys
@@ -6,12 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dkl.cli
 import dkl.killing
 import dkl.oracle
 from dkl.cli import main
-from dkl.geometry import HalfSpacePoint, ModelParams, _time_scale, standard_weight
+from dkl.geometry import HalfSpacePoint, ModelParams, _time_scale
 from dkl.heatkernel import _hke_cells
 from dkl.killing import compute_C
 from dkl.oracle import _p_rows
@@ -71,7 +74,7 @@ class TestSolveQ:
         assert calls.count(q) == 1  # evaluated once, by the solve
         params = ModelParams(1, 0.8, (0.5, 1.0, 0.0, 0.0))
         spec = dkl.cli._spec({"tol": 1e-9})
-        assert float(fields[7]) == abs(compute_C(params, q, standard_weight(params), spec) - 0.7)
+        assert float(fields[7]) == abs(compute_C(params, q, spec) - 0.7)
 
 
 class TestOracle:
@@ -420,6 +423,72 @@ class TestExtremeTimes:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4 and all(r.split(",")[-1] == "0" for r in rows)
+
+
+_MODEL = ["--alpha", "1.2", "--beta", "0.5,2,0.3,0"]
+# (command and fixed flags, the flag whose value is drawn)
+_DRAWN = [
+    (["solve-q", *_MODEL], "kappa"),
+    (["hke", *_MODEL, "--kappa", "0.7"], "t"),
+    (["hke", *_MODEL], "q"),
+    (["map", *_MODEL, "--grid-n", "3"], "t"),
+    (["map", *_MODEL, "--grid-n", "3"], "extent"),
+    (["map", "--dim", "2", "--x", "0,1", *_MODEL, "--grid-n", "3"], "extent"),
+    (["green", *_MODEL], "q"),
+    (["solve-q", *_MODEL, "--kappa", "0.7"], "tol"),
+]
+_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308]
+
+
+def _cli_outcome(argv):
+    """Exit code, stdout and stderr of one in-process call, with every
+    warning raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv):
+    """Exit 0 with finite numeric fields, exit 2 with one ``error:`` line, or
+    exit 1 with a ``numerical failure:`` line."""
+    code, out, err = _cli_outcome(argv)
+    if code == 0:
+        for field in (f for row in out.splitlines()[1:] for f in row.split(",")):
+            try:
+                value = float(field)
+            except ValueError:
+                continue  # a regime or dominance tag
+            assert math.isfinite(value), (argv, out)
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert code == 1 and err.startswith("numerical failure: "), (argv, code, err)
+
+
+class TestInputDomains:
+    @pytest.mark.parametrize("value", _EDGES, ids=repr)
+    @pytest.mark.parametrize("base, flag", _DRAWN, ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_edge_values(self, base, flag, value):
+        _assert_contract([*base, f"--{flag}={value!r}"])
+
+    @given(st.sampled_from(_DRAWN), st.floats())
+    @settings(max_examples=60, deadline=None)
+    def test_any_float(self, case, value):
+        base, flag = case
+        _assert_contract([*base, f"--{flag}={value!r}"])
+
+    def test_map_extent_past_the_tangential_axis(self):
+        argv = ["map", *_MODEL, "--grid-n", "3", "--extent=1e308"]
+        assert _cli_outcome(argv)[0] == 0  # d = 1 lays no tangential axis
+        code, _, err = _cli_outcome(["map", "--dim", "2", "--x", "0,1", *argv[1:]])
+        assert code == 2 and err.startswith("error: extent must be below half")
+
+    def test_nan_tolerance_is_a_usage_error(self):
+        code, _, err = _cli_outcome(["solve-q", *_MODEL, "--kappa", "0.7", "--tol=nan"])
+        assert code == 2 and err.startswith("error: tolerances must be finite and > 0")
 
 
 class TestConsoleEntryPoint:

@@ -14,7 +14,6 @@ from dkl.geometry import (
     lift_ed,
     stable_factor,
     stable_profile,
-    standard_weight,
     survival_factor,
     weight_from_heights,
     weight_from_heights_arr,
@@ -204,19 +203,16 @@ from conftest import dyadic  # noqa: E402
 class TestKernels:
     def test_eval_J_constant_weight(self):
         p = ModelParams(1, 1.0, (0, 0, 0, 0))
-        w = standard_weight(p)
-        assert eval_J(w, pt(1.0), pt(3.0)) == 2.0**-2
+        assert eval_J(p, pt(1.0), pt(3.0)) == 2.0**-2
 
     def test_eval_J_unit_distance(self):
         p = ModelParams(2, 0.5, (0, 0, 0, 0))
-        w = standard_weight(p)
-        assert eval_J(w, pt(0.0, 1.0), pt(1.0, 1.0)) == 1.0
+        assert eval_J(p, pt(0.0, 1.0), pt(1.0, 1.0)) == 1.0
 
     def test_eval_J_boundary_weight(self):
         p = ModelParams(2, 0.5, (1, 1, 0, 0))
-        w = standard_weight(p)
         # both heights 0.5 at distance 1: both ratios are 0.5
-        assert eval_J(w, pt(0.0, 0.5), pt(1.0, 0.5)) == 0.25
+        assert eval_J(p, pt(0.0, 0.5), pt(1.0, 0.5)) == 0.25
 
     def test_stable_factor_crossover(self):
         for d, alpha, t in [(1, 0.7, 2.0), (2, 1.4, 0.3)]:
@@ -256,8 +252,9 @@ class TestModelParams:
             ModelParams(1, 2.0, (0, 0, 0, 0))
         with pytest.raises(ValueError):
             ModelParams(1, 1.0, (0, 1, 1, 0))
-        with pytest.raises(ValueError):
-            ModelParams(1, 1.0, (1, 1, 0, 0), kappa=-1.0)
+        for kappa in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+                ModelParams(1, 1.0, (1, 1, 0, 0), kappa=kappa)
         p = ModelParams(3, 0.5, (1, 2, 0.5, 0.25), kappa=2.0)
         assert p.beta == (1.0, 2.0, 0.5, 0.25)
 

@@ -13,7 +13,9 @@ from dkl.geometry import (
     lift_ed,
     stable_factor,
     standard_weight,
+    survival_factor,
 )
+from dkl.green import green_by_time_integration, green_estimate
 from dkl.heatkernel import (
     Regime,
     _hke_cells,
@@ -301,7 +303,7 @@ class TestHkeUnified:
         t, x, y = 0.3, pt(0.4), pt(2.4)
         u = t**2.0
         expected = min(
-            t ** (-1 / 0.5), t * eval_J(w, lift_ed(x, u), lift_ed(y, u))
+            t ** (-1 / 0.5), t * eval_J(p, lift_ed(x, u), lift_ed(y, u))
         )
         assert hke_unified(p, w, t, x, y, SPEC) == pytest.approx(expected, rel=1e-14)
 
@@ -354,6 +356,63 @@ class TestHkeUnified:
             assert min(ratios) > 0.05 and max(ratios) < 20.0
 
 
+class TestOneModelPerCall:
+    # beta3 = 0.3 in the model, 0 in the weight: before the check the two
+    # estimates silently used the weight's beta (9.54e-5 for 1.43e-4, 0.0322
+    # for 0.0500)
+    P = ModelParams(1, 1.0, (0.5, 2.0, 0.3, 0.0))
+    OTHER = standard_weight(ModelParams(1, 1.0, (0.5, 2.0, 0.0, 0.0)))
+
+    def test_unified_rejects_another_models_weight(self):
+        with pytest.raises(ValueError, match="same model parameters"):
+            hke_unified(self.P, self.OTHER, 0.5, pt(0.2), pt(30.0), SPEC)
+        # an equal model built apart is the same model
+        same = standard_weight(ModelParams(1, 1.0, (0.5, 2.0, 0.3, 0.0)))
+        got = hke_unified(self.P, same, 0.5, pt(0.2), pt(30.0), SPEC)
+        assert got == hke_unified(self.P, standard_weight(self.P), 0.5, pt(0.2), pt(30.0), SPEC)
+        assert got == pytest.approx(1.43e-4, rel=1e-2)
+
+    def test_ball_integral_rejects_another_models_weight(self):
+        with pytest.raises(ValueError, match="same model parameters"):
+            twojump_ball_integral(self.P, self.OTHER, 0.5, pt(0.2), pt(30.0), SPEC)
+        got = twojump_ball_integral(self.P, standard_weight(self.P), 0.5, pt(0.2), pt(30.0), SPEC)
+        assert got == pytest.approx(0.0500, rel=1e-2)
+
+
+class TestInputDomains:
+    # NaN fails every guard, each written as the negation of its valid domain
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_time(self, t):
+        p = ModelParams(1, 1.0, (0.5, 2.0, 0.3, 0.0))
+        w, x, y = standard_weight(p), pt(0.2), pt(30.0)
+        calls = [
+            lambda: hke_closed(p, t, x, y),
+            lambda: dominance_map(p, t, x, [[30.0]]),
+            lambda: hke_unified(p, w, t, x, y, SPEC),
+            lambda: twojump_ball_integral(p, w, t, x, y, SPEC),
+            lambda: stable_factor(1, 1.0, t, 1.0),
+            lambda: survival_factor(1.0, 1.0, t, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be > 0"):
+                call()
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_survival_exponent(self, q):
+        p = ModelParams(2, 1.0, (0.5, 2.0, 0.0, 0.0))
+        x, y = pt(0.0, 0.2), pt(1.0, 3.0)
+        calls = [
+            lambda: hke_closed(p, 1.0, x, y, q=q),
+            lambda: killed_hke(p, 1.0, x, y, q),
+            lambda: survival_factor(q, 1.0, 1.0, 0.5),
+            lambda: green_estimate(p, q, x, y),
+            lambda: green_by_time_integration(p, q, x, y),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="q must be finite and >= 0"):
+                call()
+
+
 class TestJumpKernelArray:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_eval_J(self, dim):
@@ -364,14 +423,13 @@ class TestJumpKernelArray:
             on = (on1, on2, on3, on4)
             beta = tuple(float(rng.uniform(0.05, 3.0)) if k else 0.0 for k in on)
             p = ModelParams(dim, float(rng.uniform(0.1, 1.9)), beta)
-            w = standard_weight(p)
             a, b = rng.uniform(-5.0, 5.0, (2, 200, dim))
             a[:, -1], b[:, -1] = 10.0 ** rng.uniform(-3.0, 3.0, (2, 200))
             a[:50, -1] = 0.0  # rows 0-49: the first point on the boundary
             b[25 if dim > 1 else 50 : 75, -1] = 0.0  # both only where they stay apart
             got = _jump_arr(p, a, b)
             for g, ra, rb in zip(got, a, b):
-                want = eval_J(w, pt(*ra), pt(*rb))
+                want = eval_J(p, pt(*ra), pt(*rb))
                 assert (g == 0.0) == (want == 0.0)
                 assert g == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -393,7 +451,7 @@ class TestBallIntegral:
 
         def f(rho, phi):
             z = pt(0.0 + rho * math.cos(phi), 1.0 + dist / 2.0 + rho * math.sin(phi))
-            return eval_J(w, X, z) * eval_J(w, z, Y) * rho
+            return eval_J(p, X, z) * eval_J(p, z, Y) * rho
 
         from scipy.integrate import dblquad
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad, trapezoid
 
 import dkl.killing as killing
 import dkl.quadrature as quadrature
-from dkl.geometry import ModelParams, standard_weight
+from dkl.geometry import ModelParams
 from dkl.killing import (
     _bracketed_root,
     _c_rows,
@@ -98,10 +99,9 @@ class TestComputeC:
     def test_zero_at_trivial_exponents(self):
         for alpha, b in [(0.5, (1, 1, 0, 0)), (1.5, (2, 3, 1, 1)), (1.9, (0, 0, 0, 0))]:
             p = ModelParams(1, alpha, b)
-            w = standard_weight(p)
-            assert compute_C(p, 0.0, w, SPEC) == 0.0
+            assert compute_C(p, 0.0, SPEC) == 0.0
             if -1.0 < alpha - 1.0:
-                assert compute_C(p, alpha - 1.0, w, SPEC) == 0.0
+                assert compute_C(p, alpha - 1.0, SPEC) == 0.0
 
     @pytest.mark.parametrize(
         "d, alpha, b, q",
@@ -114,8 +114,7 @@ class TestComputeC:
     )
     def test_against_brute_force_mesh(self, d, alpha, b, q):
         p = ModelParams(d, alpha, b)
-        w = standard_weight(p)
-        mine = compute_C(p, q, w, SPEC)
+        mine = compute_C(p, q, SPEC)
         ref = brute_force_C(d, alpha, q, p.beta)
         assert mine > 0.0
         assert abs(mine - ref) <= 1e-8 * abs(ref)
@@ -126,7 +125,7 @@ class TestComputeC:
         # which needs the outer rule resolved at its cos^alpha singularity
         q = 0.5 * alpha - 0.25
         p1 = ModelParams(1, alpha, (0.0, 0.0, 0.0, 0.0))
-        c1 = compute_C(p1, q, standard_weight(p1), SPEC)
+        c1 = compute_C(p1, q, SPEC)
         for d in (2, 3):
             p = ModelParams(d, alpha, (0.0, 0.0, 0.0, 0.0))
             sphere = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
@@ -134,7 +133,7 @@ class TestComputeC:
                 2.0 * math.gamma((d + alpha) / 2.0)
             )
             want = c1 * factor
-            assert abs(compute_C(p, q, standard_weight(p), SPEC) - want) <= 10.0 * SPEC.tol(want)
+            assert abs(compute_C(p, q, SPEC) - want) <= 10.0 * SPEC.tol(want)
 
     @pytest.mark.parametrize("block", [1, 16384], ids=["row-per-block", "default"])
     def test_tangential_weight_does_not_depend_on_blocks(self, block, monkeypatch):
@@ -142,9 +141,9 @@ class TestComputeC:
         x = -np.geomspace(0.7, 1e4, 9)
         for d, alpha, b in [(2, 0.7, (1.0, 1.5, 0.5, 0.3)), (3, 1.7, (0.5, 2.0, 0.0, 1.0))]:
             p = ModelParams(d, alpha, b)
-            want = _MapWeight(p, standard_weight(p), SPEC)
+            want = _MapWeight(p, SPEC)
             monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
-            got = _MapWeight(p, standard_weight(p), SPEC)
+            got = _MapWeight(p, SPEC)
             monkeypatch.undo()
             assert np.array_equal(got.log_left(x), want.log_left(x))
             got_r, want_r = got.right((16, 32)), want.right((16, 32))
@@ -156,32 +155,29 @@ class TestComputeC:
     def test_alpha_near_two(self, alpha, q, b):
         # the grading sends the smallest u to 0, where the right half's remainder is 0
         params = ModelParams(1, alpha, b)
-        got = compute_C(params, q, standard_weight(params))
+        got = compute_C(params, q)
         want = qaws_C_d1(alpha, q, b)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_symmetry_in_q(self):
         p = ModelParams(1, 1.5, (2.0, 3.0, 1.0, 1.0))
-        w = standard_weight(p)
         for q in (0.9, -0.3, 1.3):
-            v1 = compute_C(p, q, w, SPEC)
-            v2 = compute_C(p, 1.5 - 1.0 - q, w, SPEC)
+            v1 = compute_C(p, q, SPEC)
+            v2 = compute_C(p, 1.5 - 1.0 - q, SPEC)
             assert abs(v1 - v2) <= 2e-10 * max(abs(v1), 1e-12)
 
     def test_sign_structure(self):
         p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0))
-        w = standard_weight(p)
-        assert compute_C(p, 0.25, w, SPEC) < 0.0  # between the zeros
-        assert compute_C(p, -0.5, w, SPEC) > 0.0
-        assert compute_C(p, 1.5, w, SPEC) > 0.0
+        assert compute_C(p, 0.25, SPEC) < 0.0  # between the zeros
+        assert compute_C(p, -0.5, SPEC) > 0.0
+        assert compute_C(p, 1.5, SPEC) > 0.0
 
     def test_domain_errors(self):
         p = ModelParams(1, 0.5, (1.0, 1.0, 0.0, 0.0))
-        w = standard_weight(p)
         with pytest.raises(ValueError):
-            compute_C(p, -1.0, w, SPEC)
+            compute_C(p, -1.0, SPEC)
         with pytest.raises(ValueError):
-            compute_C(p, 1.5, w, SPEC)
+            compute_C(p, 1.5, SPEC)
 
 
 def direct_log_W(d: int, alpha: float, b, w: float) -> float:
@@ -228,7 +224,7 @@ class TestTangentialWeight:
     @pytest.mark.parametrize("alpha", [0.3, 1.3, 1.8])
     def test_unit_weight_is_the_identity_factor(self, d, alpha):
         p = ModelParams(d, alpha, (0.0, 0.0, 0.0, 0.0))
-        mw = _MapWeight(p, standard_weight(p), SPEC)
+        mw = _MapWeight(p, SPEC)
         want = identity_factor(d, alpha)
         assert mw.diag == pytest.approx(want, rel=1e-15)
         # the left half down to s = e^-1e4, the right half at every node
@@ -242,7 +238,7 @@ class TestTangentialWeight:
         monkeypatch.setattr(killing, "_W_CUT", -3.0)
         p = ModelParams(2, 0.9, (1.0, 1.5, 0.5, 0.0))
         with pytest.raises(NonConvergenceError, match="not constant below w = -3"):
-            _MapWeight(p, standard_weight(p), SPEC)
+            _MapWeight(p, SPEC)
 
     @pytest.mark.parametrize("d, alpha, b", [
         (2, 0.9, (1.0, 1.5, 0.5, 0.0)),
@@ -251,7 +247,7 @@ class TestTangentialWeight:
     ], ids=["d2-b123", "d3-b1234", "d2-large-b"])
     def test_against_direct_theta_quadrature(self, d, alpha, b):
         p = ModelParams(d, alpha, b)
-        mw = _MapWeight(p, standard_weight(p), SPEC)
+        mw = _MapWeight(p, SPEC)
         bound = 3.0 * SPEC.rel_tol / 10.0
         # the left half: near s = 1/2, across the interpolant, and below its cut
         ws = [math.log(0.5 - 1e-6), math.log(0.49), -2.0, -7.5, -39.0, -45.0, -300.0, -1e4]
@@ -281,10 +277,10 @@ MAP_ROWS = [
 MAP_IDS = ["q-neg-b3b4", "q-mid", "subtract", "plain", "d2", "d3-subtract"]
 
 
-def _alone(p, w, q, spec):
+def _alone(p, q, spec):
     """compute_C on q alone: its value or its error message."""
     try:
-        return compute_C(p, q, w, spec)
+        return compute_C(p, q, spec)
     except NonConvergenceError as exc:
         return str(exc)
 
@@ -295,10 +291,9 @@ class TestMapRows:
     @pytest.mark.parametrize("spec", [SPEC, QuadratureSpec()], ids=["tight", "default-spec"])
     def test_rows_are_bit_identical_to_each_q_alone(self, d, alpha, b, qs, block, spec, monkeypatch):
         p = ModelParams(d, alpha, b)
-        w = standard_weight(p)
-        alone = [compute_C(p, q, w, spec) for q in qs]
+        alone = [compute_C(p, q, spec) for q in qs]
         monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", block)
-        mw = _MapWeight(p, w, spec)
+        mw = _MapWeight(p, spec)
         assert _c_rows(mw, qs, spec) == alone
         # reversed and repeated rows: a value does not depend on its neighbours
         assert _c_rows(mw, qs[::-1] + qs[:2], spec) == alone[::-1] + alone[:2]
@@ -308,19 +303,17 @@ class TestMapRows:
     def test_rows_out_of_budget_hold_the_error(self, d, alpha, b, qs, n_max):
         spec = QuadratureSpec(max_subdivisions=n_max)
         p = ModelParams(d, alpha, b)
-        w = standard_weight(p)
-        got = [v if isinstance(v, float) else str(v) for v in _c_rows(_MapWeight(p, w, spec), qs, spec)]
-        assert got == [_alone(p, w, q, spec) for q in qs]
+        got = [v if isinstance(v, float) else str(v) for v in _c_rows(_MapWeight(p, spec), qs, spec)]
+        assert got == [_alone(p, q, spec) for q in qs]
         if n_max == 16:
             assert got == ["killing-constant integral did not converge (order 32 exceeds budget)"] * len(qs)
 
     @pytest.mark.parametrize("alpha, b", [(0.6, (1.0, 0.5, 0.5, 0.0)), (1.7, (0.5, 2.0, 0.0, 1.0))])
     def test_scan_values_are_the_map(self, alpha, b):
         p = ModelParams(1, alpha, b)
-        w = standard_weight(p)
-        table = scan_shape(p, w, 24, SPEC, strict=False)
-        assert table.values == tuple(compute_C(p, q, w, SPEC) for q in table.qs)
-        c_mid = compute_C(p, (alpha - 1.0) / 2.0, w, SPEC)
+        table = scan_shape(p, 24, SPEC)
+        assert table.values == tuple(compute_C(p, q, SPEC) for q in table.qs)
+        c_mid = compute_C(p, (alpha - 1.0) / 2.0, SPEC)
         assert table.min_value == min(min(table.values), c_mid)
 
     def test_scan_makes_no_single_q_call_outside_the_zero_search(self, monkeypatch):
@@ -331,10 +324,9 @@ class TestMapRows:
             return compute_C(params, q, *rest)
 
         p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0))
-        w = standard_weight(p)
         monkeypatch.setattr(killing, "compute_C", counted)
         monkeypatch.setattr(killing, "_refine_zero", lambda *args: 0.0)
-        scan_shape(p, w, 24, SPEC, strict=False)
+        scan_shape(p, 24, SPEC)
         assert seen == []
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -353,33 +345,30 @@ class TestMapRows:
             return rows(mw, qs, spec)
 
         p = ModelParams(d, 1.4, (0.0, 1.5, 0.0, 0.5))
-        w = standard_weight(p)
         monkeypatch.setattr(killing, "_MapWeight", counted_weight)
         monkeypatch.setattr(killing, "_c_rows", counted_rows)
         monkeypatch.setattr(killing, "compute_C", None)
         monkeypatch.setattr(killing, "_refine_zero", lambda *args: 0.0)
-        scan_shape(p, w, 8, SPEC, strict=False)
+        scan_shape(p, 8, SPEC)
         assert len(built) == 1 and batches == [8 + 1 + 2]
 
 
 class TestSolveQ:
     def test_kappa_zero_branch_start(self):
         p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0), kappa=0.0)
-        assert solve_q(p, standard_weight(p), SPEC) == 0.5
+        assert solve_q(p, SPEC) == 0.5
         p2 = ModelParams(1, 0.8, (1.0, 1.0, 0.0, 0.0), kappa=0.0)
-        assert solve_q(p2, standard_weight(p2), SPEC) == 0.0
+        assert solve_q(p2, SPEC) == 0.0
 
     def test_round_trip(self):
         p = ModelParams(1, 1.0, (1.0, 0.0, 0.0, 0.0))
-        w = standard_weight(p)
         q_star = 1.2
-        kappa = compute_C(p, q_star, w, SPEC)
-        assert abs(solve_q(p, w, SPEC, kappa=kappa) - q_star) <= 1e-8
+        kappa = compute_C(p, q_star, SPEC)
+        assert abs(solve_q(replace(p, kappa=kappa), SPEC) - q_star) <= 1e-8
 
     def test_monotone_in_kappa(self):
         p = ModelParams(1, 0.7, (1.5, 1.0, 0.5, 0.0))
-        w = standard_weight(p)
-        qs = [solve_q(p, w, SPEC, kappa=k) for k in (0.0, 0.1, 1.0, 10.0, 1e4)]
+        qs = [solve_q(replace(p, kappa=k), SPEC) for k in (0.0, 0.1, 1.0, 10.0, 1e4)]
         assert all(a <= b + 1e-12 for a, b in zip(qs, qs[1:]))
         assert qs[-1] < p.alpha + p.beta[0]
 
@@ -437,34 +426,32 @@ class TestBracketedRoot:
 
         rows = killing._c_rows
         p = ModelParams(1, alpha, b, kappa=kappa)
-        w = standard_weight(p)
         monkeypatch.setattr(killing, "_c_rows", counted)
-        q = solve_q(p, w, SPEC)
+        q = solve_q(p, SPEC)
         monkeypatch.undo()
         # bisection took about 31 calls on these; each evaluates one q
         assert len(calls) <= 14 and all(len(qs) == 1 for qs in calls)
         res_tol = max(SPEC.abs_tol, SPEC.rel_tol * (1.0 + kappa))
-        assert abs(compute_C(p, q, w, SPEC) - kappa) <= res_tol
+        assert abs(compute_C(p, q, SPEC) - kappa) <= res_tol
 
     def test_refine_zero_finds_both_zeros(self):
         p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0))
-        w = standard_weight(p)
         for qa, qb, zero in [(-0.13, 0.07, 0.0), (0.41, 0.62, 0.5)]:
-            va, vb = compute_C(p, qa, w, SPEC), compute_C(p, qb, w, SPEC)
-            assert abs(_refine_zero(_MapWeight(p, w, SPEC), SPEC, qa, qb, va, vb) - zero) <= 1e-12
+            va, vb = compute_C(p, qa, SPEC), compute_C(p, qb, SPEC)
+            assert abs(_refine_zero(_MapWeight(p, SPEC), SPEC, qa, qb, va, vb) - zero) <= 1e-12
 
 
 class TestScanShape:
     def test_collapsed_zeros_at_alpha_one(self):
         p = ModelParams(1, 1.0, (1.0, 1.0, 0.0, 0.0))
-        table = scan_shape(p, standard_weight(p), 32, SPEC)
+        table = scan_shape(p, 32, SPEC)
         assert table.passed
         assert abs(table.zeros[0]) < 1e-6 and abs(table.zeros[1]) < 1e-6
         assert abs(table.min_value) < 1e-9
 
     def test_plain_weight_minimizer(self):
         p = ModelParams(1, 1.5, (0.0, 0.0, 0.0, 0.0))
-        table = scan_shape(p, standard_weight(p), 64, SPEC)
+        table = scan_shape(p, 64, SPEC)
         assert table.passed
         assert abs(table.minimizer - 0.25) < 0.05
         assert table.min_value < 0.0
@@ -473,14 +460,14 @@ class TestScanShape:
 
     def test_verdicts_stable_under_grid_doubling(self):
         p = ModelParams(1, 0.7, (2.0, 3.0, 1.0, 1.0))
-        t64 = scan_shape(p, standard_weight(p), 64, SPEC)
-        t128 = scan_shape(p, standard_weight(p), 128, SPEC)
+        t64 = scan_shape(p, 64, SPEC)
+        t128 = scan_shape(p, 128, SPEC)
         assert t64.passed and t128.passed
         assert abs(t64.minimizer - t128.minimizer) < 0.1
 
     def test_grid_invariants(self):
         p = ModelParams(1, 1.2, (1.0, 1.0, 0.0, 0.0))
-        table = scan_shape(p, standard_weight(p), 16, SPEC)
+        table = scan_shape(p, 16, SPEC)
         qs = np.array(table.qs)
         assert np.all(np.diff(qs) > 0)
         assert qs[0] > -1.0 and qs[-1] < p.alpha + p.beta[0]
@@ -488,4 +475,4 @@ class TestScanShape:
     def test_grid_size_validation(self):
         p = ModelParams(1, 1.2, (1.0, 1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            scan_shape(p, standard_weight(p), 4, SPEC)
+            scan_shape(p, 4, SPEC)

@@ -285,9 +285,8 @@ class TestCallSitesRaiseOnBudget:
     @pytest.mark.parametrize("dim", [1, 2], ids=["d1", "d2"])
     def test_compute_C(self, dim):
         params = ModelParams(dim, 0.9, (1.0, 1.5, 0.5, 0.0))
-        w = standard_weight(params)
         with pytest.raises(NonConvergenceError, match="^killing-constant integral did not converge"):
-            compute_C(params, 0.5, w, ONE_ROUND)
+            compute_C(params, 0.5, ONE_ROUND)
 
     def test_oracle_kappa(self):
         x = HalfSpacePoint(1, (), 0.7)
