@@ -606,14 +606,26 @@ def scan_shape(
     noise = 10.0 * (spec.rel_tol * scale + spec.abs_tol)
     z_tol = 10.0 * spec.rel_tol * max(abs(c_mid), scale * 1e-3) + 10.0 * spec.abs_tol
 
-    steps = list(zip(qs[:-1].tolist(), qs[1:].tolist(), vals[:-1].tolist(), vals[1:].tolist()))
-    dec_ok = all(v1 < v0 + noise for _, q1, v0, v1 in steps if q1 <= q_mid)
-    inc_ok = all(v1 > v0 - noise for q0, _, v0, v1 in steps if q0 >= q_mid)
+    dec_ok = True
+    inc_ok = True
+    for i in range(len(qs) - 1):
+        q0, q1 = float(qs[i]), float(qs[i + 1])
+        v0, v1 = float(vals[i]), float(vals[i + 1])
+        if q1 <= q_mid and not (v1 < v0 + noise):
+            dec_ok = False
+        if q0 >= q_mid and not (v1 > v0 - noise):
+            inc_ok = False
 
     zeros_ok = not any(abs(v) > z_tol for v in every[grid_size + 1:])
 
-    detected = [_refine_zero(mw, spec, q0, q1, v0, v1)
-                for q0, q1, v0, v1 in steps if (v0 < 0.0) != (v1 < 0.0)]
+    detected = []
+    for i in range(len(qs) - 1):
+        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
+            detected.append(
+                _refine_zero(
+                    mw, spec, float(qs[i]), float(qs[i + 1]), float(vals[i]), float(vals[i + 1])
+                )
+            )
     if len(detected) >= 2:
         zeros = (detected[0], detected[-1])
     elif c_mid >= -z_tol:

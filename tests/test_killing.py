@@ -468,6 +468,7 @@ class TestScanShape:
     def test_grid_invariants(self):
         p = ModelParams(1, 1.2, (1.0, 1.0, 0.0, 0.0))
         table = scan_shape(p, 16, SPEC)
+        assert table.passed
         qs = np.array(table.qs)
         assert np.all(np.diff(qs) > 0)
         assert qs[0] > -1.0 and qs[-1] < p.alpha + p.beta[0]
