@@ -18,6 +18,7 @@ from .geometry import (
 from .green import (
     GreenBreakdown,
     GreenDivergenceError,
+    GreenRangeError,
     eval_Hq,
     green_by_time_integration,
     green_estimate,

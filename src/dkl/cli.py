@@ -19,7 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
-from .green import GreenDivergenceError, green_by_time_integration, green_estimate
+from .green import (
+    GreenDivergenceError,
+    GreenRangeError,
+    green_by_time_integration,
+    green_estimate,
+)
 from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
 from .killing import _solve_q, scan_shape, solve_q
@@ -60,7 +65,7 @@ def _resolve(args: argparse.Namespace, extra_defaults: dict) -> dict:
                 typ = _COMMON[key][0]
             else:
                 typ = type(cur) if cur is not None else str
-            merged[key] = typ(raw) if typ is not bool else raw.lower() in ("1", "true")
+            merged[key] = typ(raw)
     for key in merged:
         val = getattr(args, key, None)
         if val is not None:
@@ -237,7 +242,10 @@ def cmd_oracle(cfg: dict) -> int:
     spec = QuadratureSpec(rel_tol=max(float(cfg["tol"]), 1e-8), abs_tol=1e-300)
     n = _grid_n(cfg)
     ts = [float(v) for v in str(cfg["t_list"]).split(",")]
-    heights = np.geomspace(float(cfg["x_lo"]), float(cfg["x_hi"]), n)
+    lo, hi = float(cfg["x_lo"]), float(cfg["x_hi"])
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"x-lo and x-hi must be finite and > 0, got {lo}, {hi}")
+    heights = np.geomspace(lo, hi, n)
     report, q_fit, r2, cells = _comparison(op, spec, ts, heights, heights)
     rows = [list(cell) + [_cell_ratio(cell)] for cell in cells]
     _emit(cfg, csv_text(["t", "x", "y", "oracle", "estimate", "ratio"], rows))
@@ -327,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(args, dict(extra))
         return fn(cfg)
-    except (NonConvergenceError, GreenDivergenceError) as exc:
+    except (NonConvergenceError, GreenDivergenceError, GreenRangeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError) as exc:

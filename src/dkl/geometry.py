@@ -179,6 +179,23 @@ def weight_from_heights_arr(b, hmin, hmax, dist):
     return t13 * t24
 
 
+def _clamped_weight(b: Sequence[float], u: float, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+    """Boundary weight of a point pair with both heights clamped below at u.
+
+    ``b`` is taken as given (no admissibility gate).  Coincident points take
+    the limit where every ratio argument clamps when u > 0, and raise at u = 0.
+    """
+    dist = x.distance_to(y)
+    if dist == 0.0:
+        if u == 0.0:
+            raise ValueError("boundary weight is undefined for coincident points")
+        # all four ratio arguments clamp; only the log factors survive
+        return weight_from_heights(b, 1.0, 1.0, 1.0)
+    hmin = max(min(x.height, y.height), u)
+    hmax = max(max(x.height, y.height), u)
+    return weight_from_heights(b, hmin, hmax, dist)
+
+
 def eval_B(b: Sequence[float], x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """Boundary weight of a point pair.
 
@@ -186,13 +203,7 @@ def eval_B(b: Sequence[float], x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     corrections.  Raises if the points coincide (downstream uses divide by
     the distance, so silent infinities are never produced here).
     """
-    b = _check_quadruple(b)
-    dist = x.distance_to(y)
-    if dist == 0.0:
-        raise ValueError("boundary weight is undefined for coincident points")
-    hmin = min(x.height, y.height)
-    hmax = max(x.height, y.height)
-    return weight_from_heights(b, hmin, hmax, dist)
+    return _clamped_weight(_check_quadruple(b), 0.0, x, y)
 
 
 def eval_A(
@@ -207,24 +218,16 @@ def eval_A(
 
     ``tscale`` optionally supplies a precomputed value of t**(1/alpha); sweeps
     that rescale all lengths by a common factor should pass it explicitly so
-    the power round-trip does not enter the factor ratios.
+    the power round-trip does not enter the factor ratios.  At t = 0 it is
+    :func:`eval_B`.
     """
     b = _check_quadruple(b)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie strictly in (0, 2)")
-    dist = x.distance_to(y)
-    if dist == 0.0:
-        if t == 0.0:
-            raise ValueError("undefined for coincident points at t = 0")
-        # all four ratio arguments clamp; only the log factors survive
-        u = 1.0
-        return weight_from_heights(b, u, u, u)
-    u = tscale if tscale is not None else (t ** (1.0 / alpha) if t > 0.0 else 0.0)
-    hmin = max(min(x.height, y.height), u)
-    hmax = max(max(x.height, y.height), u)
-    return weight_from_heights(b, hmin, hmax, dist)
+    u = tscale if tscale is not None else _time_scale(t, alpha)
+    return _clamped_weight(b, u, x, y)
 
 
 def diagonal_limit(beta: Sequence[float]) -> float:
@@ -301,11 +304,18 @@ def stable_profile(d: int, alpha: float, u: float, r: float) -> float:
     return min(on, off)
 
 
+def survival_profile(q: float, u: float, h: float) -> float:
+    """:func:`survival_factor` at the time scale u = t^(1/alpha): min(h/u, 1)^q,
+    taking its limit as u falls to 0 at u = 0."""
+    return min(h / u, 1.0) ** q if u > 0.0 else float(h > 0.0) ** q
+
+
 def survival_factor(q: float, alpha: float, t: float, h: float) -> float:
     """Boundary survival profile (1 and h/t^(1/alpha), whichever is smaller)**q."""
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 0, got {q}")
-    u = t ** (1.0 / alpha)
-    return min(h / u, 1.0) ** q
+    if not h >= 0.0:
+        raise ValueError(f"h must be >= 0, got {h}")
+    return survival_profile(q, _time_scale(t, alpha), h)

@@ -22,6 +22,7 @@ from .quadrature import QuadratureSpec, geometric_breaks, integrate_panels, merg
 __all__ = [
     "GreenBreakdown",
     "GreenDivergenceError",
+    "GreenRangeError",
     "eval_Hq",
     "green_free",
     "green_estimate",
@@ -33,6 +34,10 @@ _E = math.e
 
 class GreenDivergenceError(ValueError):
     """The large-time integral diverges for these parameters."""
+
+
+class GreenRangeError(ArithmeticError):
+    """A factor of the closed-form estimate leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,8 @@ def eval_Hq(params: ModelParams, q: float, x: HalfSpacePoint, y: HalfSpacePoint)
     """Anomalous prefactor of the killed Green estimate (dim >= 2 form).
 
     Equals 1 below the transition; at the transition a log power appears;
-    above, a clamped negative power of the larger height carries the blow-up.
+    above, a clamped negative power of the larger height carries the blow-up,
+    and the value is inf where that power overflows.
     """
     dist = x.distance_to(y)
     if dist == 0.0:
@@ -70,7 +76,10 @@ def eval_Hq(params: ModelParams, q: float, x: HalfSpacePoint, y: HalfSpacePoint)
         return log_term ** (b4 + 1.0)
     expo = _qhat(params, q) - q  # = 2 alpha + b1 + b2 - 2 q < 0 here
     base = min(hmax / dist, 1.0)
-    power = base**expo if base > 0.0 else math.inf
+    try:
+        power = base**expo if base > 0.0 else math.inf
+    except OverflowError:
+        power = math.inf
     return power * (log_term**b4 if b4 > 0.0 else 1.0)
 
 
@@ -114,6 +123,8 @@ def green_estimate(
     q_hat = _qhat(params, q)
     if d >= 2:
         h = eval_Hq(params, q, x, y)
+        if not h < math.inf:
+            raise GreenRangeError(f"boundary factor H overflows at q = {q}")
         hmin = min(x.height, y.height)
         hmax = max(x.height, y.height)
         value = (

@@ -24,6 +24,7 @@ from .geometry import (
     _time_scale,
     lift_ed,
     stable_profile,
+    survival_profile,
     weight_from_heights,
     weight_from_heights_arr,
 )
@@ -115,11 +116,6 @@ def _bracket_terms(
     return one, two
 
 
-def _survival(h: float, u: float, q: float) -> float:
-    """min(h/u, 1)^q, taking its limit as u falls to 0 at u = 0."""
-    return min(h / u, 1.0) ** q if u > 0.0 else float(h > 0.0) ** q
-
-
 def hke_closed(
     params: ModelParams,
     t: float,
@@ -142,8 +138,8 @@ def hke_closed(
     d = params.dim
     u = tscale if tscale is not None else _time_scale(t, params.alpha)
     dist = x.distance_to(y)
-    sx = _survival(x.height, u, q)
-    sy = _survival(y.height, u, q)
+    sx = survival_profile(q, u, x.height)
+    sy = survival_profile(q, u, y.height)
     on = stable_profile(d, params.alpha, u, 0.0)  # u^-d, inf where it overflows
     if dist == 0.0:
         return EstimateBreakdown(
@@ -373,7 +369,7 @@ def twojump_ball_integral(
         raise ValueError(f"t must be > 0, got {t}")
     dist = x.distance_to(y)
     alpha = params.alpha
-    u = t ** (1.0 / alpha)
+    u = _time_scale(t, alpha)
     if dist <= 6.0 * u:
         raise ValueError("requires |x-y| > 6 t^(1/alpha)")
     d = params.dim

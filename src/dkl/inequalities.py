@@ -18,10 +18,10 @@ import numpy as np
 
 from .geometry import (
     HalfSpacePoint,
+    _clamped_weight,
     eval_A,
     eval_B,
     lift_ed,
-    weight_from_heights,
     weight_from_heights_arr,
 )
 from .quadrature import (
@@ -789,20 +789,11 @@ def _eval_two_jump_region(p, spec):
     hmin = min(x.height, y.height)
     rhs = (
         dist**-alpha
-        * _A_literal((beta[0], beta[0], 0.0, beta[2]), tsc, x, y)
+        * _clamped_weight((beta[0], beta[0], 0.0, beta[2]), tsc, x, y)
         * math.log(_E + dist / min(max(hmin, tsc), dist)) ** beta[2]
     )
     r = lhs / rhs
     return r, r
-
-
-def _A_literal(b, tsc: float, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """Space-time weight of a literal exponent quadruple (no admissibility
-    gate: the estimate formulas compose quadruples outside the model class)."""
-    dist = x.distance_to(y)
-    hmin = max(min(x.height, y.height), tsc)
-    hmax = max(max(x.height, y.height), tsc)
-    return weight_from_heights(b, hmin, hmax, dist)
 
 
 def _eval_lower_2(p, spec):
@@ -824,7 +815,7 @@ def _eval_lower_2(p, spec):
     hmin = min(x.height, y.height)
     rhs = (
         min(1.0, t * dist**-alpha)
-        * _A_literal((beta[0], beta[0], 0.0, beta[2] + beta[3] + 1.0), tsc, x, y)
+        * _clamped_weight((beta[0], beta[0], 0.0, beta[2] + beta[3] + 1.0), tsc, x, y)
         * math.log(_E + dist / min(max(hmin, tsc), dist)) ** beta[2]
     )
     r = lhs / rhs

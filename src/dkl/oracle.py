@@ -9,14 +9,15 @@ accuracy and serve as ground truth for the closed-form estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams
-from .heatkernel import _hke_cells, _time_scale
+from .geometry import HalfSpacePoint, ModelParams, _time_scale
+from .heatkernel import _hke_cells
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -59,8 +60,8 @@ class OracleParams:
     alpha: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not (0.0 < self.alpha < 2.0):
@@ -93,20 +94,22 @@ def _q_kernel_arr(gamma: float, d: int, s: np.ndarray, xd, yd, dist2) -> np.ndar
 
 
 def killed_bm_density(
-    op: OracleParams, t: float, x: HalfSpacePoint, y: HalfSpacePoint, log: bool = False
+    op: OracleParams, t: float, x: HalfSpacePoint, y: HalfSpacePoint
 ) -> float:
     """Transition density of the killed Brownian motion before subordination."""
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
-    if x.height <= 0.0 or y.height <= 0.0:
-        raise ValueError("interior points required")
+    _check_cell(t, x, y)
     dist = x.distance_to(y)
-    val = float(
+    return float(
         _q_kernel_arr(op.gamma, op.dim, np.array([t]), x.height, y.height, dist * dist)[0]
     )
-    if log:
-        return math.log(val) if val > 0.0 else -math.inf
-    return val
+
+
+def _check_cell(t: float, x: HalfSpacePoint, y: HalfSpacePoint) -> None:
+    """Raise unless t is finite and > 0 and both points are interior."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t}")
+    if x.height <= 0.0 or y.height <= 0.0:
+        raise ValueError("interior points required")
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +118,13 @@ def killed_bm_density(
 # largest error an interpolant allows at a panel end
 _INTERP_TOL = 1e-9
 
-_G_INTERPS: dict[float, tuple] = {}
+def _cached_by_rounded(f):
+    """Cache ``f`` per argument rounded to 12 digits, and call it at the rounded value."""
+    cached = functools.lru_cache(maxsize=None)(f)
+    return functools.wraps(f)(lambda v: cached(round(v, 12)))
 
 
+@_cached_by_rounded
 def _g_interp(a: float):
     """Interpolant of log g against log w, g the unit-time subordinator
     density, from where g is about e^-600 of its scale up to w = 1e14.
@@ -125,9 +132,6 @@ def _g_interp(a: float):
     Returns ``(w_left, w_hi, interpolant)``.  The panels are 0.4 wide in
     log w, narrower where the left tail log g ~ -w^(-a/(1-a)) is steep.
     """
-    key = round(a, 12)
-    if key in _G_INTERPS:
-        return _G_INTERPS[key]
     frac = a / (1.0 - a)
     k_left = (1.0 - a) * a**frac
     w_left = (k_left / 600.0) ** (1.0 / frac)
@@ -138,9 +142,7 @@ def _g_interp(a: float):
 
     interp, _ = interpolate(log_g, math.log(w_left), math.log(w_hi),
                             min(0.4, 0.8 / frac), _INTERP_TOL, "subordinator density")
-    entry = (w_left, w_hi, interp)
-    _G_INTERPS[key] = entry
-    return entry
+    return w_left, w_hi, interp
 
 
 def _g_eval(a: float, w: np.ndarray) -> np.ndarray:
@@ -196,7 +198,7 @@ def _defect_rows(gamma: float, xd: float, t: np.ndarray) -> tuple:
     return breaks, f, tail
 
 
-def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int = 24) -> np.ndarray:
+def _mass_F(gamma: float, xd: float, t: np.ndarray, n: int) -> np.ndarray:
     """1 - (killed-BM mass) from height xd at times t, cancellation-free,
     at the fixed order n: all times go through one row rule."""
     breaks, f, tail = _defect_rows(gamma, xd, t)
@@ -248,9 +250,7 @@ def _mass_by(gamma: float, u: np.ndarray, direct: np.ndarray) -> np.ndarray:
     return out
 
 
-_M_INTERPS: dict[float, tuple] = {}
-
-
+@_cached_by_rounded
 def _mass_interp(gamma: float):
     """Interpolant of the log of the killed-BM mass from height 1 against
     log time, on u in [1e-9, 1e12] with panels 0.75 wide, and its tail.
@@ -258,10 +258,6 @@ def _mass_interp(gamma: float):
     Returns ``(interpolant, eta, tail_coef)``: past 1e12 the mass is
     ``tail_coef * u^-eta``, its coefficient from the converged mass at 1e12.
     """
-    key = round(gamma, 12)
-    if key in _M_INTERPS:
-        return _M_INTERPS[key]
-
     def log_mass(v: np.ndarray) -> np.ndarray:
         return np.log(_mass_knots(gamma, np.exp(v)))
 
@@ -270,9 +266,7 @@ def _mass_interp(gamma: float):
                                  _INTERP_TOL, "mass")
     eta = (gamma + 0.5) / 2.0  # large-time mass decay exponent
     tail_coef = math.exp(at_ends[-1]) * u_hi**eta
-    entry = (interp, eta, tail_coef)
-    _M_INTERPS[key] = entry
-    return entry
+    return interp, eta, tail_coef
 
 
 def _mass_eval(gamma: float, u: np.ndarray) -> np.ndarray:
@@ -304,20 +298,12 @@ def oracle_p(
 ) -> float:
     """Transition density of the subordinate process by time-change mixing."""
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300)
-    (val,) = _p_rows(op, [_p_cell(t, x, y)], spec)
+    _check_cell(t, x, y)
+    dist = x.distance_to(y)
+    (val,) = _p_rows(op, [(t, x.height, y.height, dist * dist)], spec)
     if isinstance(val, NonConvergenceError):
         raise val
     return val
-
-
-def _p_cell(t: float, x: HalfSpacePoint, y: HalfSpacePoint) -> tuple:
-    """The cell ``(t, x height, y height, squared distance)`` of :func:`_p_rows`."""
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
-    if x.height <= 0.0 or y.height <= 0.0:
-        raise ValueError("interior points required")
-    dist = x.distance_to(y)
-    return (t, x.height, y.height, dist * dist)
 
 
 def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> list:
@@ -430,8 +416,8 @@ def oracle_survival(op: OracleParams, xi: float, spec: QuadratureSpec | None = N
     """Survival probability as a function of the boundary-scaled position
     xi = height / t^(1/alpha); scale invariance removes both arguments."""
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
-    if xi <= 0.0:
-        raise ValueError("xi must be > 0")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be finite and > 0, got {xi}")
     a = op.alpha / 2.0
     gamma = op.gamma
     w_left, _, _ = _g_interp(a)
@@ -447,12 +433,12 @@ def oracle_survival(op: OracleParams, xi: float, spec: QuadratureSpec | None = N
     return integrate_panels(f, breaks, spec)
 
 
+# the boundary-scaled positions of the survival fit: 12 points in [1e-3, 3e-2]
+_FIT_XI_LO, _FIT_XI_HI, _FIT_N = 1e-3, 3e-2, 12
+
+
 def fit_survival_exponent(
-    op: OracleParams,
-    xi_lo: float = 1e-3,
-    xi_hi: float = 3e-2,
-    n: int = 12,
-    spec: QuadratureSpec | None = None,
+    op: OracleParams, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
     """Log-log slope of the survival probability deep in the boundary layer.
 
@@ -460,7 +446,7 @@ def fit_survival_exponent(
     reference process's weight is only comparable to the four-parameter
     family, so no identity ties it to the killing-constant inverse.
     """
-    xis = np.geomspace(xi_lo, xi_hi, n)
+    xis = np.geomspace(_FIT_XI_LO, _FIT_XI_HI, _FIT_N)
     surv = np.array([oracle_survival(op, float(v), spec) for v in xis])
     lx = np.log(xis)
     ly = np.log(surv)
@@ -478,7 +464,6 @@ def compare_oracle_vs_estimate(
     ts: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     xs: Optional[Sequence[float]] = None,
     ys: Optional[Sequence[float]] = None,
-    q_fit: Optional[float] = None,
 ) -> tuple[ComparabilityReport, float, float]:
     """Ratio of the exact subordinate density to the closed-form killed
     estimate over a (t, x, y) grid; dim restricted to quadrature reach.
@@ -486,7 +471,7 @@ def compare_oracle_vs_estimate(
     The survival exponent of the estimate is fitted from the oracle's own
     survival probabilities.  Returns (report, q_fit, fit R^2).
     """
-    report, q_fit, r2, _cells = _comparison(op, spec, ts, xs, ys, q_fit)
+    report, q_fit, r2, _cells = _comparison(op, spec, ts, xs, ys)
     return report, q_fit, r2
 
 
@@ -497,6 +482,14 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
     :class:`NonConvergenceError` in place of the oracle value."""
     if op.dim not in (1, 2):
         raise ValueError("full-quadrature comparison supports dim 1 and 2 only")
+    if xs is None:
+        xs = np.geomspace(0.05, 20.0, 20)
+    if ys is None:
+        ys = np.geomspace(0.05, 20.0, 20)
+    for what, v in (("times", ts), ("heights", np.append(xs, ys))):
+        v = np.asarray(v, dtype=float)
+        if not np.all((v > 0.0) & (v < math.inf)):
+            raise ValueError(f"{what} must be finite and > 0")
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
     if q_fit is None:
         q_fit, r2 = fit_survival_exponent(op, spec=spec)
@@ -504,27 +497,26 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
         r2 = 1.0
     g = op.gamma
     params = ModelParams(op.dim, op.alpha, (g + 0.5, g + 0.5, 0.0, 0.0))
-    if xs is None:
-        xs = np.geomspace(0.05, 20.0, 20)
-    if ys is None:
-        ys = np.geomspace(0.05, 20.0, 20)
-    pad = (0.0,) * (op.dim - 1)
-    ytang = (1.0,) + (0.0,) * (op.dim - 2) if op.dim >= 2 else ()
-    grid = []
+    # x sits at tangential 0 and y at tangential (1, 0, ...): the differences
+    # of HalfSpacePoint.distance_to
+    lead = (-1.0,) if op.dim == 2 else ()
+    grid = []  # per cell: t and the heights as given
+    rows = []  # per cell: t, x height, y height, squared distance
     cols = []  # per cell: time scale, x height, y height, distance
     for t in ts:
         u = _time_scale(float(t), op.alpha)
         for xh in xs:
             for yh in ys:
-                xpt = HalfSpacePoint(op.dim, pad, float(xh))
-                ypt = HalfSpacePoint(op.dim, ytang, float(yh))
-                grid.append((t, xh, yh, xpt, ypt))
-                cols.append((u, xh, yh, xpt.distance_to(ypt)))
-    nums = _p_rows(op, [_p_cell(float(t), xpt, ypt) for t, _, _, xpt, ypt in grid], spec)
+                xf, yf = float(xh), float(yh)
+                dist = math.hypot(*lead, xf - yf)
+                grid.append((t, xh, yh))
+                rows.append((float(t), xf, yf, dist * dist))
+                cols.append((u, xf, yf, dist))
+    nums = _p_rows(op, rows, spec)
     est = _hke_cells(params, *np.array(cols, dtype=float).T, q_fit)[3].tolist()
     cells = [
         (t, xh, yh, num, None if isinstance(num, NonConvergenceError) else e)
-        for (t, xh, yh, _, _), num, e in zip(grid, nums, est)
+        for (t, xh, yh), num, e in zip(grid, nums, est)
     ]
     report = ratio_report("oracle_vs_estimate", cells, _cell_ratio, skip_unconverged=True)
     return report, q_fit, r2, cells

@@ -42,10 +42,10 @@ _SERIES_CUT = 30.0
 
 def bessel_I_scaled(gamma: float, r: float) -> float:
     """exp(-r) * I_gamma(r): :func:`bessel_I_scaled_arr` at one point."""
-    if gamma < 0.0:
-        raise ValueError("order must be >= 0")
-    if r < 0.0:
-        raise ValueError("argument must be >= 0")
+    if not gamma >= 0.0:
+        raise ValueError(f"order must be >= 0, got {gamma}")
+    if not r >= 0.0:
+        raise ValueError(f"argument must be >= 0, got {r}")
     return float(bessel_I_scaled_arr(gamma, np.array([r], dtype=float))[0])
 
 
@@ -325,6 +325,8 @@ def stable_one_density_arr(a: float, x: np.ndarray) -> np.ndarray:
 def stable_one_density(a: float, x: float) -> float:
     """Density at x of the standard one-sided a-stable law (unit time):
     :func:`stable_one_density_arr` at one point."""
+    if not -math.inf <= x <= math.inf:
+        raise ValueError(f"x must be a number, got {x}")
     return float(stable_one_density_arr(a, np.array([x], dtype=float))[0])
 
 
@@ -333,7 +335,7 @@ def stable_density(alpha_half: float, t: float, s: float) -> float:
 
     Self-similar scaling reduces everything to the unit-time density.
     """
-    if t <= 0.0 or s <= 0.0:
+    if not (t > 0.0 and s > 0.0):
         raise ValueError("arguments must be positive")
     scale = t ** (-1.0 / alpha_half)
     return scale * stable_one_density(alpha_half, s * scale)

@@ -481,14 +481,22 @@ class TestInputDomains:
         _assert_contract([*base, f"--{flag}={value!r}"])
 
     # the drawn `green --q` runs in d = 1; in d >= 2 a large q overflows the
-    # boundary factor (see the FOUND entry on `green_estimate` in CHANGES.md)
-    @pytest.mark.xfail(
-        strict=True,
-        reason="green_estimate in d >= 2 overflows its boundary factor H for large q",
-    )
+    # boundary factor H, which is a numerical failure
     @pytest.mark.parametrize("q", [1e3, 1e300, 1e308], ids=repr)
     def test_green_large_q_in_two_dimensions(self, q):
-        _assert_contract(["green", "--dim", "2", "--x", "0,1", "--y", "3,0.5", *_MODEL, f"--q={q!r}"])
+        argv = ["green", "--dim", "2", "--x", "0,1", "--y", "3,0.5", *_MODEL, f"--q={q!r}"]
+        _assert_contract(argv)
+        code, _, err = _cli_outcome(argv)
+        assert code == 1 and err == f"numerical failure: boundary factor H overflows at q = {q!r}\n"
+
+    @pytest.mark.parametrize(
+        "flag", ["--gamma=nan", "--gamma=inf", "--x-lo=nan", "--x-lo=inf", "--x-hi=0", "--t-list=nan"]
+    )
+    def test_oracle_domain(self, flag):
+        argv = ["oracle", "--grid-n", "2", "--t-list", "1.0", flag]
+        _assert_contract(argv)
+        code, _, err = _cli_outcome(argv)
+        assert code == 2 and err.count("\n") == 1
 
     def test_map_extent_past_the_tangential_axis(self):
         argv = ["map", *_MODEL, "--grid-n", "3", "--extent=1e308"]

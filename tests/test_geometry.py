@@ -172,6 +172,18 @@ class TestEvalA:
     def test_zero_exponents(self):
         assert eval_A((0, 0, 0, 0), 3.0, pt(0.1), pt(5.0), 1.3) == 1.0
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0, -math.inf])
+    def test_time_domain(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            eval_A((1, 1, 0, 0), t, pt(0.1), pt(5.0), 1.3)
+
+    def test_coincident_points(self):
+        # the limit where every ratio clamps at t > 0; undefined at t = 0
+        x = pt(1.0, 2.0)
+        assert eval_A((1, 1, 1, 1), 0.5, x, x, 1.3) == math.log(E + 1.0) ** 2
+        with pytest.raises(ValueError, match="coincident"):
+            eval_A((1, 1, 1, 1), 0.0, x, x, 1.3)
+
     def test_boundary_pair_with_time(self):
         # heights 0 at distance 4, unit time scale: clamp gives 1/4
         x = pt(0.0, 0.0)
@@ -244,6 +256,9 @@ class TestKernels:
         assert survival_factor(0.0, 1.0, 4.0, 0.0) == 1.0
         assert survival_factor(3.0, 0.5, 2.0, 100.0) == 1.0
         assert survival_factor(2.0, 1.0, 4.0, 1.0) == (0.25) ** 2
+        for h in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="h must be >= 0"):
+                survival_factor(1.0, 1.0, 4.0, h)
 
 
 class TestModelParams:

@@ -6,6 +6,7 @@ import pytest
 from dkl.geometry import ModelParams
 from dkl.green import (
     GreenDivergenceError,
+    GreenRangeError,
     eval_Hq,
     green_by_time_integration,
     green_estimate,
@@ -34,6 +35,13 @@ class TestEvalHq:
         dist = x.distance_to(y)
         expect = (1.0 / dist) ** (2 * 0.5 + 2 - 2 * q)
         assert eval_Hq(p, q, x, y) == pytest.approx(expect, rel=1e-14)
+
+
+    @pytest.mark.parametrize("q", [1e3, 1e300, 1e308])
+    def test_overflow_is_infinite(self, q):
+        # min(hmax/dist, 1)^(2 alpha + b1 + b2 - 2q) passes the float range
+        p = ModelParams(2, 1.2, (0.5, 2.0, 0.3, 0.0))
+        assert eval_Hq(p, q, pt(0.0, 1.0), pt(3.0, 0.5)) == math.inf
 
 
 class TestGreenFree:
@@ -69,6 +77,12 @@ class TestGreenEstimate:
         p = ModelParams(1, 0.8, (1, 1, 0, 0))
         with pytest.raises(ValueError):
             green_estimate(p, 0.0, pt(1.0), pt(2.0))
+
+    @pytest.mark.parametrize("q", [1e3, 1e300, 1e308])
+    def test_infinite_boundary_factor_raises(self, q):
+        p = ModelParams(2, 1.2, (0.5, 2.0, 0.3, 0.0))
+        with pytest.raises(GreenRangeError, match="boundary factor H overflows"):
+            green_estimate(p, q, pt(0.0, 1.0), pt(3.0, 0.5))
 
     def test_qhat_field(self):
         p = ModelParams(2, 0.7, (1.0, 0.5, 0, 0))

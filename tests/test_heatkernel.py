@@ -9,6 +9,7 @@ import pytest
 from dkl.geometry import (
     HalfSpacePoint,
     ModelParams,
+    eval_A,
     eval_J,
     lift_ed,
     stable_factor,
@@ -377,6 +378,29 @@ class TestOneModelPerCall:
             twojump_ball_integral(self.P, self.OTHER, 0.5, pt(0.2), pt(30.0), SPEC)
         got = twojump_ball_integral(self.P, standard_weight(self.P), 0.5, pt(0.2), pt(30.0), SPEC)
         assert got == pytest.approx(0.0500, rel=1e-2)
+
+
+class TestScalarFactorsShareOneFormula:
+    # survival_factor, eval_A and twojump_ball_integral take the time scale and
+    # the survival profile of hke_closed, and with them its limits where
+    # t^(1/alpha) underflows to 0 or overflows to inf
+    @pytest.mark.parametrize("alpha, t, want", [(0.1, 1e-300, 1.0), (0.5, 1e300, 0.0)])
+    def test_survival_factor_limits(self, alpha, t, want):
+        p = ModelParams(1, alpha, (0.5, 2.0, 0.3, 0.0))
+        bd = hke_closed(p, t, pt(1.0), pt(30.0), q=1.0)
+        assert survival_factor(1.0, alpha, t, 1.0) == bd.survival_x == want
+
+    def test_space_time_weight_past_the_time_scale_overflow(self):
+        # every height clamps at an infinite time scale: all ratios are 1
+        p = ModelParams(1, 0.5, (1.0, 1.0, 0.0, 0.0))
+        x, y = pt(0.5), pt(30.0)
+        got = eval_A(p.beta, 1e300, x, y, p.alpha)
+        assert got == hke_closed(p, 1e300, x, y).one_jump == 1.0
+
+    def test_ball_integral_past_the_time_scale_overflow(self):
+        p = ModelParams(1, 0.5, (0.5, 2.0, 0.3, 0.0))
+        with pytest.raises(ValueError, match=r"requires \|x-y\| > 6 t\^\(1/alpha\)"):
+            twojump_ball_integral(p, standard_weight(p), 1e300, pt(0.5), pt(30.0), SPEC)
 
 
 class TestInputDomains:

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 import dkl.quadrature as quadrature
-from dkl.geometry import eval_B
+from dkl.geometry import HalfSpacePoint, ModelParams, eval_B
+from dkl.heatkernel import hke_closed
 from dkl.oracle import (
     OracleParams,
     _comparison,
@@ -91,11 +92,49 @@ class TestKilledBmDensity:
             ratios.append(num / prof)
         assert 0.0 < min(ratios) and max(ratios) / min(ratios) < 30.0
 
-    def test_log_form(self):
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_time_domain(self, t):
         op = OracleParams(0.5, 1, 1.0)
-        v = killed_bm_density(op, 0.5, pt(1.0), pt(2.0))
-        lv = killed_bm_density(op, 0.5, pt(1.0), pt(2.0), log=True)
-        assert lv == pytest.approx(math.log(v), rel=1e-12)
+        for call in (killed_bm_density, oracle_p):
+            with pytest.raises(ValueError, match="t must be finite and > 0"):
+                call(op, t, pt(1.0), pt(2.0))
+
+
+class TestInputDomains:
+    # NaN fails every guard, each written as the negation of its valid domain
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_order(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            OracleParams(gamma, 1, 1.0)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0])
+    def test_survival_position(self, xi, recwarn):
+        with pytest.raises(ValueError, match="xi must be finite and > 0"):
+            oracle_survival(OracleParams(0.5, 1, 1.0), xi)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_comparison_grid(self, bad):
+        op = OracleParams(0.5, 1, 1.0)
+        with pytest.raises(ValueError, match="times must be finite and > 0"):
+            _comparison(op, SPEC, (1.0, bad), (1.0,), (2.0,), q_fit=1.0)
+        for xs, ys in [((1.0, bad), (2.0,)), ((1.0,), (bad, 2.0))]:
+            with pytest.raises(ValueError, match="heights must be finite and > 0"):
+                _comparison(op, SPEC, (1.0,), xs, ys, q_fit=1.0)
+
+    def test_comparison_distances_match_the_points(self):
+        # the cells' distances come from the heights as HalfSpacePoint.distance_to
+        # gives them: the estimate column matches hke_closed at the points
+        for dim in (1, 2):
+            op = OracleParams(0.5, dim, 1.0)
+            params = ModelParams(dim, 1.0, (1.0, 1.0, 0.0, 0.0))
+            xs, ys = (0.3, 2.0), (0.7, 5.0)
+            _, _, _, cells = _comparison(op, SPEC, (0.5,), xs, ys, q_fit=1.0)
+            for t, xh, yh, _num, est in cells:
+                x = HalfSpacePoint(dim, (0.0,) * (dim - 1), xh)
+                y = HalfSpacePoint(dim, (1.0,) * (dim - 1), yh)
+                want = hke_closed(params, t, x, y, q=1.0).killed_value
+                assert est == pytest.approx(want, rel=1e-14)
 
 
 class TestOracleP:

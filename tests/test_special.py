@@ -287,6 +287,17 @@ class TestStableDensityArray:
         # without the disagreeing element the call goes through
         stable_one_density_arr(a, x[x != target])
 
+    def test_nan_argument(self):
+        # NaN fails the argument guards before any series runs
+        with pytest.raises(ValueError, match="x must be a number"):
+            stable_one_density(0.5, math.nan)
+        with pytest.raises(ValueError, match="argument must be >= 0"):
+            bessel_I_scaled(0.5, math.nan)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            bessel_I_scaled(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            stable_density(0.5, math.nan, 1.0)
+
     @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_index_outside_the_unit_interval(self, a):
         with pytest.raises(ValueError):
