@@ -19,12 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
-from .green import (
-    GreenDivergenceError,
-    GreenRangeError,
-    green_by_time_integration,
-    green_estimate,
-)
+from .green import GreenDivergenceError, GreenRangeError, green_by_time_integration, green_estimate
 from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
 from .killing import _solve_q, scan_shape, solve_q

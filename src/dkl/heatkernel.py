@@ -324,11 +324,8 @@ def hke_unified(
     u = _time_scale(t, params.alpha)
     # the jump kernel between the points lifted by u, at the pair's own
     # distance: lifting both heights by u leaves it unchanged
-    hmin = min(x.height, y.height) + u
-    hmax = max(x.height, y.height) + u
-    bracket = t * (
-        weight_from_heights(params.beta, hmin, hmax, dist) * dist ** -(params.dim + params.alpha)
-    )
+    one, _ = _bracket_terms(params, Regime.ONE_JUMP, u, x, y, dist)
+    bracket = t * (one * dist ** -(params.dim + params.alpha))
     cap = stable_profile(params.dim, params.alpha, u, 0.0)
     # the two-jump term is >= 0: once the one-jump term reaches the cap it
     # cannot move the value

@@ -22,6 +22,7 @@ from .geometry import (
     eval_A,
     eval_B,
     lift_ed,
+    weight_from_heights,
     weight_from_heights_arr,
 )
 from .quadrature import (
@@ -180,15 +181,11 @@ def _sample_kill_log_2(rng) -> dict:
 
 
 def _eval_kill_log_2(p, spec):
-    b1, _, b3, _ = p["b"]
     u = p["tsc"]
     dist = p["x"].distance_to(p["y"])
     lhs = eval_A(p["b"], p["t"], p["x"], p["y"], p["alpha"], tscale=u)
-    xu = max(p["x"].height, u)
-    yu = max(p["y"].height, u)
-    rhs = min(xu / dist, 1.0) ** b1
-    if b3 > 0.0:
-        rhs *= math.log(_E + min(yu, dist) / min(xu, dist)) ** b3
+    # the same weight (b1, 0, b3, 0) with x's clamped height in the first slot
+    rhs = weight_from_heights(p["b"], max(p["x"].height, u), max(p["y"].height, u), dist)
     return None, lhs / rhs
 
 

@@ -93,9 +93,7 @@ def _q_kernel_arr(gamma: float, d: int, s: np.ndarray, xd, yd, dist2) -> np.ndar
     return out
 
 
-def killed_bm_density(
-    op: OracleParams, t: float, x: HalfSpacePoint, y: HalfSpacePoint
-) -> float:
+def killed_bm_density(op: OracleParams, t: float, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """Transition density of the killed Brownian motion before subordination."""
     _check_cell(t, x, y)
     dist = x.distance_to(y)
@@ -117,6 +115,7 @@ def _check_cell(t: float, x: HalfSpacePoint, y: HalfSpacePoint) -> None:
 
 # largest error an interpolant allows at a panel end
 _INTERP_TOL = 1e-9
+
 
 def _cached_by_rounded(f):
     """Cache ``f`` per argument rounded to 12 digits, and call it at the rounded value."""
@@ -433,8 +432,8 @@ def oracle_survival(op: OracleParams, xi: float, spec: QuadratureSpec | None = N
     return integrate_panels(f, breaks, spec)
 
 
-# the boundary-scaled positions of the survival fit: 12 points in [1e-3, 3e-2]
-_FIT_XI_LO, _FIT_XI_HI, _FIT_N = 1e-3, 3e-2, 12
+# the boundary-scaled positions of the survival fit
+_FIT_XIS = np.geomspace(1e-3, 3e-2, 12)
 
 
 def fit_survival_exponent(
@@ -446,9 +445,8 @@ def fit_survival_exponent(
     reference process's weight is only comparable to the four-parameter
     family, so no identity ties it to the killing-constant inverse.
     """
-    xis = np.geomspace(_FIT_XI_LO, _FIT_XI_HI, _FIT_N)
-    surv = np.array([oracle_survival(op, float(v), spec) for v in xis])
-    lx = np.log(xis)
+    surv = np.array([oracle_survival(op, float(v), spec) for v in _FIT_XIS])
+    lx = np.log(_FIT_XIS)
     ly = np.log(surv)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
@@ -478,7 +476,7 @@ def compare_oracle_vs_estimate(
 def _comparison(op, spec, ts, xs, ys, q_fit=None):
     """:func:`compare_oracle_vs_estimate` plus its cells, each
     ``(t, x height, y height, oracle, estimate)`` with t and the heights as
-    given; a cell whose oracle density did not converge holds the
+    floats; a cell whose oracle density did not converge holds the
     :class:`NonConvergenceError` in place of the oracle value."""
     if op.dim not in (1, 2):
         raise ValueError("full-quadrature comparison supports dim 1 and 2 only")
@@ -500,7 +498,6 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
     # x sits at tangential 0 and y at tangential (1, 0, ...): the differences
     # of HalfSpacePoint.distance_to
     lead = (-1.0,) if op.dim == 2 else ()
-    grid = []  # per cell: t and the heights as given
     rows = []  # per cell: t, x height, y height, squared distance
     cols = []  # per cell: time scale, x height, y height, distance
     for t in ts:
@@ -509,14 +506,13 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
             for yh in ys:
                 xf, yf = float(xh), float(yh)
                 dist = math.hypot(*lead, xf - yf)
-                grid.append((t, xh, yh))
                 rows.append((float(t), xf, yf, dist * dist))
                 cols.append((u, xf, yf, dist))
     nums = _p_rows(op, rows, spec)
     est = _hke_cells(params, *np.array(cols, dtype=float).T, q_fit)[3].tolist()
     cells = [
         (t, xh, yh, num, None if isinstance(num, NonConvergenceError) else e)
-        for (t, xh, yh), num, e in zip(grid, nums, est)
+        for (t, xh, yh, _), num, e in zip(rows, nums, est)
     ]
     report = ratio_report("oracle_vs_estimate", cells, _cell_ratio, skip_unconverged=True)
     return report, q_fit, r2, cells
