@@ -36,7 +36,6 @@ class TestEvalHq:
         expect = (1.0 / dist) ** (2 * 0.5 + 2 - 2 * q)
         assert eval_Hq(p, q, x, y) == pytest.approx(expect, rel=1e-14)
 
-
     @pytest.mark.parametrize("q", [1e3, 1e300, 1e308])
     def test_overflow_is_infinite(self, q):
         # min(hmax/dist, 1)^(2 alpha + b1 + b2 - 2q) passes the float range
