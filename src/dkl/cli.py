@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: solve-q, c-shape, hke, map, green, green-integrate, oracle,
-check.  Flags may come from a `key = value` config file (# comments); any
-flag given on the command line overrides the file.  All output is CSV with
-a header row, 17 significant digits, and `inf` spelled literally, so
-identical invocations are byte-identical.  Exit codes: 0 success, 1
-numerical failure, 2 usage error.
+check.  Each takes only the flags it reads (``_SUBCOMMANDS``).  Flags may
+come from a `key = value` config file (# comments) whose keys are the same
+names; any flag given on the command line overrides the file.  All output
+is CSV with a header row, 17 significant digits, and `inf` spelled
+literally, so identical invocations are byte-identical.  Exit codes: 0
+success, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -20,57 +22,34 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
 from .green import GreenDivergenceError, GreenRangeError, green_by_time_integration, green_estimate
-from .heatkernel import Regime, detect_regime, dominance_map, hke_closed
+from .heatkernel import EstimateBreakdown, Regime, detect_regime, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
 from .killing import _solve_q, scan_shape, solve_q
 from .oracle import OracleParams, _cell_ratio, _comparison
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .util import csv_text, fmt, parse_config_file
 
-_COMMON = {
-    "alpha": (float, 1.0),
-    "beta": (str, "0,0,0,0"),
-    "kappa": (float, 0.0),
-    "dim": (int, 1),
-    "seed": (int, 0),
-    "budget": (int, 1000),
-    "tol": (float, 1e-9),
-    "out": (str, None),
-    "config": (str, None),
-}
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    for name, (typ, _default) in _COMMON.items():
-        sub.add_argument(f"--{name}", type=typ, default=None)
-
-
-def _resolve(args: argparse.Namespace, extra_defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = {k: d for k, (_t, d) in _COMMON.items()}
-    merged.update(extra_defaults)
+def _resolve(args: argparse.Namespace, flags: dict) -> dict:
+    """defaults < config file < explicit flags; a file value takes the type
+    of its flag."""
+    cfg = {key: default for key, (_typ, default) in flags.items()}
     if args.config:
-        file_vals = parse_config_file(args.config)
-        for key, raw in file_vals.items():
+        for key, raw in parse_config_file(args.config).items():
             key = key.replace("-", "_")
-            if key not in merged:
+            if key not in flags:
                 raise ValueError(f"unknown config key: {key}")
-            cur = merged[key]
-            if key in _COMMON:
-                typ = _COMMON[key][0]
-            else:
-                typ = type(cur) if cur is not None else str
-            merged[key] = typ(raw)
-    for key in merged:
-        val = getattr(args, key, None)
+            cfg[key] = flags[key][0](raw)
+    for key in flags:
+        val = getattr(args, key)
         if val is not None:
-            merged[key] = val
-    return merged
+            cfg[key] = val
+    return cfg
 
 
 def _params(cfg: dict) -> ModelParams:
     beta = tuple(float(v) for v in str(cfg["beta"]).split(","))
-    return ModelParams(int(cfg["dim"]), float(cfg["alpha"]), beta, float(cfg["kappa"]))
+    return ModelParams(int(cfg["dim"]), float(cfg["alpha"]), beta, float(cfg.get("kappa", 0.0)))
 
 
 def _spec(cfg: dict) -> QuadratureSpec:
@@ -101,7 +80,7 @@ def _grid_n(cfg: dict) -> int:
 
 
 def _q_for(cfg: dict, params: ModelParams, spec: QuadratureSpec) -> float:
-    if cfg.get("q") is not None:
+    if cfg["q"] is not None:
         return float(cfg["q"])
     return solve_q(params, spec)
 
@@ -137,29 +116,8 @@ def cmd_hke(cfg: dict) -> int:
     y = _point(cfg["y"], params.dim)
     q = _q_for(cfg, params, spec)
     bd = hke_closed(params, float(cfg["t"]), x, y, q=q)
-    header = [
-        "regime",
-        "stable",
-        "one_jump",
-        "two_jump",
-        "survival_x",
-        "survival_y",
-        "free_value",
-        "killed_value",
-    ]
-    _emit(
-        cfg,
-        csv_text(header, [[
-            bd.regime.value,
-            bd.stable,
-            bd.one_jump,
-            bd.two_jump,
-            bd.survival_x,
-            bd.survival_y,
-            bd.free_value,
-            bd.killed_value,
-        ]]),
-    )
+    header = [f.name for f in dataclasses.fields(EstimateBreakdown)]
+    _emit(cfg, csv_text(header, [[bd.regime.value, *(getattr(bd, f) for f in header[1:])]]))
     return 0
 
 
@@ -198,38 +156,17 @@ def cmd_map(cfg: dict) -> int:
     return 0
 
 
-def _green_common(cfg: dict, integrate: bool) -> int:
+def cmd_green(cfg: dict, estimate=green_estimate) -> int:
     params = _params(cfg)
     spec = _spec(cfg)
     x = _point(cfg["x"], params.dim)
     y = _point(cfg["y"], params.dim)
     q = _q_for(cfg, params, spec)
-    if integrate:
-        gb = green_by_time_integration(params, q, x, y)
-    else:
-        gb = green_estimate(params, q, x, y)
+    gb = estimate(params, q, x, y)
     header = ["q", "value", "q_hat", "case_tag", "h_factor", "small_time", "large_time"]
-    _emit(
-        cfg,
-        csv_text(header, [[
-            q,
-            gb.value,
-            gb.q_hat,
-            gb.case_tag,
-            gb.H_factor if gb.H_factor is not None else "",
-            gb.small_time if gb.small_time is not None else "",
-            gb.large_time if gb.large_time is not None else "",
-        ]]),
-    )
+    row = [q, gb.value, gb.q_hat, gb.case_tag, gb.H_factor, gb.small_time, gb.large_time]
+    _emit(cfg, csv_text(header, [["" if v is None else v for v in row]]))
     return 0
-
-
-def cmd_green(cfg: dict) -> int:
-    return _green_common(cfg, integrate=False)
-
-
-def cmd_green_integrate(cfg: dict) -> int:
-    return _green_common(cfg, integrate=True)
 
 
 def cmd_oracle(cfg: dict) -> int:
@@ -265,17 +202,9 @@ def cmd_check(cfg: dict) -> int:
     all_pass = True
     for lid in ids:
         rep = check(lid, sampler_seed=int(cfg["seed"]), budget=int(cfg["budget"]), spec=spec)
-        rows.append(
-            [
-                lid,
-                rep.samples,
-                rep.excluded,
-                rep.min_ratio,
-                rep.max_ratio,
-                rep.ceiling if rep.ceiling is not None else "",
-                int(rep.passed),
-            ]
-        )
+        ceiling = "" if rep.ceiling is None else rep.ceiling
+        rows.append([lid, rep.samples, rep.excluded, rep.min_ratio, rep.max_ratio, ceiling,
+                     int(rep.passed)])
         all_pass = all_pass and rep.passed
     _emit(
         cfg,
@@ -285,18 +214,33 @@ def cmd_check(cfg: dict) -> int:
     return 0 if all_pass else 1
 
 
+# flag groups, key -> (type, default); a flag spells its key with hyphens
+_MODEL = {"alpha": (float, 1.0), "beta": (str, "0,0,0,0"), "kappa": (float, 0.0), "dim": (int, 1)}
+_KERNEL = {k: v for k, v in _MODEL.items() if k != "kappa"}  # what reads no killing rate
+_TOL = {"tol": (float, 1e-9)}
+_OUTPUT = {"out": (str, None), "config": (str, None)}
+_PAIR = {"x": (str, "1"), "y": (str, "2"), "q": (str, None)}  # q solved from kappa if absent
+
+# each command with the flags, and config-file keys, it reads
 _SUBCOMMANDS = {
-    "solve-q": (cmd_solve_q, {}),
-    "c-shape": (cmd_c_shape, {"grid_size": 64}),
-    "hke": (cmd_hke, {"t": 1.0, "x": "1", "y": "2", "q": None}),
-    "map": (cmd_map, {"t": 0.001, "x": "1", "grid_n": 16, "extent": 2.0}),
-    "green": (cmd_green, {"x": "1", "y": "2", "q": None}),
-    "green-integrate": (cmd_green_integrate, {"x": "1", "y": "2", "q": None}),
+    "solve-q": (cmd_solve_q, {**_MODEL, **_TOL, **_OUTPUT}),
+    "c-shape": (cmd_c_shape, {**_KERNEL, **_TOL, **_OUTPUT, "grid_size": (int, 64)}),
+    "hke": (cmd_hke, {**_MODEL, **_TOL, **_OUTPUT, "t": (float, 1.0), **_PAIR}),
+    "map": (cmd_map, {**_KERNEL, **_OUTPUT, "t": (float, 0.001), "x": (str, "1"),
+                      "grid_n": (int, 16), "extent": (float, 2.0)}),
+    "green": (cmd_green, {**_MODEL, **_TOL, **_OUTPUT, **_PAIR}),
+    "green-integrate": (
+        functools.partial(cmd_green, estimate=green_by_time_integration),
+        {**_MODEL, **_TOL, **_OUTPUT, **_PAIR},
+    ),
     "oracle": (
         cmd_oracle,
-        {"gamma": 0.5, "t_list": "0.25,1.0,4.0", "grid_n": 8, "x_lo": 0.05, "x_hi": 20.0},
+        {"alpha": _MODEL["alpha"], "dim": _MODEL["dim"], **_TOL, **_OUTPUT,
+         "gamma": (float, 0.5), "t_list": (str, "0.25,1.0,4.0"), "grid_n": (int, 8),
+         "x_lo": (float, 0.05), "x_hi": (float, 20.0)},
     ),
-    "check": (cmd_check, {"lemma": "all"}),
+    "check": (cmd_check, {"seed": (int, 0), "budget": (int, 1000), **_TOL, **_OUTPUT,
+                          "lemma": (str, "all")}),
 }
 
 
@@ -307,13 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, extra) in _SUBCOMMANDS.items():
+    for name, (_fn, flags) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, allow_abbrev=False)
-        _add_common(sub)
-        for key, default in extra.items():
-            flag = "--" + key.replace("_", "-")
-            typ = type(default) if default is not None else str
-            sub.add_argument(flag, type=typ, default=None)
+        for key, (typ, _default) in flags.items():
+            sub.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
     return parser
 
 
@@ -326,9 +267,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    fn, extra = _SUBCOMMANDS[args.command]
+    fn, flags = _SUBCOMMANDS[args.command]
     try:
-        cfg = _resolve(args, dict(extra))
+        cfg = _resolve(args, flags)
         return fn(cfg)
     except (NonConvergenceError, GreenDivergenceError, GreenRangeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -37,7 +37,7 @@ class GreenDivergenceError(ValueError):
 
 
 class GreenRangeError(ArithmeticError):
-    """A factor of the closed-form estimate leaves the float range."""
+    """A factor of a Green estimate leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,14 @@ def eval_Hq(params: ModelParams, q: float, x: HalfSpacePoint, y: HalfSpacePoint)
     return power * (log_term**b4 if b4 > 0.0 else 1.0)
 
 
+def _finite_Hq(params: ModelParams, q: float, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+    """:func:`eval_Hq`, raising :class:`GreenRangeError` where it overflows."""
+    h = eval_Hq(params, q, x, y)
+    if not h < math.inf:
+        raise GreenRangeError(f"boundary factor H overflows at q = {q}")
+    return h
+
+
 def green_free(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """Free-kernel Green value: the Riesz profile when dim > alpha, else inf."""
     dist = x.distance_to(y)
@@ -122,9 +130,7 @@ def green_estimate(
     d = params.dim
     q_hat = _qhat(params, q)
     if d >= 2:
-        h = eval_Hq(params, q, x, y)
-        if not h < math.inf:
-            raise GreenRangeError(f"boundary factor H overflows at q = {q}")
+        h = _finite_Hq(params, q, x, y)
         hmin = min(x.height, y.height)
         hmax = max(x.height, y.height)
         value = (
@@ -175,8 +181,19 @@ def _large_time_exact(d: int, alpha: float, q: float, a: float, b: float) -> flo
     ta = max(1.0, a)
     tb = max(1.0, b)
     total = _power_int(1.0, ta, e0)
-    total += a**q * _power_int(ta, tb, e0 - q)
-    total += a**q * b**q * _power_int(tb, math.inf, e0 - 2.0 * q)
+    try:
+        mid = a**q * _power_int(ta, tb, e0 - q)
+        tail = a**q * b**q * _power_int(tb, math.inf, e0 - 2.0 * q)
+    except OverflowError:
+        mid = tail = math.inf
+    if not math.isfinite(mid + tail):
+        # a^q or b^q overflows: the same two terms with each power of a and
+        # b taken over the breakpoint it sits at, every ratio at most 1
+        e = e0 + 1.0
+        mid = ((a / tb) ** q * tb**e - (a / ta) ** q * ta**e) / (e - q)
+        tail = (a / tb) ** q * (b / tb) ** q * tb**e / (2.0 * q - e)
+    total += mid
+    total += tail
     return alpha * total
 
 
@@ -234,7 +251,7 @@ def green_by_time_integration(
         value=dist ** (alpha - d) * (small + large),
         q_hat=q_hat,
         case_tag=_branch_tag(q, q_hat),
-        H_factor=eval_Hq(params, q, x, y) if d >= 2 else None,
+        H_factor=_finite_Hq(params, q, x, y) if d >= 2 else None,
         small_time=small,
         large_time=large,
     )

@@ -881,6 +881,8 @@ def check(
     Deterministic in (lemma_id, sampler_seed, budget, spec); see
     :func:`lemma_sweeps` for the samples.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     entries = lemma_sweeps(sampler_seed, spec)
     if lemma_id not in entries:
         raise KeyError(f"unknown lemma id: {lemma_id}")

@@ -51,6 +51,12 @@ __all__ = [
 ]
 
 
+# largest Bessel order: the killed-BM mass at u = 1e12, where its
+# interpolant ends, falls about 7 decades per unit of gamma and leaves the
+# normal floats near gamma = 43
+_GAMMA_MAX = 40.0
+
+
 @dataclass(frozen=True)
 class OracleParams:
     """Bessel order, dimension, and stability index of the reference process."""
@@ -62,6 +68,8 @@ class OracleParams:
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if self.gamma > _GAMMA_MAX:
+            raise ValueError(f"gamma must be <= {_GAMMA_MAX:g}, got {self.gamma}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not (0.0 < self.alpha < 2.0):
@@ -316,10 +324,14 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
     w_left, _, _ = _g_interp(a)
     tsc, rows = [], []
     for t, xd, yd, dist2 in cells:
-        ts = t ** (1.0 / a)
+        ts = _time_scale(t, a)
         s_lo = max(w_left * ts * 0.9, dist2 / 2800.0, 1e-300)
         scale = max(dist2, xd * yd, ts)
         s_hi = scale * 1e10
+        if not (ts > 0.0 and s_hi / s_lo < math.inf):
+            raise ValueError(
+                f"the time change at t = {t}, heights {xd}, {yd} spans more than the float range"
+            )
         inner = [v for v in (dist2, xd * yd, ts) if s_lo < v < s_hi]
         tsc.append(ts)
         rows.append(merge_breaks(geometric_breaks(s_lo, s_hi, 2.0), inner, s_lo, s_hi))
@@ -520,7 +532,9 @@ def _comparison(op, spec, ts, xs, ys, q_fit=None):
 
 def _cell_ratio(cell) -> float:
     """Oracle over estimate in one comparison cell; raises the cell's error."""
-    _t, _x, _y, num, den = cell
+    t, x, y, num, den = cell
     if isinstance(num, NonConvergenceError):
         raise num
+    if den == 0.0:
+        raise ValueError(f"the estimate underflows to 0 at t = {t}, heights {x}, {y}")
     return num / den

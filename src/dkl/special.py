@@ -49,19 +49,11 @@ def bessel_I_scaled(gamma: float, r: float) -> float:
     return float(bessel_I_scaled_arr(gamma, np.array([r], dtype=float))[0])
 
 
-def bessel_I(gamma: float, r: float, log: bool = False) -> float:
-    """I_gamma(r): ascending series up to the switch radius, asymptotics beyond.
-
-    ``log=True`` returns log(I_gamma(r)), usable far past the overflow point
-    of the plain value.
-    """
+def bessel_I(gamma: float, r: float) -> float:
+    """I_gamma(r): ascending series up to the switch radius, asymptotics beyond."""
     scaled = bessel_I_scaled(gamma, r)
-    if log:
-        if scaled == 0.0:
-            return -math.inf
-        return r + math.log(scaled)
     if r > 700.0:
-        return math.inf  # plain value overflows; callers should ask for log
+        return math.inf  # the plain value overflows; bessel_I_scaled does not
     return scaled * math.exp(r)
 
 
@@ -132,11 +124,13 @@ def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
 
     For large z the direct form cancels to noise, so the asymptotic tail
     series (whose leading term is (4 gamma^2 - 1)/(8 z)) is summed instead;
-    the neglected exponentially small part is below e^(-2z).
+    the neglected exponentially small part is below e^(-2z).  The series
+    starts at z = gamma^2 once that is past 40: below it the terms grow
+    before they fall, and the value is far from 0, so the direct form holds.
     """
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    small = z < 40.0
+    small = z < max(40.0, gamma * gamma)
     if np.any(small):
         zs = z[small]
         out[small] = 1.0 - np.sqrt(2.0 * math.pi * zs) * bessel_I_scaled_arr(gamma, zs)

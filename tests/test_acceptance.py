@@ -402,11 +402,10 @@ def test_criterion_13_determinism(tmp_path):
         "map": [
             "map", "--alpha", "0.5", "--beta", "0.5,2,0,0", "--dim", "2",
             "--t", "0.01", "--x", "0,1", "--grid-n", "6", "--extent", "2",
-            "--seed", "5",
         ],
         "oracle": [
             "oracle", "--gamma", "0.5", "--alpha", "1.0", "--dim", "1",
-            "--grid-n", "4", "--t-list", "0.5,2.0", "--seed", "5",
+            "--grid-n", "4", "--t-list", "0.5,2.0",
         ],
         "check": ["check", "--lemma", "all", "--budget", "25", "--seed", "5"],
     }

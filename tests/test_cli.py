@@ -387,6 +387,56 @@ class TestParserBuiltOnce:
         assert "unrecognized arguments: --extent 3" in capsys.readouterr().err
 
 
+class TestFlagSets:
+    # the flags each command reads; any other is a usage error
+    FLAGS = {
+        "solve-q": {"alpha", "beta", "kappa", "dim", "tol", "out", "config"},
+        "c-shape": {"alpha", "beta", "dim", "tol", "out", "config", "grid-size"},
+        "hke": {"alpha", "beta", "kappa", "dim", "tol", "out", "config", "t", "x", "y", "q"},
+        "map": {"alpha", "beta", "dim", "out", "config", "t", "x", "grid-n", "extent"},
+        "green": {"alpha", "beta", "kappa", "dim", "tol", "out", "config", "x", "y", "q"},
+        "green-integrate": {"alpha", "beta", "kappa", "dim", "tol", "out", "config", "x", "y",
+                            "q"},
+        "oracle": {"alpha", "dim", "tol", "out", "config", "gamma", "t-list", "grid-n", "x-lo",
+                   "x-hi"},
+        "check": {"lemma", "seed", "budget", "tol", "out", "config"},
+    }
+
+    def test_each_command_registers_its_flags(self):
+        subs = next(a for a in dkl.cli.build_parser()._actions
+                    if isinstance(a.choices, dict)).choices
+        got = {
+            name: {o[2:] for a in sub._actions for o in a.option_strings if o != "-h"} - {"help"}
+            for name, sub in subs.items()
+        }
+        assert got == self.FLAGS
+        assert sum(map(len, got.values())) == 70
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--grid-n", "2", "--t-list", "1", "--beta", "nonsense"],
+            ["check", "--lemma", "cal_3", "--budget", "5", "--alpha", "7"],
+            ["map", "--alpha", "0.5", "--beta", "0,1.5,0,0", "--seed", "3"],
+            ["map", "--alpha", "0.5", "--beta", "0,1.5,0,0", "--tol", "1e-6"],
+            ["c-shape", "--grid-size", "8", "--kappa", "0.5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("alpha = 0.5\nbeta = 0,1.5,0,0\nseed = 3\n")
+        assert main(["map", "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: unknown config key: seed\n")
+
+
 class TestNoAbbreviations:
     def test_prefix_of_a_flag_is_a_usage_error(self, capsys):
         # --t is a flag of hke; given to green it must not abbreviate --tol
@@ -436,8 +486,19 @@ _DRAWN = [
     (["map", "--dim", "2", "--x", "0,1", *_MODEL, "--grid-n", "3"], "extent"),
     (["green", *_MODEL], "q"),
     (["solve-q", *_MODEL, "--kappa", "0.7"], "tol"),
+    (["oracle", "--grid-n", "2"], "t-list"),
+    (["oracle", "--grid-n", "2", "--t-list", "1.0"], "x-lo"),
+    (["oracle", "--grid-n", "2", "--t-list", "1.0"], "x-hi"),
+    (["oracle", "--grid-n", "2", "--t-list", "1.0"], "gamma"),
+    (["green-integrate", *_MODEL], "q"),
+    (["green-integrate", "--dim", "2", "--x", "0,1", "--y", "3,0.5", *_MODEL], "q"),
 ]
 _EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308]
+# integer flags, drawn from a few values each so no case starts a large sweep
+_DRAWN_INTEGERS = [
+    *(["check", "--lemma", "all", f"--budget={n}"] for n in (-5, 0, 1)),
+    *(["c-shape", *_MODEL, f"--grid-size={n}"] for n in (-1, 0, 7, 8)),
+]
 
 
 def _cli_outcome(argv):
@@ -475,10 +536,15 @@ class TestInputDomains:
         _assert_contract([*base, f"--{flag}={value!r}"])
 
     @given(st.sampled_from(_DRAWN), st.floats())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_any_float(self, case, value):
         base, flag = case
         _assert_contract([*base, f"--{flag}={value!r}"])
+
+    @given(st.sampled_from(_DRAWN_INTEGERS))
+    @settings(max_examples=20, deadline=None)
+    def test_small_integers(self, argv):
+        _assert_contract(argv)
 
     # the drawn `green --q` runs in d = 1; in d >= 2 a large q overflows the
     # boundary factor H, which is a numerical failure

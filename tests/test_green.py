@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from dkl.geometry import ModelParams
 from dkl.green import (
     GreenDivergenceError,
     GreenRangeError,
+    _large_time_exact,
     eval_Hq,
     green_by_time_integration,
     green_estimate,
@@ -170,6 +172,24 @@ class TestGreenByTimeIntegration:
                 assert green_by_time_integration(p, q, x, y) == green_by_time_integration(
                     p, q, y, x
                 )
+
+    @pytest.mark.parametrize("q", [1023.0, 1024.0, 1e10])
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (1000.0, 1001.0)])
+    def test_large_time_past_the_power_overflow(self, a, b, q):
+        # from q = 1024 on b^q, or the product a^q b^q, overflows; the
+        # reference integrates the clamped power with mpmath, the layers of
+        # width a/q and b/q past the clamp ends split off
+        with mp.workdps(40):
+            e0, mq = mp.mpf(1.2) - 2, mp.mpf(q)
+            pts = sorted({mp.mpf(1), mp.inf, *(max(h, 1.0) * (1 + k / mq) for h in (a, b)
+                                               for k in (0, 1, 30))})
+            ref = 1.2 * mp.quad(lambda t: t**e0 * min(1, a / t) ** q * min(1, b / t) ** q, pts)
+        assert _large_time_exact(1, 1.2, q, a, b) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_boundary_factor_overflow_raises(self):
+        p = ModelParams(2, 1.2, (0.5, 2.0, 0.3, 0.0))
+        with pytest.raises(GreenRangeError, match="boundary factor H overflows at q = 322"):
+            green_by_time_integration(p, 322.0, pt(0.0, 1.0), pt(3.0, 0.5))
 
     def test_divergent_tail_raises(self):
         p = ModelParams(1, 1.5, (0, 0, 0, 0))

@@ -52,6 +52,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             check("no_such_lemma", 0, 10, SPEC)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            check("cal_3", 0, budget, SPEC)
+
 
 class TestFrozenCeilings:
     @pytest.mark.parametrize("lemma_id", lemma_ids())

@@ -107,6 +107,22 @@ class TestInputDomains:
         with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
             OracleParams(gamma, 1, 1.0)
 
+    def test_order_past_the_mass_range(self):
+        OracleParams(40.0, 1, 1.0)
+        with pytest.raises(ValueError, match="gamma must be <= 40, got 40.5"):
+            OracleParams(40.5, 1, 1.0)
+
+    @pytest.mark.parametrize("t", [1e-200, 1e300])
+    def test_time_change_past_the_float_range(self, t, recwarn):
+        op = OracleParams(0.5, 1, 1.0)
+        with pytest.raises(ValueError, match="time change at t = .* spans more than the float range"):
+            oracle_p(op, t, pt(1.0), pt(1.0))
+        assert not recwarn.list
+
+    def test_estimate_underflow_in_the_comparison(self):
+        with pytest.raises(ValueError, match="the estimate underflows to 0 at t = 1.0"):
+            _comparison(OracleParams(0.5, 1, 1.0), SPEC, (1.0,), (1e-300,), (1e-300,), q_fit=1.0)
+
     @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0])
     def test_survival_position(self, xi, recwarn):
         with pytest.raises(ValueError, match="xi must be finite and > 0"):

@@ -104,11 +104,8 @@ class TestBesselI:
         for v, x in zip(r, got):
             assert x == bessel_I_scaled_arr(g, np.array([v]))[0], v
 
-    def test_log_scaled_value(self):
-        val = bessel_I(0.5, 1500.0, log=True)
-        ref = 1500.0 + math.log(sp.ive(0.5, 1500.0))
-        assert abs(val - ref) < 1e-10
-        assert bessel_I(0.5, 1500.0) == math.inf  # plain value overflows
+    def test_plain_value_overflows(self):
+        assert bessel_I(0.5, 1500.0) == math.inf
 
     def test_two_sided_profile_bound(self):
         # ratio to (1 ^ r)^(g+1/2) r^(-1/2) e^r stays in a fixed band
@@ -126,6 +123,11 @@ class TestBesselI:
             ref = 1.0 - np.sqrt(2.0 * np.pi * z) * sp.ive(g, z)
             mine = one_minus_scaled_I(g, z)
             assert np.max(np.abs(mine - ref)) < 1e-12
+        # past gamma^2 > 40 the direct form runs on to z = gamma^2
+        for g in (9.0, 20.0, 50.0):
+            z = np.geomspace(40.0, 4.0 * g * g, 60)
+            ref = 1.0 - np.sqrt(2.0 * np.pi * z) * sp.ive(g, z)
+            assert np.max(np.abs(one_minus_scaled_I(g, z) - ref)) < 1e-12
         # asymptotic branch: leading term dominates
         big = one_minus_scaled_I(1.5, np.array([1e4]))[0]
         assert big == pytest.approx((4 * 1.5**2 - 1) / (8 * 1e4), rel=1e-3)
