@@ -351,7 +351,16 @@ def _p_rows(op: OracleParams, cells: Sequence[tuple], spec: QuadratureSpec) -> l
         out /= ts
         return out
 
-    return converge_rows(f, rows, spec)
+    # near s = ts the integrand is about ts^(-1 - d/2), which passes the float
+    # range for a tiny time scale (t ~ 1e-101 to 1e-150 at alpha = 1, d = 1)
+    # although the density, about ts^(-d/2), does not
+    try:
+        with np.errstate(over="raise"):
+            return converge_rows(f, rows, spec)
+    except FloatingPointError:
+        raise NonConvergenceError(
+            f"the oracle integrand overflows at t = {min(c[0] for c in cells)!r}"
+        ) from None
 
 
 def oracle_J(

@@ -5,8 +5,11 @@ the scalar :func:`bessel_I_scaled` and :func:`bessel_I` are its
 one-element case.  It switches from the ascending series (all terms
 positive, no cancellation) to the large-argument asymptotic expansion at
 r = max(30, gamma^2 / 8), since the expansion needs r large against
-gamma^2.  Exponentially scaled and log-scaled variants serve
-overflow-free use inside Gaussian products.
+gamma^2.  At gamma = 1/2 the factor is elementary (DLMF 10.49(ii)),
+e^(-r) I_{1/2}(r) = (1 - e^(-2r)) / sqrt(2 pi r), and is taken in that
+closed form; so are the mass defects 1 - sqrt(2 pi z) e^(-z) I_gamma(z)
+of :func:`one_minus_scaled_I` at gamma = 1/2 and 3/2.  The exponentially
+scaled variant serves overflow-free use inside Gaussian products.
 
 The one-sided stable density likewise has one implementation,
 :func:`stable_one_density_arr`, and the scalar :func:`stable_one_density`
@@ -38,6 +41,7 @@ __all__ = [
 ]
 
 _SERIES_CUT = 30.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def bessel_I_scaled(gamma: float, r: float) -> float:
@@ -62,6 +66,10 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
     """Vectorized exp(-r) I_gamma(r); raises :class:`NonConvergenceError`
     where the series overflows or its 600 terms run out."""
     r = np.asarray(r, dtype=float)
+    if gamma == 0.5:
+        # (1 - e^(-2r)) / sqrt(2 pi r), with its limit 0 at r = 0; sqrt(r)
+        # apart, so that 2 pi r neither rounds in the subnormals nor overflows
+        return np.where(r == 0.0, 0.0, -np.expm1(-2.0 * r) / (_SQRT_2PI * np.sqrt(r)))
     out = np.empty_like(r)
     small = r <= max(_SERIES_CUT, gamma * gamma / 8.0)
     if np.any(small):
@@ -75,7 +83,13 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
             ) / math.gamma(gamma + 1.0)
         except OverflowError:
             # Gamma(gamma + 1) overflows from gamma ~ 171 on: take the first term in logs
-            term = np.exp(gamma * np.log(0.5 * rs) - math.lgamma(gamma + 1.0))
+            try:
+                term = np.exp(gamma * np.log(0.5 * rs) - math.lgamma(gamma + 1.0))
+            except OverflowError:
+                # lgamma overflows in turn from gamma ~ 2.5e305 on.  There
+                # gamma^2 / 8 is inf, so every r but NaN is in the series
+                # range, and e^(-r) I_gamma(r) underflows at every finite r
+                return np.where(small, 0.0, math.nan)
         total = term.copy()
         quarter = 0.25 * rs * rs
         # the running prefix views of term, quarter and total
@@ -122,13 +136,22 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
 def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
     """1 - sqrt(2 pi z) e^(-z) I_gamma(z), stable for all z >= 0.
 
-    For large z the direct form cancels to noise, so the asymptotic tail
-    series (whose leading term is (4 gamma^2 - 1)/(8 z)) is summed instead;
-    the neglected exponentially small part is below e^(-2z).  The series
-    starts at z = gamma^2 once that is past 40: below it the terms grow
-    before they fall, and the value is far from 0, so the direct form holds.
+    At gamma = 1/2 it is e^(-2z), and at gamma = 3/2 it is
+    (1 - e^(-2z))/z - e^(-2z) (DLMF 10.49(ii)), which loses at most one bit
+    to cancellation; both are taken in that form at every z.  At other
+    orders, for large z the direct form cancels to noise, so the asymptotic
+    tail series (whose leading term is (4 gamma^2 - 1)/(8 z)) is summed
+    instead; the neglected exponentially small part is below e^(-2z).  The
+    series starts at z = gamma^2 once that is past 40: below it the terms
+    grow before they fall, and the value is far from 0, so the direct form
+    holds.
     """
     z = np.asarray(z, dtype=float)
+    if gamma == 0.5:
+        return np.exp(-2.0 * z)
+    if gamma == 1.5:
+        with np.errstate(invalid="ignore"):  # 0 / 0 at z = 0, where the limit is 1
+            return np.where(z == 0.0, 1.0, -np.expm1(-2.0 * z) / z - np.exp(-2.0 * z))
     out = np.empty_like(z)
     small = z < max(40.0, gamma * gamma)
     if np.any(small):
@@ -140,7 +163,8 @@ def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
         term = np.ones_like(zl)
         total = np.zeros_like(zl)
         for k in range(1, 40):
-            term = term * (-(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / zl
+            term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+            term /= zl
             total += term
         out[~small] = -total
     return out

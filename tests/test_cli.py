@@ -564,6 +564,14 @@ class TestInputDomains:
         code, _, err = _cli_outcome(argv)
         assert code == 2 and err.count("\n") == 1
 
+    def test_oracle_integrand_past_the_float_range(self):
+        # the density at t = 1e-120 is about 1e120, but its integrand near
+        # s = t^2 passes the float range: a numerical failure, with no warning
+        argv = ["oracle", "--grid-n", "2", "--t-list=1e-120"]
+        _assert_contract(argv)
+        code, _, err = _cli_outcome(argv)
+        assert code == 1 and err == "numerical failure: the oracle integrand overflows at t = 1e-120\n"
+
     def test_map_extent_past_the_tangential_axis(self):
         argv = ["map", *_MODEL, "--grid-n", "3", "--extent=1e308"]
         assert _cli_outcome(argv)[0] == 0  # d = 1 lays no tangential axis

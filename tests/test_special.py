@@ -78,10 +78,16 @@ class TestBesselI:
         # I_200(5000) is past the float range, and so is the series summing it
         with pytest.raises(NonConvergenceError, match="Bessel series overflowed"):
             bessel_I_scaled(200.0, 5000.0)
+        # lgamma(g + 1) overflows in turn from g ~ 2.5e305 on, where e^-r I_g(r)
+        # underflows at every finite r
+        assert bessel_I_scaled(1e308, 1.0) == 0.0
+        assert bessel_I_scaled(1e308, 0.0) == 0.0
+        r = np.array([0.0, 5e-324, 1.0, 1e300, math.inf])
+        assert np.all(bessel_I_scaled_arr(1e308, r) == 0.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_scalar_vector_agree(self):
-        for g in (0.0, 0.7, 20.0):
+        for g in (0.0, 0.5, 0.7, 20.0):
             for r in (0.3, 29.0, 31.0, 49.0, 51.0, 400.0):
                 assert bessel_I_scaled(g, r) == bessel_I_scaled_arr(g, np.array([r]))[0]
 
@@ -119,7 +125,7 @@ class TestBesselI:
 
     def test_one_minus_scaled(self):
         z = np.geomspace(1e-3, 39.0, 50)
-        for g in (0.0, 1.5):
+        for g in (0.0, 0.5, 1.5):
             ref = 1.0 - np.sqrt(2.0 * np.pi * z) * sp.ive(g, z)
             mine = one_minus_scaled_I(g, z)
             assert np.max(np.abs(mine - ref)) < 1e-12
@@ -131,8 +137,47 @@ class TestBesselI:
         # asymptotic branch: leading term dominates
         big = one_minus_scaled_I(1.5, np.array([1e4]))[0]
         assert big == pytest.approx((4 * 1.5**2 - 1) / (8 * 1e4), rel=1e-3)
-        # half-integer order: identically zero series, exponentially small truth
+        # order 1/2: the closed form e^(-2z), exponentially small
         assert abs(one_minus_scaled_I(0.5, np.array([100.0]))[0]) < 1e-80
+
+
+# the closed forms' arguments: the origin, a subnormal and a tiny one, ten
+# decades, and one far past where e^z I_g(z) overflows
+_HALF_Z = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-6, 1e4, 200), [1e300]])
+
+
+def _mp_one_minus_scaled_I(g: float, z: float) -> float:
+    """1 - sqrt(2 pi z) e^(-z) I_g(z) from mpmath's Bessel function, at 80
+    digits beyond the ones the difference cancels: about 2z / ln 10 at order
+    1/2 (the value is e^(-2z)), log10 z at 3/2 (it is about 1/z), at most
+    400 since a value below 1e-400 rounds to 0 anyway."""
+    if z == 0.0:
+        return 1.0
+    lost = 2.0 * z / math.log(10.0) if g == 0.5 else math.log10(max(z, 1.0))
+    with mp.workdps(80 + int(min(lost, 400.0))):
+        x = mp.mpf(z)
+        return float(1 - mp.sqrt(2 * mp.pi * x) * mp.exp(-x) * mp.besseli(g, x))
+
+
+class TestHalfIntegerClosedForms:
+    def test_scaled_I_half_against_mpmath(self, recwarn):
+        got = bessel_I_scaled_arr(0.5, _HALF_Z)
+        with mp.workdps(80):
+            ref = np.array([float(mp.exp(-mp.mpf(z)) * mp.besseli(0.5, mp.mpf(z))) for z in _HALF_Z])
+        assert got[0] == 0.0 and bessel_I_scaled(0.5, 0.0) == 0.0
+        assert np.all(np.abs(got[1:] - ref[1:]) <= 1e-15 * ref[1:])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("g", [0.5, 1.5])
+    def test_one_minus_scaled_against_mpmath(self, g, recwarn):
+        got = one_minus_scaled_I(g, _HALF_Z)
+        ref = np.array([_mp_one_minus_scaled_I(g, float(z)) for z in _HALF_Z])
+        assert got[0] == 1.0
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        # where the direct form 1 - sqrt(2 pi z) e^-z I_g(z) cancels to noise
+        band = (_HALF_Z >= 18.0) & (_HALF_Z < 40.0)
+        assert band.sum() >= 5 and np.all(got[band] > 0.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestStableDensity:
