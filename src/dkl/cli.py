@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
 from .green import GreenDivergenceError, GreenRangeError, green_by_time_integration, green_estimate
-from .heatkernel import EstimateBreakdown, Regime, detect_regime, dominance_map, hke_closed
+from .heatkernel import EstimateBreakdown, dominance_map, hke_closed
 from .inequalities import check, lemma_ids
 from .killing import _solve_q, scan_shape, solve_q
 from .oracle import OracleParams, _cell_ratio, _comparison
@@ -123,9 +123,6 @@ def cmd_hke(cfg: dict) -> int:
 
 def cmd_map(cfg: dict) -> int:
     params = _params(cfg)
-    if detect_regime(params) is Regime.ONE_JUMP:
-        sys.stderr.write("dominance map requires beta2 >= alpha + beta1\n")
-        return 2
     x = _point(cfg["x"], params.dim)
     n = _grid_n(cfg)
     extent = float(cfg["extent"])
@@ -195,8 +192,7 @@ def cmd_check(cfg: dict) -> int:
     elif selector in lemma_ids():
         ids = [selector]
     else:
-        sys.stderr.write(f"unknown lemma id: {selector}\n")
-        return 2
+        raise ValueError(f"unknown lemma id: {selector}")
     spec = QuadratureSpec(rel_tol=max(float(cfg["tol"]), 1e-8), abs_tol=1e-12)
     rows = []
     all_pass = True

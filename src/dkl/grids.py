@@ -307,9 +307,7 @@ for _d in (1, 2):
 for _idx in range(len(GREEN_COMBOS)):
     SWEEPS[f"acc_green_{_idx}"] = Sweep(partial(green_geometry, _idx), _green, 100)
 for _idx in range(len(ORACLE_CONFIGS)):
-    SWEEPS[f"acc_oracle_{_idx}"] = Sweep(
-        partial(_oracle_cells, _idx), oracle._cell_ratio, 20, skip_unconverged=True
-    )
+    SWEEPS[f"acc_oracle_{_idx}"] = Sweep(partial(_oracle_cells, _idx), oracle._cell_ratio, 20)
 for _a in (0.1, 1.0, 10.0):
     SWEEPS[f"int_lb_a{_a:g}"] = Sweep(partial(interior_samples, _a), _interior_lb, 2000, FLOOR)
 SWEEPS["acc_regime_consistency"] = Sweep(standard_grid, _regime_consistency, 4000, CEILING)
@@ -317,21 +315,12 @@ for _d in (1, 2):
     SWEEPS[f"acc_stableu1_d{_d}"] = Sweep(
         partial(np.linspace, 0.3, 1.9), partial(_stable_mass, _d), 9, CEILING
     )
-SWEEPS["acc_stableu2_d1"] = Sweep(
-    _convolution_samples, _convolution, 400, CEILING, skip_unconverged=True
-)
+SWEEPS["acc_stableu2_d1"] = Sweep(_convolution_samples, _convolution, 400, CEILING)
 SWEEPS["acc_interior_ondiag"] = Sweep(standard_grid, _interior_ondiag, 30_000, FLOOR)
 SWEEPS["acc_bessel"] = Sweep(_bessel_samples, _bessel, 200)
 
 
-def check_frozen(
-    name: str, n: Optional[int] = None
-) -> tuple[bool, float, float, ComparabilityReport]:
+def check_frozen(name: str, n: Optional[int] = None) -> ComparabilityReport:
     """Sweep a named constant over n samples (the freezing run's count when
-    n is None) against its frozen value.
-
-    Returns (passed, measured value, bound, report); see
-    :class:`dkl.report.ComparabilityReport` for the verdict.
-    """
-    rep = sweep(name, SWEEPS[name], n)
-    return rep.passed, rep.value, rep.ceiling, rep
+    n is None) against its frozen value; the report holds the verdict."""
+    return sweep(name, SWEEPS[name], n)

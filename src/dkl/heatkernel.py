@@ -142,19 +142,11 @@ def hke_closed(
     sy = survival_profile(q, u, y.height)
     on = stable_profile(d, params.alpha, u, 0.0)  # u^-d, inf where it overflows
     if dist == 0.0:
-        return EstimateBreakdown(
-            regime=regime,
-            stable=on,
-            one_jump=1.0,
-            two_jump=0.0,
-            survival_x=sx,
-            survival_y=sy,
-            free_value=on,
-            killed_value=sx * sy * on,
-        )
-    stable = stable_profile(d, params.alpha, u, dist)
-    one, two = _bracket_terms(params, regime, u, x, y, dist)
-    free = min(on, stable * (one + two))
+        stable, one, two, free = on, 1.0, 0.0, on
+    else:
+        stable = stable_profile(d, params.alpha, u, dist)
+        one, two = _bracket_terms(params, regime, u, x, y, dist)
+        free = min(on, stable * (one + two))
     return EstimateBreakdown(
         regime=regime,
         stable=stable,
@@ -430,7 +422,7 @@ def dominance_map(
     one = 1, two = 0 and is never valid.
     """
     if detect_regime(params) is Regime.ONE_JUMP:
-        raise ValueError("dominance map requires the two-jump regime")
+        raise ValueError("dominance map requires the two-jump regime, beta2 >= alpha + beta1")
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     ys = np.asarray(ys, dtype=float)

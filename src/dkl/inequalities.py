@@ -98,7 +98,7 @@ def _eval_slowly_varying(p, spec):
         - math.log(2.0 + 1.0 / p["eps"])
         - p["eps"] * math.log(p["r"])
     )
-    return None, math.exp(max(log_ratio, -700.0))
+    return math.exp(max(log_ratio, -700.0))
 
 
 def _sample_slowly_varying_2(rng) -> dict:
@@ -115,7 +115,7 @@ def _eval_slowly_varying_2(p, spec):
         - math.log(1.0 + 1.0 / p["eps"])
         - p["eps"] * math.log(p["a"])
     )
-    return None, math.exp(max(log_ratio, -700.0))
+    return math.exp(max(log_ratio, -700.0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,7 @@ def _eval_comp_AB(p, spec):
     u = p["tsc"]
     num = eval_A(p["b"], p["t"], p["x"], p["y"], p["alpha"], tscale=u)
     den = eval_B(p["b"], lift_ed(p["x"], u), lift_ed(p["y"], u))
-    r = num / den
-    return r, r
+    return num / den
 
 
 def _sample_kill_log(rng) -> dict:
@@ -169,7 +168,7 @@ def _eval_kill_log(p, spec):
         r2 = 0.0  # admissibility would fail; part applies with b4 dropped too
     else:
         r2 = full / eval_A(reduced2, *args, **kw)
-    return None, max(r1, r2)
+    return max(r1, r2)
 
 
 def _sample_kill_log_2(rng) -> dict:
@@ -186,7 +185,7 @@ def _eval_kill_log_2(p, spec):
     lhs = eval_A(p["b"], p["t"], p["x"], p["y"], p["alpha"], tscale=u)
     # the same weight (b1, 0, b3, 0) with x's clamped height in the first slot
     rhs = weight_from_heights(p["b"], max(p["x"].height, u), max(p["y"].height, u), dist)
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def _eval_cal_00(p, spec):
 
         lhs += integrate_panels(f, geometric_breaks(ka, t, 2.0), spec)
     rhs = t * min(k / p["tsc"], 1.0) ** g * math.log(_E + l / max(k, p["tsc"])) ** b
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 def _sample_cal_0(rng) -> dict:
@@ -308,7 +307,7 @@ def _eval_cal_0(p, spec):
         rhs *= math.log(_E + max(yd, tsc) / max(xd, tsc)) ** p["b3"]
     if p["b4"] > 0.0:
         rhs *= math.log(_E + 1.0 / max(yd, tsc)) ** p["b4"]
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 def _sample_l_cal1(rng) -> dict:
@@ -404,7 +403,7 @@ def _eval_l_cal1(p, spec):
         * min(yd / tsc, 1.0) ** (q - b2)
         * integrate_panels(rhs_inner, inner_breaks, spec)
     )
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +492,7 @@ def _eval_cal_new1(p, spec):
     else:
         lhs = integrate_panels(f, np.linspace(lo, hi, 7), spec)
     rhs = A**d * max(xd, A) ** -0.5
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 def _sample_cal_new2(rng) -> dict:
@@ -534,7 +533,7 @@ def _eval_cal_new2(p, spec):
         v_hi = math.sqrt(xd - r_star)
         lhs += integrate_panels(top, np.linspace(0.0, v_hi, 5), spec, n0=8)
         rhs = xd**-0.5 * A**-alpha
-        return None, lhs / rhs
+        return lhs / rhs
     eps, delta = p["eps"], p["delta"]
 
     def shell_w(wv: np.ndarray) -> np.ndarray:
@@ -550,7 +549,7 @@ def _eval_cal_new2(p, spec):
     breaks = decaying_log_breaks(w_lo, 0.0, rate)
     lhs = integrate_panels(shell_w, breaks, spec, n0=8)
     rhs = A ** (-eps - delta)
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 def _f_profile(gamma, e1, e2, k, l, r):
@@ -656,7 +655,7 @@ def _eval_cal_2(p, spec):
 
             extra = integrate_panels(crit, geometric_breaks(xu, 2.0, 3.0), spec)
         rhs += s * xu**b1 * extra
-    return None, lhs / rhs
+    return lhs / rhs
 
 
 def _sample_cal_3(rng) -> dict:
@@ -680,8 +679,7 @@ def _eval_cal_3(p, spec):
 
     lhs = integrate_panels(f, geometric_breaks(l, 2.0, 2.0), spec)
     rhs = math.log(_E + 1.0 / k) ** b1 * math.log(_E + 1.0 / l) ** (b1 + b2 + 1.0)
-    r = lhs / rhs
-    return r, r
+    return lhs / rhs
 
 
 def _sample_cal_green(rng) -> dict:
@@ -712,8 +710,7 @@ def _eval_cal_green(p, spec):
     breaks = merge_breaks(decaying_log_breaks(w_lo, 0.0, rate), inner, w_lo, 0.0)
     lhs = integrate_panels(f, breaks, spec)
     rhs = a ** (1.0 - g) * min(k / a, 1.0) ** b1 * min(l / a, 1.0) ** b2
-    r = lhs / rhs
-    return r, r
+    return lhs / rhs
 
 
 # ---------------------------------------------------------------------------
@@ -769,71 +766,82 @@ def _sample_two_jump(rng, critical: bool) -> dict:
     }
 
 
-def _eval_two_jump_region(p, spec):
+def _vertical_integral(p, lo: float, spec) -> float:
+    """The vertical-path A-weight times r^(-1-alpha), integrated over
+    [min(lo, |x-y|/4), |x-y|/2] with a panel break at |x-y|/4."""
     alpha, beta, tsc = p["alpha"], p["beta"], p["tsc"]
     x, y = p["x"], p["y"]
     dist = x.distance_to(y)
     tang2 = sum((a - b) ** 2 for a, b in zip(x.tangential, y.tangential))
+    lo, hi = min(lo, dist / 4.0), dist / 2.0
 
     def f(r: np.ndarray) -> np.ndarray:
-        return _vertical_A(beta, alpha, tsc, x.height, y.height, tang2, r) * r ** (
-            -1.0 - alpha
-        )
+        return _vertical_A(beta, alpha, tsc, x.height, y.height, tang2, r) * r ** (-1.0 - alpha)
 
-    inner = _vertical_kinks(x.height, y.height, tang2, tsc)
-    breaks = merge_breaks([dist / 4.0, dist / 2.0], inner, dist / 4.0, dist / 2.0)
-    lhs = integrate_panels(f, breaks, spec)
-    hmin = min(x.height, y.height)
+    inner = _vertical_kinks(x.height, y.height, tang2, tsc) + [dist / 4.0]
+    return integrate_panels(f, merge_breaks([lo, hi], inner, lo, hi), spec)
+
+
+def _eval_two_jump_region(p, spec):
+    alpha, beta, tsc = p["alpha"], p["beta"], p["tsc"]
+    x, y = p["x"], p["y"]
+    dist = x.distance_to(y)
+    lhs = _vertical_integral(p, math.inf, spec)
     rhs = (
         dist**-alpha
         * _clamped_weight((beta[0], beta[0], 0.0, beta[2]), tsc, x, y)
-        * math.log(_E + dist / min(max(hmin, tsc), dist)) ** beta[2]
+        * math.log(_E + dist / min(max(min(x.height, y.height), tsc), dist)) ** beta[2]
     )
-    r = lhs / rhs
-    return r, r
+    return lhs / rhs
 
 
 def _eval_lower_2(p, spec):
     alpha, beta, tsc, t = p["alpha"], p["beta"], p["tsc"], p["t"]
     x, y = p["x"], p["y"]
     dist = x.distance_to(y)
-    tang2 = sum((a - b) ** 2 for a, b in zip(x.tangential, y.tangential))
-    lo = min(max(x.height, y.height, tsc), dist / 4.0)
-    hi = dist / 2.0
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return _vertical_A(beta, alpha, tsc, x.height, y.height, tang2, r) * r ** (
-            -1.0 - alpha
-        )
-
-    inner = _vertical_kinks(x.height, y.height, tang2, tsc) + [dist / 4.0]
-    breaks = merge_breaks([lo, hi], inner, lo, hi)
-    lhs = min(dist**alpha, t) * integrate_panels(f, breaks, spec)
-    hmin = min(x.height, y.height)
+    lhs = min(dist**alpha, t) * _vertical_integral(p, max(x.height, y.height, tsc), spec)
     rhs = (
         min(1.0, t * dist**-alpha)
         * _clamped_weight((beta[0], beta[0], 0.0, beta[2] + beta[3] + 1.0), tsc, x, y)
-        * math.log(_E + dist / min(max(hmin, tsc), dist)) ** beta[2]
+        * math.log(_E + dist / min(max(min(x.height, y.height), tsc), dist)) ** beta[2]
     )
-    r = lhs / rhs
-    return r, r
+    return lhs / rhs
 
 
 # ---------------------------------------------------------------------------
 # registry entries and driver
 
+# lemma id -> (frozen kind, sampler, evaluator of the ratio or cal_basic's pair)
+_LEMMAS = {
+    "slowly_varying": (CEILING, _sample_slowly_varying, _eval_slowly_varying),
+    "slowly_varying_2": (CEILING, _sample_slowly_varying_2, _eval_slowly_varying_2),
+    "kill_log": (CEILING, _sample_kill_log, _eval_kill_log),
+    "kill_log_2": (CEILING, _sample_kill_log_2, _eval_kill_log_2),
+    "cal_00": (CEILING, _sample_cal_00, _eval_cal_00),
+    "cal_0": (CEILING, _sample_cal_0, _eval_cal_0),
+    "l_cal1": (CEILING, _sample_l_cal1, _eval_l_cal1),
+    "cal_new1": (CEILING, _sample_cal_new1, _eval_cal_new1),
+    "cal_new2": (CEILING, _sample_cal_new2, _eval_cal_new2),
+    "cal_basic": (TWO_SIDED, _sample_cal_basic, _eval_cal_basic),
+    "cal_2": (CEILING, _sample_cal_2, _eval_cal_2),
+    "cal_3": (TWO_SIDED, _sample_cal_3, _eval_cal_3),
+    "cal_green": (TWO_SIDED, _sample_cal_green, _eval_cal_green),
+    "comp_AB": (TWO_SIDED, _sample_weight_pair, _eval_comp_AB),
+    "two_jump_region": (TWO_SIDED, partial(_sample_two_jump, critical=False),
+                        _eval_two_jump_region),
+    "lower_2": (TWO_SIDED, partial(_sample_two_jump, critical=True), _eval_lower_2),
+}
 
-def _lemma(lemma_id: str, kind: str, sampler, evaluate, seed: int, spec) -> Sweep:
+
+def _lemma(lemma_id: str, seed: int, spec: QuadratureSpec | None) -> Sweep:
+    kind, sampler, evaluate = _LEMMAS[lemma_id]
     crc = zlib.crc32(lemma_id.encode())
 
     def samples(n: int):
         return (sampler(np.random.default_rng([seed, crc, i])) for i in range(n))
 
-    def ratio(params: dict) -> tuple[float, float]:
-        lo, hi = evaluate(params, spec)
-        return (hi if lo is None else lo), hi
-
-    return Sweep(samples, ratio, 10_000, kind, skip_unconverged=True)
+    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
+    return Sweep(samples, partial(evaluate, spec=spec), 10_000, kind)
 
 
 def lemma_sweeps(seed: int = 0, spec: QuadratureSpec | None = None) -> dict[str, Sweep]:
@@ -843,31 +851,11 @@ def lemma_sweeps(seed: int = 0, spec: QuadratureSpec | None = None) -> dict[str,
     so a smaller count sweeps a prefix of a larger one.  The defaults (seed 0,
     rel 1e-7 and abs 1e-12) are those of the freezing run.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12)
-    table = [
-        ("slowly_varying", CEILING, _sample_slowly_varying, _eval_slowly_varying),
-        ("slowly_varying_2", CEILING, _sample_slowly_varying_2, _eval_slowly_varying_2),
-        ("kill_log", CEILING, _sample_kill_log, _eval_kill_log),
-        ("kill_log_2", CEILING, _sample_kill_log_2, _eval_kill_log_2),
-        ("cal_00", CEILING, _sample_cal_00, _eval_cal_00),
-        ("cal_0", CEILING, _sample_cal_0, _eval_cal_0),
-        ("l_cal1", CEILING, _sample_l_cal1, _eval_l_cal1),
-        ("cal_new1", CEILING, _sample_cal_new1, _eval_cal_new1),
-        ("cal_new2", CEILING, _sample_cal_new2, _eval_cal_new2),
-        ("cal_basic", TWO_SIDED, _sample_cal_basic, _eval_cal_basic),
-        ("cal_2", CEILING, _sample_cal_2, _eval_cal_2),
-        ("cal_3", TWO_SIDED, _sample_cal_3, _eval_cal_3),
-        ("cal_green", TWO_SIDED, _sample_cal_green, _eval_cal_green),
-        ("comp_AB", TWO_SIDED, _sample_weight_pair, _eval_comp_AB),
-        ("two_jump_region", TWO_SIDED, partial(_sample_two_jump, critical=False),
-         _eval_two_jump_region),
-        ("lower_2", TWO_SIDED, partial(_sample_two_jump, critical=True), _eval_lower_2),
-    ]
-    return {row[0]: _lemma(*row, seed, spec) for row in table}
+    return {lid: _lemma(lid, seed, spec) for lid in _LEMMAS}
 
 
 def lemma_ids() -> list[str]:
-    return sorted(lemma_sweeps())
+    return sorted(_LEMMAS)
 
 
 def check(
@@ -883,7 +871,6 @@ def check(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    entries = lemma_sweeps(sampler_seed, spec)
-    if lemma_id not in entries:
+    if lemma_id not in _LEMMAS:
         raise KeyError(f"unknown lemma id: {lemma_id}")
-    return sweep(lemma_id, entries[lemma_id], budget)
+    return sweep(lemma_id, _lemma(lemma_id, sampler_seed, spec), budget)

@@ -27,17 +27,15 @@ class Sweep:
     """How one frozen constant is measured.
 
     ``samples(n)`` yields the samples of a sweep of size n; ``ratio(sample)``
-    is as in :func:`ratio_report`, and a sample whose ratio does not converge
-    is excluded only where ``skip_unconverged`` is set.  ``kind`` says which
-    value is frozen: the two-sided ceiling max(max ratio, 1/min ratio), the
-    one-sided ceiling max ratio, or the floor min ratio.
+    is as in :func:`ratio_report`.  ``kind`` says which value is frozen: the
+    two-sided ceiling max(max ratio, 1/min ratio), the one-sided ceiling max
+    ratio, or the floor min ratio.
     """
 
     samples: Callable[[int], Iterable]
     ratio: Callable[[Any], Union[None, float, tuple[float, float]]]
     n: int  # samples of the freezing run
     kind: str = TWO_SIDED
-    skip_unconverged: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,13 @@ def ratio_report(
     ratio: Callable[[Any], Union[None, float, tuple[float, float]]],
     kind: str = TWO_SIDED,
     ceiling: Optional[float] = None,
-    skip_unconverged: bool = False,
 ) -> ComparabilityReport:
     """The ratio extremes over ``samples``.
 
     ``ratio(sample)`` returns the sample's ratio, a (lower, upper) pair of
-    ratios, or None to leave the sample out.  A :class:`NonConvergenceError`
-    raised by ``ratio`` propagates unless ``skip_unconverged`` is set, in
-    which case the sample is counted as excluded.
+    ratios, or None to leave the sample out.  A sample whose ``ratio``
+    raises :class:`NonConvergenceError` is counted as excluded, which fails
+    the verdict.
     """
     lo, hi = math.inf, 0.0
     argmin = argmax = None
@@ -112,8 +109,6 @@ def ratio_report(
         try:
             r = ratio(smp)
         except NonConvergenceError:
-            if not skip_unconverged:
-                raise
             excluded += 1
             continue
         if r is None:
@@ -137,4 +132,4 @@ def sweep(name: str, entry: Sweep, n: Optional[int] = None) -> ComparabilityRepo
     if bound is not None:
         bound = bound / SLACK if entry.kind == FLOOR else bound * SLACK
     samples = entry.samples(entry.n if n is None else n)
-    return ratio_report(name, samples, entry.ratio, entry.kind, bound, entry.skip_unconverged)
+    return ratio_report(name, samples, entry.ratio, entry.kind, bound)

@@ -120,17 +120,23 @@ def bessel_I_scaled_arr(gamma: float, r: np.ndarray) -> np.ndarray:
         out[small] = rs
     if np.any(~small):
         rl = r[~small]
-        mu = 4.0 * gamma * gamma
-        term = np.ones_like(rl)
-        total = np.ones_like(rl)
         # fixed 30-term truncation; past max(30, gamma^2 / 8) it is within
         # 2e-13 of scipy's ive for gamma <= 50
-        for k in range(1, 31):
-            term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-            term /= rl
-            total += term
-        out[~small] = total / np.sqrt(2.0 * math.pi * rl)
+        out[~small] = _hankel_sum(gamma, rl, 30, 1.0) / np.sqrt(2.0 * math.pi * rl)
     return out
+
+
+def _hankel_sum(gamma: float, z: np.ndarray, terms: int, start: float) -> np.ndarray:
+    """``start`` plus terms 1 .. ``terms`` of the large-z Hankel series of
+    sqrt(2 pi z) e^(-z) I_gamma(z), whose term 0 is 1 (DLMF 10.40.1)."""
+    mu = 4.0 * gamma * gamma
+    term = np.ones_like(z)
+    total = np.full_like(z, start)
+    for k in range(1, terms + 1):
+        term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+        term /= z
+        total += term
+    return total
 
 
 def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
@@ -158,15 +164,7 @@ def one_minus_scaled_I(gamma: float, z: np.ndarray) -> np.ndarray:
         zs = z[small]
         out[small] = 1.0 - np.sqrt(2.0 * math.pi * zs) * bessel_I_scaled_arr(gamma, zs)
     if np.any(~small):
-        zl = z[~small]
-        mu = 4.0 * gamma * gamma
-        term = np.ones_like(zl)
-        total = np.zeros_like(zl)
-        for k in range(1, 40):
-            term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-            term /= zl
-            total += term
-        out[~small] = -total
+        out[~small] = -_hankel_sum(gamma, z[~small], 39, 0.0)
     return out
 
 

@@ -6,8 +6,11 @@ tolerances directly.  Stated runtime limits are enforced.
 """
 
 import math
+import runpy
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,18 +78,44 @@ def test_unconverged_sample_fails_the_bound(monkeypatch):
             raise NonConvergenceError("series did not converge")
         return entry.ratio(smp)
 
-    def patch(ratio, skip):
-        monkeypatch.setitem(SWEEPS, "acc_bessel", replace(entry, ratio=ratio, skip_unconverged=skip))
+    def patch(ratio):
+        monkeypatch.setitem(SWEEPS, "acc_bessel", replace(entry, ratio=ratio))
 
-    patch(flaky, False)
-    with pytest.raises(NonConvergenceError):
-        check_frozen("acc_bessel")
-    patch(flaky, True)
-    holds, worst, bound, rep = check_frozen("acc_bessel")
-    assert rep.excluded > 0 and rep.samples > 0 and worst <= bound and not holds
-    patch(lambda smp: flaky((0.0, 2.0)), True)
-    holds, _, _, rep = check_frozen("acc_bessel")
-    assert rep.samples == 0 and not holds
+    patch(flaky)
+    rep = check_frozen("acc_bessel")
+    assert rep.excluded > 0 and rep.samples > 0 and rep.value <= rep.ceiling and not rep.passed
+    patch(lambda smp: flaky((0.0, 2.0)))
+    rep = check_frozen("acc_bessel")
+    assert rep.samples == 0 and not rep.passed
+
+
+def test_freezing_script_refuses_an_exclusion(monkeypatch, capsys):
+    """The freezing script names each sweep that excluded a sample, writes
+    nothing and exits 1."""
+    import dkl.constants
+    import dkl.grids
+
+    bessel = SWEEPS["acc_bessel"]
+
+    def flaky(smp):
+        if smp[1] > 1.0:
+            raise NonConvergenceError("series did not converge")
+        return bessel.ratio(smp)
+
+    def no_write(*args):
+        raise AssertionError("the freezing script wrote its file")
+
+    registry = {"acc_bessel": replace(bessel, ratio=flaky, n=5),
+                "cal_3": replace(SWEEPS["cal_3"], n=10)}
+    monkeypatch.setattr(dkl.grids, "SWEEPS", registry)
+    monkeypatch.setattr(dkl.constants, "write_constants", no_write)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "freeze_constants.py"
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith("] not written: acc_bessel excluded samples")
 
 
 def test_criterion_01_killing_constant_zeros():
@@ -252,10 +281,10 @@ def test_criterion_04_exact_symmetries():
 
 def test_criterion_05_comp_ab_standard_grid():
     t0 = time.time()
-    holds, worst, ceiling, _ = check_frozen("acc_comp_ab")
+    rep = check_frozen("acc_comp_ab")
     elapsed = time.time() - t0
-    ok = holds and elapsed < 10.0
-    report(5, ok, f"two-sided ratio bound {worst:.4g} vs frozen {ceiling:.4g}, {elapsed:.1f}s")
+    ok = rep.passed and elapsed < 10.0
+    report(5, ok, f"two-sided ratio bound {rep.value:.4g} vs frozen {rep.ceiling:.4g}, {elapsed:.1f}s")
 
 
 def test_criterion_06_unified_vs_closed():
@@ -263,9 +292,9 @@ def test_criterion_06_unified_vs_closed():
     details = []
     ok = True
     for regime in UNIFIED_PARAM_SETS:
-        holds, worst, ceiling, _ = check_frozen(f"acc_unified_{regime}")
-        details.append(f"{regime}:{worst:.3g}<={ceiling:.3g}")
-        ok = ok and holds
+        rep = check_frozen(f"acc_unified_{regime}")
+        details.append(f"{regime}:{rep.value:.3g}<={rep.ceiling:.3g}")
+        ok = ok and rep.passed
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0
     report(6, ok, f"{'; '.join(details)}, {elapsed:.1f}s")
@@ -289,9 +318,9 @@ def test_criterion_08_ball_integral():
     details = []
     ok = True
     for d in (1, 2):
-        holds, worst, ceiling, _ = check_frozen(f"acc_ball_d{d}", 100)
-        details.append(f"d={d}:{worst:.3g}<={ceiling:.3g}")
-        ok = ok and holds
+        rep = check_frozen(f"acc_ball_d{d}", 100)
+        details.append(f"d={d}:{rep.value:.3g}<={rep.ceiling:.3g}")
+        ok = ok and rep.passed
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0
     report(8, ok, f"{'; '.join(details)}, {elapsed:.1f}s")
@@ -311,9 +340,9 @@ def test_criterion_09_oracle_self_consistency():
     ok = ok and worst_spread < 1e-3
     details.append(f"kappa homogeneity spread {worst_spread:.2e}")
     # two-sided profile bound for the modified Bessel function
-    holds, worst, ceiling, _ = check_frozen("acc_bessel")
-    ok = ok and holds
-    details.append(f"bessel bound {worst:.3g}<={ceiling:.3g}")
+    rep = check_frozen("acc_bessel")
+    ok = ok and rep.passed
+    details.append(f"bessel bound {rep.value:.3g}<={rep.ceiling:.3g}")
     # subordinator density normalization
     from scipy.integrate import quad
 
@@ -333,10 +362,10 @@ def test_criterion_10_oracle_vs_estimate():
     ok = True
     details = []
     for idx, (gamma, alpha) in enumerate(ORACLE_CONFIGS):
-        holds, two_sided, ceiling, _ = check_frozen(f"acc_oracle_{idx}")
+        rep = check_frozen(f"acc_oracle_{idx}")
         r2 = oracle_fit(idx)[1]
-        ok = ok and holds and r2 >= 0.99
-        details.append(f"(g={gamma},a={alpha}): {two_sided:.3g}<={ceiling:.3g}, R2={r2:.4f}")
+        ok = ok and rep.passed and r2 >= 0.99
+        details.append(f"(g={gamma},a={alpha}): {rep.value:.3g}<={rep.ceiling:.3g}, R2={r2:.4f}")
     elapsed = time.time() - t0
     ok = ok and elapsed < 600.0
     report(10, ok, f"{'; '.join(details)}, {elapsed:.1f}s")
@@ -347,9 +376,9 @@ def test_criterion_11_green_cross_check():
     ok = True
     worst_all = 0.0
     for idx in range(len(GREEN_COMBOS)):
-        holds, worst, _, _ = check_frozen(f"acc_green_{idx}")
-        ok = ok and holds
-        worst_all = max(worst_all, worst)
+        rep = check_frozen(f"acc_green_{idx}")
+        ok = ok and rep.passed
+        worst_all = max(worst_all, rep.value)
     # critical-branch log slope
     p_log = ModelParams(2, 1.0, (1.0, 1.0, 0.0, 0.7))
     ys = np.geomspace(1e-8, 1e-20, 9)

@@ -140,6 +140,9 @@ class TestMap:
             capsys,
         )
         assert code == 2
+        code, _, err = _cli_outcome(["map", "--alpha", "0.5", "--beta", "1,1,0,0"])
+        assert code == 2
+        assert err == "error: dominance map requires the two-jump regime, beta2 >= alpha + beta1\n"
 
     def test_map_rows(self, capsys):
         code, out = run_cli(
@@ -261,6 +264,7 @@ class TestCheck:
     def test_unknown_lemma_exit_2(self, capsys):
         code, _ = run_cli(["check", "--lemma", "not_a_lemma"], capsys)
         assert code == 2
+        assert _cli_outcome(["check", "--lemma", "nope"]) == (2, "", "error: unknown lemma id: nope\n")
 
     def test_pair_lemma_at_a_small_budget(self, capsys):
         # cal_basic's lower side is the larger for every sample at budget 5;

@@ -280,7 +280,7 @@ class TestStableProfileBounds:
         from dkl.grids import check_frozen
 
         for d in (1, 2):
-            assert check_frozen(f"acc_stableu1_d{d}")[0]
+            assert check_frozen(f"acc_stableu1_d{d}").passed
 
     def test_convolution_semigroup_bound(self, rng):
         from dkl.quadrature import NonConvergenceError, QuadratureSpec, integrate_panels
@@ -320,7 +320,7 @@ class TestInteriorLowerBound:
         from dkl.grids import check_frozen
 
         for a in (0.1, 1.0, 10.0):
-            assert check_frozen(f"int_lb_a{a:g}", 500)[0]
+            assert check_frozen(f"int_lb_a{a:g}", 500).passed
 
 
 class TestCompABGuard:
@@ -333,4 +333,4 @@ class TestCompABGuard:
         for smp in standard_grid(800):
             b = smp["b"]
             guard = 2.0 ** (b[0] + b[1]) * (1.0 + math.log(2.0)) ** (b[2] + b[3]) * 4.0
-            assert 1.0 / guard <= _eval_comp_AB(smp, None)[1] <= guard
+            assert 1.0 / guard <= _eval_comp_AB(smp, None) <= guard

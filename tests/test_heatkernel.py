@@ -596,7 +596,7 @@ class TestRegimeConsistency:
         # of the one-jump term whenever beta2 < alpha + beta1
         from dkl.grids import check_frozen
 
-        assert check_frozen("acc_regime_consistency", 1500)[0]
+        assert check_frozen("acc_regime_consistency", 1500).passed
 
 
 class TestInteriorOnDiagonal:

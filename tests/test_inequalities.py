@@ -13,6 +13,7 @@ from dkl.inequalities import (
     _eval_cal_new1,
     _eval_slowly_varying,
     _l_cal1_outer,
+    _sample_cal_3,
     _sample_l_cal1,
     _sphere_slice,
     check,
@@ -90,9 +91,9 @@ class TestUnconvergedSamples:
         for rel_tol in (1e-7, 1e-8):
             entry = lemma_sweeps(seed, QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12))[lemma_id]
             *_, params = entry.samples(index + 1)
-            lo, hi = entry.ratio(params)
-            assert 0.0 < lo <= hi < math.inf
-            ratios.append(hi)
+            ratio = entry.ratio(params)
+            assert 0.0 < ratio < math.inf
+            ratios.append(ratio)
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-6)
 
     def test_unconverged_sample_fails_the_check(self, monkeypatch, capsys):
@@ -106,7 +107,7 @@ class TestUnconvergedSamples:
                 raise NonConvergenceError("quadrature did not converge")
             return _eval_cal_3(p, spec)
 
-        monkeypatch.setattr(inequalities, "_eval_cal_3", flaky)
+        monkeypatch.setitem(inequalities._LEMMAS, "cal_3", (TWO_SIDED, _sample_cal_3, flaky))
         rep = check("cal_3", sampler_seed=0, budget=150, spec=SPEC)
         assert (rep.samples, rep.excluded) == (149, 1)
         assert rep.value <= rep.ceiling and not rep.passed
@@ -189,6 +190,12 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             ratio_report("x", [1], lambda s: (0.0, 1.0))
 
+    def test_only_cal_basic_gives_pairs(self):
+        # every other evaluator returns one ratio, so its report keeps the
+        # 0 < min <= max range check
+        paired = {lid for lid in lemma_ids() if check(lid, 0, 5, SPEC).paired}
+        assert paired == {"cal_basic"}
+
     def test_cal_basic_small_budget(self):
         # at budget 5 every sample has a >= 1, where the lower side is the larger
         rep = check("cal_basic", sampler_seed=0, budget=5, spec=SPEC)
@@ -198,23 +205,23 @@ class TestReportInvariants:
 class TestSpotValues:
     def test_slowly_varying_at_unit(self):
         # eps = 1, r = 1: log(e+1) about 1.3133 against bound 3
-        _, hi = _eval_slowly_varying({"eps": 1.0, "r": 1.0}, SPEC)
+        hi = _eval_slowly_varying({"eps": 1.0, "r": 1.0}, SPEC)
         assert hi == pytest.approx(math.log(math.e + 1.0) / 3.0, rel=1e-12)
 
     def test_cal_green_pure_power(self):
         # gamma=2, flat clamps, a=1: both sides equal 1
-        lo, hi = _eval_cal_green(
+        hi = _eval_cal_green(
             {"gamma": 2.0, "b1": 0.0, "b2": 0.0, "a": 1.0, "k": 1.0, "l": 1.0}, SPEC
         )
         assert hi == pytest.approx(1.0, rel=1e-9)
 
     def test_cal_3_ratio_tends_to_one(self):
-        lo, hi = _eval_cal_3({"b1": 0.0, "b2": 0.0, "k": 1e-6, "l": 1e-6}, SPEC)
+        hi = _eval_cal_3({"b1": 0.0, "b2": 0.0, "k": 1e-6, "l": 1e-6}, SPEC)
         # LHS = log(2/l), RHS = log(e + 1/l): ratio close to 1 for tiny l
         assert hi == pytest.approx(1.0, rel=0.1)
 
     def test_cal_new1_unit_ball(self):
-        _, hi = _eval_cal_new1({"dim": 1, "xd": 2.0, "A": 1.0}, SPEC)
+        hi = _eval_cal_new1({"dim": 1, "xd": 2.0, "A": 1.0}, SPEC)
         lhs = 2.0 * (math.sqrt(3.0) - 1.0)
         assert hi == pytest.approx(lhs / (1.0 * 2.0**-0.5), rel=1e-9)
 

@@ -245,6 +245,22 @@ class TestOracleJ:
         ]
         assert abs(vals[-1] - vals[-2]) / vals[-1] < 0.05
 
+    def test_close_points_near_the_boundary(self):
+        # J(lam x, lam y) = lam^(-d-alpha) J(x, y), with d + alpha = 2 here;
+        # the time range of these heights leaves the float range unscaled;
+        # a RuntimeWarning fails the test (pytest's filterwarnings)
+        op = OracleParams(0.5, 1, 1.0)
+        ref = oracle_J(op, pt(1.0), pt(2.0))
+        exact = oracle_J(op, pt(2.0**-332), pt(2.0**-331))
+        decimal = oracle_J(op, pt(1e-100), pt(2e-100))
+        assert exact == pytest.approx(ref * 2.0 ** (332 * 2), rel=1e-12)
+        assert decimal == pytest.approx(1e200 * ref, rel=10 * 1e-8)
+
+    def test_kernel_past_the_float_range(self):
+        op = OracleParams(0.5, 1, 1.0)
+        with pytest.raises(ValueError, match="passes the float range"):
+            oracle_J(op, pt(1e-160), pt(2e-160))
+
 
 class TestOracleKappa:
     def test_exact_dirichlet_cauchy_constant(self):
