@@ -1,12 +1,12 @@
 """Exploration run: record the empirical comparability constants.
 
 Sweeps every entry of the registry ``dkl.grids.SWEEPS`` (the 16 lemmas and
-the other comparability constants) at its full sample count, fits the three
-oracle survival exponents, and writes the frozen constants file checked into
-the package.  Each stored value is the measured extreme itself; the checks
-hold it with 10% slack and no excluded sample (``dkl.report``).  A sweep
-that excludes a sample measures no constant, so if any does, the script
-names each such sweep, writes nothing and exits 1.  Re-run only when an
+the other comparability constants) at its full sample count and writes the
+frozen constants file checked into the package.  Each stored value is the
+measured extreme itself; the checks hold it with 10% slack and no excluded
+sample (``dkl.report``).  A sweep that excludes a sample measures no
+constant, so if any does, the script names each such sweep, writes nothing
+and exits 1.  Re-run only when an
 estimator deliberately changes.
 
     python3 scripts/freeze_constants.py
@@ -21,7 +21,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from dkl.constants import write_constants
-from dkl.grids import ORACLE_CONFIGS, SWEEPS, oracle_fit
+from dkl.grids import SWEEPS
 from dkl.report import sweep
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "dkl" / "_data" / "ceilings.txt"
@@ -46,11 +46,6 @@ for name, entry in SWEEPS.items():
 if excluding:
     log(f"not written: {', '.join(excluding)} excluded samples")
     sys.exit(1)
-
-for idx in range(len(ORACLE_CONFIGS)):
-    q_fit, r2 = oracle_fit(idx)
-    values[f"acc_oracle_qfit_{idx}"] = q_fit
-    log(f"acc_oracle_qfit_{idx}: {q_fit:.6g} (R^2 {r2:.6f})")
 
 write_constants(values, OUT)
 log(f"wrote {len(values)} constants to {OUT}")

@@ -175,12 +175,11 @@ def cmd_oracle(cfg: dict) -> int:
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise ValueError(f"x-lo and x-hi must be finite and > 0, got {lo}, {hi}")
     heights = np.geomspace(lo, hi, n)
-    report, q_fit, r2, cells = _comparison(op, spec, ts, heights, heights)
+    report, cells = _comparison(op, spec, ts, heights, heights)
     rows = [list(cell) + [_cell_ratio(cell)] for cell in cells]
     _emit(cfg, csv_text(["t", "x", "y", "oracle", "estimate", "ratio"], rows))
     sys.stderr.write(
-        f"q_fit={fmt(q_fit)} r2={fmt(r2)} "
-        f"ratio=[{fmt(report.min_ratio)},{fmt(report.max_ratio)}]\n"
+        f"q={fmt(op.survival_exponent)} ratio=[{fmt(report.min_ratio)},{fmt(report.max_ratio)}]\n"
     )
     return 0
 

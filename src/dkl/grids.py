@@ -16,7 +16,7 @@ freezing run's count.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -203,21 +203,13 @@ def _green(smp) -> float:
 ORACLE_CONFIGS = [(0.5, 1.0), (0.0, 0.6), (1.0, 1.4)]  # (gamma, alpha) in d = 1
 
 
-@lru_cache(maxsize=None)
-def oracle_fit(idx: int) -> tuple[float, float]:
-    """Survival exponent and its fit R^2 for one oracle configuration,
-    fitted once per process."""
-    gamma, alpha = ORACLE_CONFIGS[idx]
-    return oracle.fit_survival_exponent(oracle.OracleParams(gamma, 1, alpha), spec=QSPEC)
-
-
 def _oracle_cells(idx: int, n: int) -> list:
     """The oracle comparison cells on an n x n grid of heights in [0.05, 20]."""
     gamma, alpha = ORACLE_CONFIGS[idx]
     heights = np.geomspace(0.05, 20.0, n)
     op = oracle.OracleParams(gamma, 1, alpha)
     ts = (0.25, 0.5, 1.0, 2.0, 4.0)
-    return oracle._comparison(op, QSPEC, ts, heights, heights, oracle_fit(idx)[0])[3]
+    return oracle._comparison(op, QSPEC, ts, heights, heights)[1]
 
 
 def interior_samples(a: float, n: int):

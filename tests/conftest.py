@@ -10,6 +10,15 @@ def pt(*coords) -> HalfSpacePoint:
     return HalfSpacePoint.from_coords(coords)
 
 
+def survival_slopes(op) -> list[float]:
+    """Slopes of log oracle_survival over the decades [1e-6, 1e-5] and
+    [1e-5, 1e-4] of the boundary-scaled position."""
+    from dkl.oracle import oracle_survival
+
+    logs = [math.log(oracle_survival(op, xi)) for xi in (1e-6, 1e-5, 1e-4)]
+    return [(b - a) / math.log(10.0) for a, b in zip(logs, logs[1:])]
+
+
 def ulp_close(a: float, b: float, ulps: float = 4.0) -> bool:
     if a == b:
         return True

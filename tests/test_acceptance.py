@@ -25,7 +25,6 @@ from dkl.grids import (
     SWEEPS,
     UNIFIED_PARAM_SETS,
     check_frozen,
-    oracle_fit,
 )
 from dkl.heatkernel import hke_closed
 from dkl.inequalities import check, lemma_ids
@@ -34,7 +33,7 @@ from dkl.oracle import OracleParams, oracle_kappa
 from dkl.quadrature import NonConvergenceError, QuadratureSpec
 from dkl.special import stable_one_density
 
-from conftest import dyadic, dyadic_point, pow2, pt
+from conftest import dyadic, dyadic_point, pow2, pt, survival_slopes
 
 SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 QSPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-300)
@@ -64,9 +63,8 @@ def killing_samples():
 
 
 def test_every_frozen_constant_has_its_code():
-    """Each name in the frozen file is a registry sweep or an oracle fit."""
-    fits = {f"acc_oracle_qfit_{idx}" for idx in range(len(ORACLE_CONFIGS))}
-    assert set(load_constants()) == set(SWEEPS) | fits
+    """Each name in the frozen file is a registry sweep, and each sweep is frozen."""
+    assert set(load_constants()) == set(SWEEPS)
 
 
 def test_unconverged_sample_fails_the_bound(monkeypatch):
@@ -363,9 +361,12 @@ def test_criterion_10_oracle_vs_estimate():
     details = []
     for idx, (gamma, alpha) in enumerate(ORACLE_CONFIGS):
         rep = check_frozen(f"acc_oracle_{idx}")
-        r2 = oracle_fit(idx)[1]
-        ok = ok and rep.passed and r2 >= 0.99
-        details.append(f"(g={gamma},a={alpha}): {rep.value:.3g}<={rep.ceiling:.3g}, R2={r2:.4f}")
+        # the estimate's exponent gamma + 1/2 is the oracle's survival exponent
+        op = OracleParams(gamma, 1, alpha)
+        err = max(abs(slope - op.survival_exponent) for slope in survival_slopes(op))
+        ok = ok and rep.passed and err < 1e-7
+        details.append(f"(g={gamma},a={alpha}): {rep.value:.3g}<={rep.ceiling:.3g}, "
+                       f"slope-q={err:.2g}")
     elapsed = time.time() - t0
     ok = ok and elapsed < 600.0
     report(10, ok, f"{'; '.join(details)}, {elapsed:.1f}s")

@@ -7,7 +7,7 @@ from scipy.special import ive
 
 import dkl.quadrature as quadrature
 from dkl.geometry import HalfSpacePoint, ModelParams, eval_B
-from dkl.heatkernel import hke_closed
+from dkl.heatkernel import _hke_cells, hke_closed
 from dkl.oracle import (
     OracleParams,
     _comparison,
@@ -36,7 +36,7 @@ from dkl.quadrature import (
 )
 from dkl.special import bessel_I_scaled_arr, one_minus_scaled_I, stable_one_density_arr
 
-from conftest import pt
+from conftest import pt, survival_slopes
 
 SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300)
 
@@ -121,7 +121,7 @@ class TestInputDomains:
 
     def test_estimate_underflow_in_the_comparison(self):
         with pytest.raises(ValueError, match="the estimate underflows to 0 at t = 1.0"):
-            _comparison(OracleParams(0.5, 1, 1.0), SPEC, (1.0,), (1e-300,), (1e-300,), q_fit=1.0)
+            _comparison(OracleParams(0.5, 1, 1.0), SPEC, (1.0,), (1e-300,), (1e-300,))
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0])
     def test_survival_position(self, xi, recwarn):
@@ -133,10 +133,10 @@ class TestInputDomains:
     def test_comparison_grid(self, bad):
         op = OracleParams(0.5, 1, 1.0)
         with pytest.raises(ValueError, match="times must be finite and > 0"):
-            _comparison(op, SPEC, (1.0, bad), (1.0,), (2.0,), q_fit=1.0)
+            _comparison(op, SPEC, (1.0, bad), (1.0,), (2.0,))
         for xs, ys in [((1.0, bad), (2.0,)), ((1.0,), (bad, 2.0))]:
             with pytest.raises(ValueError, match="heights must be finite and > 0"):
-                _comparison(op, SPEC, (1.0,), xs, ys, q_fit=1.0)
+                _comparison(op, SPEC, (1.0,), xs, ys)
 
     def test_comparison_distances_match_the_points(self):
         # the cells' distances come from the heights as HalfSpacePoint.distance_to
@@ -145,7 +145,7 @@ class TestInputDomains:
             op = OracleParams(0.5, dim, 1.0)
             params = ModelParams(dim, 1.0, (1.0, 1.0, 0.0, 0.0))
             xs, ys = (0.3, 2.0), (0.7, 5.0)
-            _, _, _, cells = _comparison(op, SPEC, (0.5,), xs, ys, q_fit=1.0)
+            _, cells = _comparison(op, SPEC, (0.5,), xs, ys)
             for t, xh, yh, _num, est in cells:
                 x = HalfSpacePoint(dim, (0.0,) * (dim - 1), xh)
                 y = HalfSpacePoint(dim, (1.0,) * (dim - 1), yh)
@@ -340,7 +340,7 @@ class TestSubordinatorInterpolant:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_mass_error_on_the_whole_grid(self, gamma):
         u = np.geomspace(1e-9, 1e12, 2000)[1:-1]
-        err = np.abs(_mass_eval(gamma, u) / _mass_knots(gamma, u) - 1.0)
+        err = np.abs(_mass_eval(gamma, np.log(u)) / _mass_knots(gamma, u) - 1.0)
         assert err.max() <= self.MASS_MEASURED[gamma]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -354,7 +354,7 @@ class TestSubordinatorInterpolant:
 
         hi = 1.0 + 60.0 * math.sqrt(u)
         ref, _ = quad(q, 0.0, hi, points=[1.0], epsabs=0.0, epsrel=1e-13, limit=500)
-        got = float(_mass_eval(gamma, np.array([u]))[0])
+        got = float(_mass_eval(gamma, np.array([math.log(u)]))[0])
         # the old order-32 knots were off by 1.1e-1 at u = 1e11, gamma = 1
         assert got == pytest.approx(ref, rel=1e-11)
 
@@ -410,6 +410,33 @@ class TestSurvival:
         # recorded observation: the fitted exponent tracks gamma + 1/2
         assert abs(q_fit - 1.0) < 0.05
 
+    @pytest.mark.parametrize(
+        "gamma, alpha", [(0.5, 1.0), (0.0, 0.6), (1.0, 1.4), (0.5, 1.6), (2.0, 0.8)]
+    )
+    def test_exponent_is_gamma_plus_half(self, gamma, alpha):
+        # the local slope near the boundary, per decade; the largest error
+        # measured is 1.02e-8
+        op = OracleParams(gamma, 1, alpha)
+        assert op.survival_exponent == gamma + 0.5
+        for slope in survival_slopes(op):
+            assert abs(slope - op.survival_exponent) < 1e-7
+
+    @pytest.mark.parametrize("xi", [1e-300, 1e-200, 1e-160])
+    def test_closed_form_below_the_square_range(self, xi, recwarn):
+        # the killed Cauchy process: (2/pi) arctan(xi), although xi^2 is
+        # subnormal or 0
+        got = oracle_survival(OracleParams(0.5, 1, 1.0), xi)
+        assert got == pytest.approx(2.0 / math.pi * math.atan(xi), rel=1e-11)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("xi", [1e160, 1e300])
+    def test_far_position_past_the_square_range(self, xi, recwarn):
+        # the value is 1 less the subordinator mass past w = 1e12, where the
+        # integral stops: 5.6e-7 at alpha = 1
+        got = oracle_survival(OracleParams(0.5, 1, 1.0), xi)
+        assert got == pytest.approx(1.0, rel=1e-6)
+        assert not recwarn.list
+
     def test_survival_monotone_in_position(self):
         op = OracleParams(1.0, 1, 0.8)
         xs = [1e-3, 1e-2, 1e-1, 1.0]
@@ -455,7 +482,7 @@ class TestComparison:
         failed = 0
         for op in (OracleParams(0.5, 1, 1.0), OracleParams(1.5, 2, 0.6)):
             heights = np.geomspace(0.05, 20.0, 5)
-            _, _, _, cells = _comparison(op, spec, (0.25, 4.0), heights, heights[1:], q_fit=1.0)
+            _, cells = _comparison(op, spec, (0.25, 4.0), heights, heights[1:])
             assert len(cells) == 2 * 5 * 4
             for t, xh, yh, num, _ in cells:
                 # the comparison's points: y one unit off along the boundary in d = 2
@@ -469,6 +496,18 @@ class TestComparison:
                     continue
                 assert num == want, (op, t, xh, yh)
         assert failed > 0 if spec.max_subdivisions == 32 else failed == 0
+
+    def test_estimates_take_the_exact_exponent(self):
+        # bit for bit the array estimate at q = gamma + 1/2
+        for op in (OracleParams(0.5, 1, 1.0), OracleParams(0.0, 1, 0.6), OracleParams(1.5, 2, 0.6)):
+            heights = (0.05, 0.7, 20.0)
+            _, cells = _comparison(op, SPEC, (0.25, 4.0), heights, heights)
+            lead = (1.0,) * (op.dim - 1)
+            cols = [(t ** (1.0 / op.alpha), x, y, math.hypot(*lead, x - y))
+                    for t, x, y, _, _ in cells]
+            params = ModelParams(op.dim, op.alpha, (op.gamma + 0.5,) * 2 + (0.0, 0.0))
+            want = _hke_cells(params, *np.array(cols).T, op.gamma + 0.5)[3]
+            assert [cell[4] for cell in cells] == want.tolist()
 
     def test_interior_cells_near_on_diagonal(self):
         op = OracleParams(0.5, 1, 1.0)
