@@ -8,10 +8,10 @@ metrics and once traced (``--seconds 1 --trace 1``) for the per-layer
 metrics.  From the last stdout line of each run it writes, per workload,
 the metrics, ``failed/attempted`` and ``correct`` to OUT, together with the
 git revision and the host the figures were measured on.  Under ``cli`` it
-writes the median wall time of 5 subprocess runs of each command in
-``CLI``, each of which must exit 0.  When ``src`` or
-``dklbench`` differ from that revision, ``diff_sha256`` holds the SHA-256 of
-``git diff HEAD -- src dklbench``, so the record names the code it measured.
+writes the median wall time of 5 subprocess runs of each command in ``CLI``,
+each of which must exit 0.  When ``src`` or ``dklbench`` differ from that
+revision, ``diff_sha256`` holds the SHA-256 of ``git diff HEAD -- src
+dklbench``, so the record names the code it measured.
 """
 
 from __future__ import annotations

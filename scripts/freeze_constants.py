@@ -6,8 +6,7 @@ frozen constants file checked into the package.  Each stored value is the
 measured extreme itself; the checks hold it with 10% slack and no excluded
 sample (``dkl.report``).  A sweep that excludes a sample measures no
 constant, so if any does, the script names each such sweep, writes nothing
-and exits 1.  Re-run only when an
-estimator deliberately changes.
+and exits 1.  Re-run only when an estimator deliberately changes.
 
     python3 scripts/freeze_constants.py
 """

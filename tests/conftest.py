@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dkl.geometry import HalfSpacePoint
+from dkl.oracle import oracle_survival
 
 
 def pt(*coords) -> HalfSpacePoint:
@@ -13,8 +14,6 @@ def pt(*coords) -> HalfSpacePoint:
 def survival_slopes(op) -> list[float]:
     """Slopes of log oracle_survival over the decades [1e-6, 1e-5] and
     [1e-5, 1e-4] of the boundary-scaled position."""
-    from dkl.oracle import oracle_survival
-
     logs = [math.log(oracle_survival(op, xi)) for xi in (1e-6, 1e-5, 1e-4)]
     return [(b - a) / math.log(10.0) for a, b in zip(logs, logs[1:])]
 

@@ -499,7 +499,8 @@ class TestComparison:
 
     def test_estimates_take_the_exact_exponent(self):
         # bit for bit the array estimate at q = gamma + 1/2
-        for op in (OracleParams(0.5, 1, 1.0), OracleParams(0.0, 1, 0.6), OracleParams(1.5, 2, 0.6)):
+        for gamma, dim, alpha in [(0.5, 1, 1.0), (0.0, 1, 0.6), (1.5, 2, 0.6)]:
+            op = OracleParams(gamma, dim, alpha)
             heights = (0.05, 0.7, 20.0)
             _, cells = _comparison(op, SPEC, (0.25, 4.0), heights, heights)
             lead = (1.0,) * (op.dim - 1)
