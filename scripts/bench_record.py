@@ -30,11 +30,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["queries", "estimates", "oracle"]
 RUNS = {"end_to_end": ["--seconds", "15"], "per_layer": ["--seconds", "1", "--trace", "1"]}
-# the map command is the README's example: at its default flags the model
-# is in the one-jump regime, where `dkl map` is a usage error
+# the map and solve-q commands are the README's examples; c-shape scans the
+# killing map and refines both of its zeros
 CLI = ["check --lemma all --budget 1000",
        "map --alpha 0.5 --beta 0,1.5,0,0 --dim 2 --t 0.001 --x 0,0.0001 --grid-n 32 --extent 4",
-       "oracle"]
+       "oracle",
+       "c-shape --alpha 1.4 --beta 0.5,1.5,0,0 --grid-size 64",
+       "solve-q --alpha 1.5 --beta 1,1,0,0 --kappa 2.0"]
 CLI_RUNS = 5
 
 

@@ -221,7 +221,9 @@ _SUBCOMMANDS = {
     "solve-q": (cmd_solve_q, {**_MODEL, **_TOL, **_OUTPUT}),
     "c-shape": (cmd_c_shape, {**_KERNEL, **_TOL, **_OUTPUT, "grid_size": (int, 64)}),
     "hke": (cmd_hke, {**_MODEL, **_TOL, **_OUTPUT, "t": (float, 1.0), **_PAIR}),
-    "map": (cmd_map, {**_KERNEL, **_OUTPUT, "t": (float, 0.001), "x": (str, "1"),
+    # the two-jump regime, beta2 >= alpha + beta1, at the default alpha
+    "map": (cmd_map, {**_KERNEL, "beta": (str, "0,1.5,0,0"), **_OUTPUT, "t": (float, 0.001),
+                      "x": (str, "1"),
                       "grid_n": (int, 16), "extent": (float, 2.0)}),
     "green": (cmd_green, {**_MODEL, **_TOL, **_OUTPUT, **_PAIR}),
     "green-integrate": (

@@ -19,8 +19,9 @@ The map is evaluated for many q at once, each q a row (``_c_rows``);
 midpoint and its zero checks in one call.  A row's left half has its own
 log-axis breakpoints, since delta sets the reach, and the rows are laid out
 one after another; the right half's nodes, Jacobian and weight do not
-depend on q, so each order computes them once for all rows.  Orders 16 and
-32 share one call, and each row stops at its own order by the rule of
+depend on q, so each public call computes them once per order, for all its
+rows and Brent steps (``_MapWeight.right``).  Orders 16 and 32 share one
+call, and each row stops at its own order by the rule of
 ``quadrature.refine_rows``, so a q's value is the same bits whatever else
 is in the batch.
 
@@ -33,7 +34,10 @@ costs a d = 1 evaluation.  On each half W comes from a checked piecewise
 Chebyshev interpolant of converged theta integrals, built once per call.
 Nothing is kept from one call to the next.
 ``solve_q`` and the zero refinement of ``scan_shape`` find roots with
-Brent's method on a bracket.
+Brent's method on a bracket.  ``scan_shape`` starts each from the tightest
+bracket its one batch gives: the grid points around a sign change, narrowed
+by the midpoint and zero checks that lie inside them.  A check that is
+exactly 0, as C(0) and C(alpha - 1) usually are, ends the search there.
 
 Each public function takes the whole model from its ``ModelParams``: beta
 fixes the weight and ``kappa`` the level that ``solve_q`` inverts at.
@@ -253,7 +257,9 @@ def _phi_rows(top: np.ndarray, kink: np.ndarray, alpha: float, tol: float) -> np
 
 class _MapWeight:
     """The weight of the map's s-integral, for one call of :func:`compute_C`,
-    :func:`solve_q` or :func:`scan_shape`; nothing outlives the call.
+    :func:`solve_q` or :func:`scan_shape`; nothing outlives the call.  Within
+    it, the right half is built once per order tuple and reused by every
+    batch of rows and every Brent step.
 
     In d = 1 it is B at heights (s, 1) and distance 1 - s.  In d >= 2 it is
     the tangential average, in phi = pi/2 - theta,
@@ -292,6 +298,7 @@ class _MapWeight:
     def __init__(self, params: ModelParams, spec: QuadratureSpec):
         self.alpha, self.beta, self.dim = params.alpha, params.beta, params.dim
         self._diag1 = diagonal_limit(self.beta)
+        self._right: dict[tuple[int, ...], tuple] = {}
         if self.dim == 1:
             self.diag = self._diag1
             return
@@ -377,7 +384,19 @@ class _MapWeight:
 
     def right(self, orders: tuple[int, ...]) -> tuple:
         """u, the Jacobian of u, W and W - W(1) at the right half's nodes of
-        every order of ``orders``, joined, and each order's weights."""
+        every order of ``orders``, joined, and each order's weights.
+
+        None of these depend on q, so each ``orders`` is built once per
+        instance and later calls return the same read-only arrays.
+        """
+        if orders not in self._right:
+            arrays = self._right_arrays(orders)
+            for a in (*arrays[:4], *arrays[4]):
+                a.flags.writeable = False
+            self._right[orders] = arrays
+        return self._right[orders]
+
+    def _right_arrays(self, orders: tuple[int, ...]) -> tuple:
         alpha, beta = self.alpha, self.beta
         rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
         t = np.concatenate([x for x, _ in rules])
@@ -586,6 +605,11 @@ def scan_shape(
     0 and alpha-1, and a nonpositive minimum at (alpha-1)/2, all up to
     quadrature noise.  The table records each check; a violation raises
     nothing, and :attr:`CShapeTable.passed` is false.
+
+    The grid, the midpoint and the zero checks are one batch of the map.
+    Each sign change between grid points is refined by Brent's method from
+    the tightest bracket that batch gives, so a check where C is exactly 0
+    is the zero itself.
     """
     spec = spec or QuadratureSpec()
     if grid_size < 8:
@@ -618,14 +642,20 @@ def scan_shape(
 
     zeros_ok = not any(abs(v) > z_tol for v in every[grid_size + 1:])
 
+    # the midpoint and zero checks narrow a sign change's grid bracket; one
+    # that lands on C == 0 ends the search at once
+    checked = list(zip([q_mid, *zs], every[grid_size:]))
     detected = []
     for i in range(len(qs) - 1):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            detected.append(
-                _refine_zero(
-                    mw, spec, float(qs[i]), float(qs[i + 1]), float(vals[i]), float(vals[i + 1])
-                )
-            )
+        qa, qb, va, vb = float(qs[i]), float(qs[i + 1]), float(vals[i]), float(vals[i + 1])
+        if (va < 0.0) != (vb < 0.0):
+            for q, v in checked:
+                if qa < q < qb:
+                    if (v < 0.0) == (va < 0.0):
+                        qa, va = q, v
+                    else:
+                        qb, vb = q, v
+            detected.append(_refine_zero(mw, spec, qa, qb, va, vb))
     if len(detected) >= 2:
         zeros = (detected[0], detected[-1])
     elif c_mid >= -z_tol:

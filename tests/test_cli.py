@@ -144,6 +144,14 @@ class TestMap:
         assert code == 2
         assert err == "error: dominance map requires the two-jump regime, beta2 >= alpha + beta1\n"
 
+    def test_default_flags_are_in_the_two_jump_regime(self, tmp_path):
+        # every flag has a default; map's beta is one its dominance map takes
+        out = tmp_path / "map.csv"
+        assert _cli_outcome(["map", "--out", str(out)]) == (0, "", "")
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "y1,tag,one_jump,two_jump,both_zero,valid"
+        assert len(lines) == 1 + 16**2
+
     def test_map_rows(self, capsys):
         code, out = run_cli(
             [

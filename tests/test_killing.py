@@ -353,7 +353,44 @@ class TestMapRows:
         assert len(built) == 1 and batches == [8 + 1 + 2]
 
 
+class TestRightHalf:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_second_call_returns_the_same_read_only_arrays(self, d):
+        mw = _MapWeight(ModelParams(d, 1.4, (0.0, 1.5, 0.0, 0.5)), SPEC)
+        first = mw.right((16, 32))
+        again = mw.right((16, 32))
+        arrays = [*first[:4], *first[4]]
+        assert all(a is b for a, b in zip(arrays, [*again[:4], *again[4]]))
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            first[0][0] = 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_warmed_weight_gives_the_bits_of_a_fresh_one(self, d):
+        # one-q calls warm the right half up to order 128, as Brent steps do
+        p = ModelParams(d, 0.6, (1.0, 0.5, 0.5, 0.0))
+        qs = [-0.9, 0.3, 1.5]
+        warm = _MapWeight(p, SPEC)
+        for q in qs:
+            _c_rows(warm, [q], SPEC)
+        assert max(max(orders) for orders in warm._right) >= 64
+        assert _c_rows(warm, qs, SPEC) == _c_rows(_MapWeight(p, SPEC), qs, SPEC)
+
+
 class TestSolveQ:
+    @pytest.mark.parametrize(
+        "d, alpha, b, kappa, q, residual",
+        [
+            (1, 0.5, (1.0, 1.0, 0.0, 0.0), 1.0, 0.6744408531249361, -1.220223921905017e-11),
+            (1, 1.5, (2.0, 3.0, 1.0, 1.0), 0.3, 0.6382244777359226, -6.661726725809558e-12),
+            (1, 1.7, (0.5, 2.0, 0.0, 1.0), 2.0, 1.0711207053499507, -1.5587531265737198e-13),
+            (2, 1.2, (0.5, 2.0, 0.3, 0.0), 0.7, 0.5529316292930652, -4.427569422205124e-12),
+        ],
+    )
+    def test_pinned_answer_and_residual(self, d, alpha, b, kappa, q, residual):
+        # the bits of a solve that built the right half anew in every Brent step
+        assert killing._solve_q(ModelParams(d, alpha, b, kappa=kappa), SPEC) == (q, residual)
+
     def test_kappa_zero_branch_start(self):
         p = ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0), kappa=0.0)
         assert solve_q(p, SPEC) == 0.5
@@ -472,6 +509,46 @@ class TestScanShape:
         qs = np.array(table.qs)
         assert np.all(np.diff(qs) > 0)
         assert qs[0] > -1.0 and qs[-1] < p.alpha + p.beta[0]
+
+    @pytest.mark.parametrize(
+        "d, alpha, b",
+        [(1, 1.5, (1.0, 1.0, 0.0, 0.0)), (1, 0.6, (1.0, 0.5, 0.5, 0.0)),
+         (2, 1.4, (0.0, 1.5, 0.0, 0.5))],
+    )
+    def test_exact_zero_checks_end_the_zero_search(self, d, alpha, b, monkeypatch):
+        # C is exactly 0 at both zero checks, so both brackets close on them
+        # with no evaluation past the one batch
+        batches = []
+        rows = killing._c_rows
+
+        def counted(mw, qs, spec):
+            batches.append(len(qs))
+            return rows(mw, qs, spec)
+
+        monkeypatch.setattr(killing, "_c_rows", counted)
+        table = scan_shape(ModelParams(d, alpha, b), 24)
+        assert batches == [24 + 1 + 2]
+        assert table.zeros == (min(alpha - 1.0, 0.0), max(alpha - 1.0, 0.0))
+
+    @pytest.mark.parametrize("nudge", [1e-300, -1e-300])
+    def test_nonzero_check_still_refines(self, nudge, monkeypatch):
+        # the zero checks read a tiny nonzero value: each bracket narrows to
+        # one end at the check and Brent's method refines from there
+        batches = []
+        rows = killing._c_rows
+
+        def nudged(mw, qs, spec):
+            batches.append(len(qs))
+            out = rows(mw, qs, spec)
+            if len(qs) > 1:
+                assert out[-2:] == [0.0, 0.0]
+                out[-2:] = [nudge, nudge]
+            return out
+
+        monkeypatch.setattr(killing, "_c_rows", nudged)
+        table = scan_shape(ModelParams(1, 1.5, (1.0, 1.0, 0.0, 0.0)), 24, SPEC)
+        assert len(batches) > 1
+        assert abs(table.zeros[0]) <= 1e-12 and abs(table.zeros[1] - 0.5) <= 1e-12
 
     def test_grid_size_validation(self):
         p = ModelParams(1, 1.2, (1.0, 1.0, 0.0, 0.0))
