@@ -223,8 +223,7 @@ _SUBCOMMANDS = {
     "hke": (cmd_hke, {**_MODEL, **_TOL, **_OUTPUT, "t": (float, 1.0), **_PAIR}),
     # the two-jump regime, beta2 >= alpha + beta1, at the default alpha
     "map": (cmd_map, {**_KERNEL, "beta": (str, "0,1.5,0,0"), **_OUTPUT, "t": (float, 0.001),
-                      "x": (str, "1"),
-                      "grid_n": (int, 16), "extent": (float, 2.0)}),
+                      "x": (str, "1"), "grid_n": (int, 16), "extent": (float, 2.0)}),
     "green": (cmd_green, {**_MODEL, **_TOL, **_OUTPUT, **_PAIR}),
     "green-integrate": (
         functools.partial(cmd_green, estimate=green_by_time_integration),

@@ -388,7 +388,7 @@ class TestSolveQ:
         ],
     )
     def test_pinned_answer_and_residual(self, d, alpha, b, kappa, q, residual):
-        # the bits of a solve that built the right half anew in every Brent step
+        # reusing the right half between Brent steps keeps every bit
         assert killing._solve_q(ModelParams(d, alpha, b, kappa=kappa), SPEC) == (q, residual)
 
     def test_kappa_zero_branch_start(self):
