@@ -9,7 +9,11 @@ metrics.  From the last stdout line of each run it writes, per workload,
 the metrics, ``failed/attempted`` and ``correct`` to OUT, together with the
 git revision and the host the figures were measured on.  Under ``cli`` it
 writes the median wall time of 5 subprocess runs of each command in ``CLI``,
-each of which must exit 0.  When ``src`` or ``dklbench`` differ from that
+each of which must exit 0.  Under ``tier1`` it writes one run of the
+tier-1 command of ROADMAP.md: its wall time, the passed and failed counts
+and the time of each ``test_criterion_*`` test from its JUnit XML, and
+pytest's exit code, which is recorded, not required to be 0.  When ``src``
+or ``dklbench`` differ from that
 revision, ``diff_sha256`` holds the SHA-256 of ``git diff HEAD -- src
 dklbench``, so the record names the code it measured.
 """
@@ -24,8 +28,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["queries", "estimates", "oracle"]
@@ -38,6 +44,7 @@ CLI = ["check --lemma all --budget 1000",
        "c-shape --alpha 1.4 --beta 0.5,1.5,0,0 --grid-size 64",
        "solve-q --alpha 1.5 --beta 1,1,0,0 --kappa 2.0"]
 CLI_RUNS = 5
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def _run(workload: str, extra: list[str]) -> dict:
@@ -55,6 +62,28 @@ def _cli_median_s(command: str) -> float:
         subprocess.run(cmd, cwd=ROOT, env=env, check=True, capture_output=True)
         walls.append(time.perf_counter() - t0)
     return statistics.median(walls)
+
+
+def _tier1() -> dict:
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as tmp:
+        xml = Path(tmp) / "tier1.xml"
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, *TIER1, f"--junitxml={xml}"], cwd=ROOT, env=env,
+                              capture_output=True)
+        wall = time.perf_counter() - t0
+        cases = list(ElementTree.parse(xml).getroot().iter("testcase"))
+    failed = [c for c in cases if c.find("failure") is not None or c.find("error") is not None]
+    skipped = [c for c in cases if c.find("skipped") is not None]
+    return {
+        "wall_s": wall,
+        "passed": len(cases) - len(failed) - len(skipped),
+        "failed": len(failed),
+        "exit_code": proc.returncode,
+        "criterion_s": {c.get("name"): float(c.get("time")) for c in cases
+                        if c.get("name").startswith("test_criterion_")},
+    }
 
 
 def _git(*cmd: str) -> str:
@@ -111,6 +140,9 @@ def main(argv=None) -> int:
         walls[f"dkl {command}"] = _cli_median_s(command)
         print(f"dkl {command}: {walls[f'dkl {command}']:.3f} s", file=sys.stderr)
     record["cli"] = {"runs": CLI_RUNS, "median_wall_s": walls}
+    record["tier1"] = _tier1()
+    print(f"tier1: {record['tier1']['passed']} passed, {record['tier1']['failed']} failed "
+          f"in {record['tier1']['wall_s']:.1f} s", file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -110,8 +110,8 @@ def _check_quadruple(b: Sequence[float]) -> tuple[float, float, float, float]:
     if len(b) != 4:
         raise AdmissibilityError("weight parameters must be a quadruple")
     b1, b2, b3, b4 = (float(v) for v in b)
-    if min(b1, b2, b3, b4) < 0.0:
-        raise AdmissibilityError(f"weight exponents must be >= 0, got {b}")
+    if not all(0.0 <= v < math.inf for v in (b1, b2, b3, b4)):  # NaN fails too
+        raise AdmissibilityError(f"weight exponents must be finite and >= 0, got {b}")
     if b3 > 0.0 and b1 == 0.0:
         raise AdmissibilityError("first exponent must be positive when the third is")
     if b4 > 0.0 and b2 == 0.0:
@@ -231,10 +231,11 @@ def eval_A(
 
 
 def diagonal_limit(beta: Sequence[float]) -> float:
-    """Limit of the weight as two points at equal positive heights merge.
-
-    Factored exactly as :func:`weight_from_heights_arr` computes it, so
-    differences against this value cancel bitwise where the weight is flat.
+    """Limit of the weight as two points at equal positive heights merge,
+    and its value wherever the distance is at most the lower height, where
+    every ratio clamps.  Taken from ``math``: :func:`weight_from_heights_arr`
+    may differ from it there by an ulp or so, as numpy's ``log`` and
+    ``power`` need not have libm's bits.
     """
     b3, b4 = beta[2], beta[3]
     return (math.log(_E + 1.0) ** b3 if b3 > 0.0 else 1.0) * (

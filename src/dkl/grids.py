@@ -33,6 +33,7 @@ from .green import green_by_time_integration, green_estimate
 from .heatkernel import (
     Regime,
     _bracket_terms,
+    _hke_cells,
     _time_scale,
     detect_regime,
     hke_closed,
@@ -261,18 +262,17 @@ def _convolution_samples(n: int):
 
 
 def _convolution(smp) -> float:
-    """Two d = 1 stable profiles convolved, over the profile at the summed time."""
+    """Two d = 1 stable profiles convolved, over the profile at the summed time;
+    each profile is the beta = 0 model's free value from :func:`_hke_cells`."""
     alpha, t, s, xv, yv = smp
+    model = ModelParams(1, alpha, (0.0, 0.0, 0.0, 0.0))
+    ut, us = _time_scale(t, alpha), _time_scale(s, alpha)
 
     def conv(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        for i, zi in enumerate(z):
-            out[i] = stable_factor(1, alpha, t, abs(xv - zi)) * stable_factor(
-                1, alpha, s, abs(yv - zi)
-            )
-        return out
+        return (_hke_cells(model, ut, 1.0, 1.0, np.abs(xv - z))[2]
+                * _hke_cells(model, us, 1.0, 1.0, np.abs(yv - z))[2])
 
-    span = abs(xv - yv) + (t ** (1 / alpha) + s ** (1 / alpha)) * 10 + 10
+    span = abs(xv - yv) + (ut + us) * 10 + 10
     breaks = sorted({xv, yv, xv - span, xv + span, yv - span, yv + span, (xv + yv) / 2})
     val = integrate_panels(conv, breaks, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-300))
     return val / stable_factor(1, alpha, t + s, abs(xv - yv))

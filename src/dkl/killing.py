@@ -283,8 +283,10 @@ class _MapWeight:
     constant to double precision; the build checks that at ``_W_DEEP``.
 
     ``right(orders)`` gives u = 1 - s, the Jacobian of u, W and W - W(1) at
-    the right half's nodes of those orders.  W(1) is ``diag``; in d >= 2
-    it is B's diagonal limit times
+    the right half's nodes of those orders.  W(1) is ``diag``.  In d = 1
+    the distance u is at most the lower height 1 - u there, so every ratio
+    of B clamps: W is ``diag`` and W - W(1) is 0, taken as such.  In d >= 2
+    ``diag`` is B's diagonal limit times
     |S^(d-2)| G((d-1)/2) G((alpha+1)/2) / (2 G((d+alpha)/2)), and W - W(1)
     is the integral of B - diag, which vanishes where the distance is below
     1 - u, so nothing cancels.  W - W(1) is interpolated as
@@ -397,15 +399,14 @@ class _MapWeight:
         return self._right[orders]
 
     def _right_arrays(self, orders: tuple[int, ...]) -> tuple:
-        alpha, beta = self.alpha, self.beta
+        alpha = self.alpha
         rules = [panel_nodes(_RIGHT_BREAKS, n) for n in orders]
         t = np.concatenate([x for x, _ in rules])
         wts = [w for _, w in rules]
         if self.dim == 1:
+            # the distance u is at most the lower height 1 - u: B is diag
             u, jac = _graded(t, alpha)
-            # from u, not s: forming 1-s from s near 1 would lose all precision
-            wvals = weight_from_heights_arr(beta, 1.0 - u, np.ones_like(u), u)
-            return u, jac, wvals, wvals - self.diag, wts
+            return u, jac, np.full_like(u, self.diag), np.zeros_like(u), wts
         v = t * (2.0 - t)
         u, jac = _graded(v, alpha)
         jac *= 2.0 * (1.0 - t)

@@ -144,8 +144,9 @@ def _g_interp(a: float):
     """Interpolant of log g against log w, g the unit-time subordinator
     density, from where g is about e^-600 of its scale up to w = 1e14.
 
-    Returns ``(w_left, w_hi, interpolant)``.  The panels are 0.4 wide in
-    log w, narrower where the left tail log g ~ -w^(-a/(1-a)) is steep.
+    Returns ``(w_left, w_hi, interpolant)``; past w_hi :func:`_g_eval`
+    calls the density itself.  The panels are 0.4 wide in log w, narrower
+    where the left tail log g ~ -w^(-a/(1-a)) is steep.
     """
     frac = a / (1.0 - a)
     k_left = (1.0 - a) * a**frac
@@ -161,25 +162,15 @@ def _g_interp(a: float):
 
 
 def _g_eval(a: float, w: np.ndarray) -> np.ndarray:
-    """Unit-time subordinator density on an array of w > 0, via the cached
-    interpolant; 0 left of it, a tail series right of it."""
+    """Unit-time subordinator density on an array of w > 0: the cached
+    interpolant, 0 left of it, and the density itself right of it."""
     lo, hi, interp = _g_interp(a)
     w = np.asarray(w, dtype=float)
     out = np.exp(interp_eval(interp, np.log(w)))
     out[w < lo] = 0.0
     big = w > hi
     if np.any(big):
-        # three-term tail series; relative error below w^(-3a) here
-        wb = w[big]
-        acc = np.zeros_like(wb)
-        sign = 1.0
-        for k in (1, 2, 3):
-            coef = math.gamma(a * k + 1.0) / math.gamma(k + 1.0) * math.sin(
-                math.pi * a * k
-            )
-            acc += sign * coef * wb ** (-a * k - 1.0)
-            sign = -sign
-        out[big] = acc / math.pi
+        out[big] = stable_one_density_arr(a, w[big])
     return out
 
 

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .quadrature import NonConvergenceError, QuadratureSpec, integrate_panels
+from .quadrature import NonConvergenceError, QuadratureSpec, converge_rows
 
 __all__ = [
     "bessel_I",
@@ -257,7 +257,9 @@ _STABLE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=10
 
 
 def _stable_integral(a: float, x: np.ndarray) -> np.ndarray:
-    """Integral representation at each x > 0, accurate for small and moderate x."""
+    """Integral representation at each x > 0, accurate for small and moderate
+    x: one row of :func:`quadrature.converge_rows` per x.  Raises
+    :class:`NonConvergenceError` naming the first x whose row failed."""
     one_m = 1.0 - a
     lam = np.empty(len(x))
     for i, v in enumerate(x.tolist()):
@@ -280,19 +282,15 @@ def _stable_integral(a: float, x: np.ndarray) -> np.ndarray:
         up = lam_r * _zolotarev_A(a, mid) > 745.0
         np.putmask(hi, up, mid)
         np.putmask(lo, ~up, mid)
-    for r, lam_i, phi_hi in zip(rows.tolist(), lam_r.tolist(), hi.tolist()):
 
-        def f(phi: np.ndarray) -> np.ndarray:
-            A = _zolotarev_A(a, phi)
-            return A * np.exp(-lam_i * A)
+    def f(phi: np.ndarray, row: np.ndarray) -> np.ndarray:
+        A = _zolotarev_A(a, phi)
+        return A * np.exp(-lam_r[row] * A)
 
-        x_r = float(x[r])
-        try:
-            val = integrate_panels(f, np.linspace(0.0, phi_hi, 9), _STABLE_SPEC, n0=32)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"stable density integral at a={a}, x={x_r}: {exc}"
-            ) from None
+    vals = converge_rows(f, np.linspace(0.0, hi, 9, axis=1), _STABLE_SPEC, 32)
+    for r, x_r, val in zip(rows.tolist(), x[rows].tolist(), vals):
+        if isinstance(val, NonConvergenceError):
+            raise NonConvergenceError(f"stable density integral at a={a}, x={x_r}: {val}")
         out[r] = (a / (math.pi * one_m)) * x_r ** (-1.0 / one_m) * val
     return out
 
@@ -316,9 +314,9 @@ def stable_one_density_arr(a: float, x: np.ndarray) -> np.ndarray:
     # accumulated across the slowly decaying head; the 500x multiplier holds
     # a 2.5x margin over the worst ratio observed in calibration sweeps.
     # It is nan where the series failed, which no test below passes.  Where
-    # every term underflows (max_term == 0) so does the density: keep the 0
+    # the largest term is subnormal or 0, so is the density: keep a sum of 0
     noise = 500.0 * max_term * 2.2e-16 / np.maximum(np.abs(val), 1e-300)
-    use = (noise <= 1e-9) & ((val > 0.0) | (max_term == 0.0))
+    use = (noise <= 1e-9) & ((val > 0.0) | (max_term < np.finfo(float).tiny))
     if not use.all():
         rest = np.flatnonzero(~use)
         integral = _stable_integral(a, xs[rest])

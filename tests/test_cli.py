@@ -576,6 +576,21 @@ class TestInputDomains:
         code, _, err = _cli_outcome(argv)
         assert code == 2 and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("command", [
+        ["hke", "--x", "1", "--y", "2"],
+        ["map"],
+        ["green", "--x", "1", "--y", "2", "--q", "0.5"],
+        ["solve-q", "--kappa", "1"],
+    ], ids=lambda c: c[0])
+    def test_non_finite_weight_exponent(self, command, position, value):
+        beta = ["1", "1.5", "0.5", "0.5"]
+        beta[position] = value
+        code, out, err = _cli_outcome([*command, f"--beta={','.join(beta)}"])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: weight exponents must be finite and >= 0")
+
     def test_oracle_integrand_past_the_float_range(self):
         # the density at t = 1e-120 is about 1e120, but its integrand near
         # s = t^2 passes the float range: a numerical failure, with no warning

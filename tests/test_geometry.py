@@ -273,6 +273,20 @@ class TestModelParams:
         p = ModelParams(3, 0.5, (1, 2, 0.5, 0.25), kappa=2.0)
         assert p.beta == (1.0, 2.0, 0.5, 0.25)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_exponents_are_rejected(self, position, value):
+        # NaN passes a `min(b) < 0` test, and inf every lower bound
+        b = [1.0, 1.0, 0.5, 0.5]
+        b[position] = value
+        match = "weight exponents must be finite and >= 0"
+        with pytest.raises(AdmissibilityError, match=match):
+            ModelParams(1, 1.0, tuple(b))
+        with pytest.raises(AdmissibilityError, match=match):
+            eval_B(b, pt(1.0), pt(2.0))
+        with pytest.raises(AdmissibilityError, match=match):
+            eval_A(b, 1.0, pt(1.0), pt(2.0), 1.0)
+
 
 class TestStableProfileBounds:
     def test_mass_bound_uniform_in_time(self):

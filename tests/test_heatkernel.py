@@ -13,6 +13,7 @@ from dkl.geometry import (
     eval_J,
     lift_ed,
     stable_factor,
+    stable_profile,
     standard_weight,
     survival_factor,
 )
@@ -401,6 +402,21 @@ class TestScalarFactorsShareOneFormula:
         p = ModelParams(1, 0.5, (0.5, 2.0, 0.3, 0.0))
         with pytest.raises(ValueError, match=r"requires \|x-y\| > 6 t\^\(1/alpha\)"):
             twojump_ball_integral(p, standard_weight(p), 1e300, pt(0.5), pt(30.0), SPEC)
+
+    def test_free_value_of_the_zero_weight_model_is_the_stable_profile(self):
+        # the convolution sweep of dkl.grids takes the d = 1 stable profile
+        # from the array kernel; numpy's power may differ from libm's by a
+        # few ulp off the diagonal, and on it both take u^-1
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            alpha = float(rng.uniform(0.2, 1.9))
+            u = float(10.0 ** rng.uniform(-3.0, 3.0))
+            r = 10.0 ** rng.uniform(-4.0, 4.0, 200)
+            got = _hke_cells(ModelParams(1, alpha, (0, 0, 0, 0)), u, 1.0, 1.0, r)[2]
+            want = np.array([stable_profile(1, alpha, u, float(v)) for v in r])
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+            at_zero = _hke_cells(ModelParams(1, alpha, (0, 0, 0, 0)), u, 1.0, 1.0, 0.0)[2]
+            assert at_zero == stable_profile(1, alpha, u, 0.0)
 
 
 class TestInputDomains:

@@ -7,7 +7,7 @@ from scipy.integrate import quad, trapezoid
 
 import dkl.killing as killing
 import dkl.quadrature as quadrature
-from dkl.geometry import ModelParams
+from dkl.geometry import ModelParams, weight_from_heights_arr
 from dkl.killing import (
     _bracketed_root,
     _c_rows,
@@ -57,7 +57,7 @@ def brute_force_C(d: int, alpha: float, q: float, b) -> float:
     """
     if d == 1:
         return brute_force_C_d1(alpha, q, b)
-    surface = {2: 2.0, 3: 2.0 * math.pi}[d]
+    surface = {2: 2.0, 3: 2.0 * math.pi, 4: 4.0 * math.pi}[d]
 
     def f(th: float) -> float:
         inner = brute_force_C_d1(alpha, q, b, nodes=200_000, c=1.0 / math.cos(th))
@@ -109,8 +109,9 @@ class TestComputeC:
             (1, 0.5, (1.0, 1.0, 0.0, 0.0), 0.25),
             (2, 0.9, (1.0, 1.5, 0.5, 0.0), 0.5),
             (3, 1.1, (1.0, 1.0, 0.0, 0.0), 0.8),
+            (4, 0.7, (0.5, 1.2, 0.3, 0.2), 0.4),
         ],
-        ids=["d1", "d2", "d3"],
+        ids=["d1", "d2", "d3", "d4"],
     )
     def test_against_brute_force_mesh(self, d, alpha, b, q):
         p = ModelParams(d, alpha, b)
@@ -208,7 +209,7 @@ def direct_log_W(d: int, alpha: float, b, w: float) -> float:
     cuts = sorted(c for c in set(cuts) if 0.0 <= c <= math.pi / 2.0)
     total = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
                 for lo, hi in zip(cuts[:-1], cuts[1:]))
-    surface = {2: 2.0, 3: 2.0 * math.pi}[d]
+    surface = {2: 2.0, 3: 2.0 * math.pi, 4: 4.0 * math.pi}[d]
     return math.log(surface * total) + norm
 
 
@@ -364,6 +365,21 @@ class TestRightHalf:
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             first[0][0] = 0.0
+
+    def test_d1_weight_is_its_diagonal_limit(self):
+        # the distance u is at most the lower height 1 - u on the right half,
+        # so every ratio clamps: W is diag and W - diag exactly 0.  The array
+        # weight gives diag there only to an ulp or so, as numpy's log and
+        # power need not have libm's bits
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            b1, b2 = rng.uniform(0.1, 2.0, 2)
+            b3, b4 = rng.uniform(0.0, 1.5, 2)
+            mw = _MapWeight(ModelParams(1, 1.7, (b1, b2, b3, b4)), SPEC)
+            u, _, w, wdiff, _ = mw.right((16, 32))
+            assert np.all(w == mw.diag) and np.all(wdiff == 0.0)
+            direct = weight_from_heights_arr(mw.beta, 1.0 - u, np.ones_like(u), u)
+            assert np.all(np.abs(direct - mw.diag) <= 4e-16 * mw.diag)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_warmed_weight_gives_the_bits_of_a_fresh_one(self, d):

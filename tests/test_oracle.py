@@ -325,13 +325,16 @@ class TestSubordinatorInterpolant:
         err = np.abs(_g_eval(a, w) / stable_one_density_arr(a, w) - 1.0)
         assert err.max() <= self.MEASURED[alpha]
 
-    def test_density_tail_series_and_left_of_the_range(self):
-        a = 0.5
+    @pytest.mark.parametrize("a", [0.05, 0.15, 0.5])
+    def test_density_tail_series_and_left_of_the_range(self, a):
+        # right of the interpolant the value is the density itself, bit for
+        # bit, down to where it underflows; at small a a truncated tail
+        # series would be off there by up to w^(-3a)
         lo, hi, _ = _g_interp(a)
-        w = np.array([lo / 2.0, 2.0 * hi, 1e20])
+        w = np.array([lo / 2.0, 2.0 * hi, 1e20, 1e100, 1e300])
         got = _g_eval(a, w)
         assert got[0] == 0.0
-        assert got[1:] == pytest.approx(stable_one_density_arr(a, w[1:]), rel=1e-12)
+        assert np.array_equal(got[1:], stable_one_density_arr(a, w[1:]))
 
     # largest relative error of _mass_eval against its own converged knots
     # between the interpolation points, rounded up

@@ -8,7 +8,7 @@ import scipy.special as sp
 from scipy.integrate import quad
 
 import dkl.special
-from dkl.quadrature import NonConvergenceError
+from dkl.quadrature import NonConvergenceError, QuadratureSpec
 from dkl.special import (
     _SERIES_CUT,
     _stable_series,
@@ -229,6 +229,22 @@ class TestStableDensity:
         assert stable_one_density(a, x) == 0.0
         assert stable_one_density_arr(a, np.array([x, 1.0]))[0] == 0.0
 
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_subnormal_series_terms_underflow_to_zero(self, a):
+        # past some x the first series term is subnormal and the sum rounds
+        # to 0; the density is 0 there, not a Zolotarev integral that spikes
+        # at phi -> pi and runs out of orders
+        x = np.array([m * 10.0**e for e in range(100, 309) for m in (1.0, 2.5, 5.0)])
+        x = x[np.isfinite(x)]
+        got = stable_one_density_arr(a, x)
+        assert np.all(got >= 0.0) and np.all(np.isfinite(got))
+        for v in x[::7]:
+            assert stable_one_density(a, float(v)) == got[x == v][0]
+
+    def test_underflow_points_of_the_former_integral_fallback(self):
+        for a, x in [(0.5, 2.5e215), (0.5, 5e215), (0.3, 5e248)]:
+            assert stable_one_density(a, x) == 0.0
+
     def test_representation_sweep(self):
         # series/integral switchover and cross-validation stay consistent
         for a in np.linspace(0.15, 0.95, 9):
@@ -333,6 +349,15 @@ class TestStableDensityArray:
             stable_one_density(a, target)
         # without the disagreeing element the call goes through
         stable_one_density_arr(a, x[x != target])
+
+    def test_integral_failure_names_its_first_element(self, monkeypatch):
+        # every element takes the integral and none converges within 32
+        # orders: the error names the first one
+        monkeypatch.setattr(dkl.special, "_STABLE_SPEC",
+                            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=32))
+        with pytest.raises(NonConvergenceError,
+                           match=r"^stable density integral at a=0\.5, x=0\.05: "):
+            stable_one_density_arr(0.5, np.array([0.05, 0.5, 2.0]))
 
     def test_nan_argument(self):
         # NaN fails the argument guards before any series runs
