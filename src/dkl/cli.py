@@ -174,7 +174,12 @@ def cmd_oracle(cfg: dict) -> int:
     lo, hi = float(cfg["x_lo"]), float(cfg["x_hi"])
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise ValueError(f"x-lo and x-hi must be finite and > 0, got {lo}, {hi}")
-    heights = np.geomspace(lo, hi, n)
+    # geomspace may round 10^log10(x) past the float range; it then sets the
+    # ends to x itself, and an inner height that stays inf is rejected
+    with np.errstate(over="ignore"):
+        heights = np.geomspace(lo, hi, n)
+    if not np.all(np.isfinite(heights)):
+        raise ValueError(f"x-lo and x-hi give heights past the float range: {lo}, {hi}")
     report, cells = _comparison(op, spec, ts, heights, heights)
     rows = [list(cell) + [_cell_ratio(cell)] for cell in cells]
     _emit(cfg, csv_text(["t", "x", "y", "oracle", "estimate", "ratio"], rows))

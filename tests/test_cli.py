@@ -591,6 +591,16 @@ class TestInputDomains:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: weight exponents must be finite and >= 0")
 
+    @pytest.mark.parametrize("flags", [
+        ["--x-lo=1.7976931348622103e+308"],
+        ["--grid-n=4", "--x-lo=1.7976931348623157e+308", "--x-hi=1.7976931348623157e+308"],
+    ])
+    def test_oracle_heights_at_the_float_max(self, flags):
+        # numpy's geomspace overflowed to inf on its way to these ends
+        argv = ["oracle", "--grid-n", "2", "--t-list", "1.0", *flags]
+        _assert_contract(argv)
+        assert _cli_outcome(argv)[0] == 2
+
     def test_oracle_integrand_past_the_float_range(self):
         # the density at t = 1e-120 is about 1e120, but its integrand near
         # s = t^2 passes the float range: a numerical failure, with no warning
